@@ -15,7 +15,6 @@ from .qfield import (
     kronecker,
     principal_generator,
     reduced_forms,
-    splitting_type,
 )
 from .charmod import (
     HeckeChar,
@@ -27,7 +26,6 @@ from .charmod import (
     build_reductions,
     evaluate,
     predict_conductor_at_v,
-    reduce_value,
     residue_group,
     teichmuller_lift,
 )

@@ -50,11 +50,7 @@ class ResidueGroup:
     orders: tuple[int, ...]
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
-        c, n, mp = self.modulus.content, self.modulus.n, self.modulus.mprime()
-        y = alpha.b % c
-        k = (alpha.b - y) // c
-        x = (alpha.a - k * c * mp) % (c * n)
-        return (x, y)
+        return _residue_key(self.modulus, alpha)
 
     def dlog(self, alpha: QuadInt) -> tuple[int, ...]:
         key = self.reduce(alpha)
@@ -69,6 +65,15 @@ class ResidueGroup:
         for h in self.orders:
             out *= h
         return out
+
+
+def _residue_key(f: IdealRep, alpha: QuadInt) -> tuple[int, int]:
+    """Normal form (x, y) of alpha modulo f, with 0 <= x < c*n and 0 <= y < c."""
+    c, n, mp = f.content, f.n, f.mprime()
+    y = alpha.b % c
+    k = (alpha.b - y) // c
+    x = (alpha.a - k * c * mp) % (c * n)
+    return (x, y)
 
 
 def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:
@@ -112,12 +117,7 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
 
     def mul(u, v):
-        prod = QuadInt(D, u[0], u[1]) * QuadInt(D, v[0], v[1])
-        c, n, mp = f.content, f.n, f.mprime()
-        y = prod.b % c
-        k = (prod.b - y) // c
-        x = (prod.a - k * c * mp) % (c * n)
-        return (x, y)
+        return _residue_key(f, QuadInt(D, u[0], u[1]) * QuadInt(D, v[0], v[1]))
 
     one = (1 % (f.content * f.n), 0)
     gens, orders, dlog = abelian_structure(keys, mul, one)
@@ -442,11 +442,7 @@ class HeckeChar:
 
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""
-        if self.w == 1:
-            self.rg.dlog(alpha)  # raises if not a unit
-            return 0
-        d = self.rg.dlog(alpha)
-        return sum(di * ei for di, ei in zip(d, self.zeta_exps)) % self.w
+        return _finite_exponent(self.rg, self.zeta_exps, self.w, alpha)
 
     def finite_value(self, alpha: QuadInt) -> VrElem:
         return self.ring.zeta_pow(self.finite_exponent(alpha))
@@ -455,7 +451,7 @@ class HeckeChar:
         return {
             "disc": self.D,
             "weight": self.k,
-            "conductor": {"n": self.cond.n, "b": self.cond.b},
+            "conductor": self.cond.to_json(),
             "finite_part": list(self.fp),
             "class_part": (
                 "canonical" if self.class_part == "canonical" else list(self.class_part)
@@ -463,8 +459,14 @@ class HeckeChar:
         }
 
 
+def _finite_exponent(rg: ResidueGroup, zeta_exps: tuple[int, ...], w: int,
+                     alpha: QuadInt) -> int:
+    # build_hecke_char needs the finite part before the character exists
+    d = rg.dlog(alpha)  # raises if alpha is not a unit
+    return sum(di * ei for di, ei in zip(d, zeta_exps)) % w
+
+
 def _canonical_class_ideal(D: int, form, avoid: set[int]) -> IdealRep:
-    cg = class_group(D)
     target = form.reduced()
     n = 1
     while n <= 4 * abs(D) * max(avoid | {1}) + 1000:
@@ -494,9 +496,9 @@ def build_hecke_char(
     if k < 2:
         raise ValueError("weight must be >= 2")
     rg = residue_group(D, cond)
-    fp = tuple(int(e) % n for e, n in zip(finite_part, rg.orders))
-    if len(fp) != len(rg.orders):
+    if len(finite_part) != len(rg.orders):
         raise ValueError("finite part must assign one exponent per generator")
+    fp = tuple(int(e) % n for e, n in zip(finite_part, rg.orders))
 
     # value orders and the root-of-unity order w
     w = 1
@@ -522,60 +524,26 @@ def build_hecke_char(
         class_ideals.append(b)
         class_betas.append(beta)
 
-    # interim ring-free finite part evaluation for the relation constants
-    def fin_exp(alpha: QuadInt) -> int:
-        if w == 1:
-            rg.dlog(alpha)
-            return 0
-        d = rg.dlog(alpha)
-        return sum(di * ei for di, ei in zip(d, zeta_exps)) % w
-
     if class_part != "canonical":
         class_part = tuple(int(a) % w for a in class_part)
         if len(class_part) != len(cg.orders):
             raise ValueError("class part must list one twist exponent per generator")
 
-    cs = []
-    eps, q0 = disc_eps(D), omega_norm(D)
-    for j, (beta, h) in enumerate(zip(class_betas, cg.orders)):
-        zj = fin_exp(beta)
+    # relation constants c_j = zeta_w^z_j * beta_j^(k-1), computed in the ring
+    # without formal roots
+    base = ValueRing(D, w, (), ())
+    zs, cs = [], []
+    for j, beta in enumerate(class_betas):
+        zj = _finite_exponent(rg, zeta_exps, w, beta)
         if class_part != "canonical":
             zj = (zj + class_part[j]) % w
-        # c_j = zeta_w^zj * beta^(k-1) as a polynomial in (x, z)
-        poly = {(0, 0): beta.a, (1, 0): beta.b}
-        acc = {(0, 0): 1}
-        for _ in range(k - 1):
-            raw: dict[tuple, int] = {}
-            for (a1, b1), v1 in acc.items():
-                for (a2, b2), v2 in poly.items():
-                    key = (a1 + a2, b1 + b2)
-                    raw[key] = raw.get(key, 0) + v1 * v2
-            # reduce x-degree with x^2 = eps*x - q0
-            acc = {}
-            stack = list(raw.items())
-            while stack:
-                (a, bz), v = stack.pop()
-                if not v:
-                    continue
-                if a >= 2:
-                    if eps:
-                        stack.append(((a - 1, bz), v * eps))
-                    stack.append(((a - 2, bz), -v * q0))
-                else:
-                    acc[(a, bz)] = acc.get((a, bz), 0) + v
-            acc = {kk: vv for kk, vv in acc.items() if vv}
-        cdict = {}
-        for (a, bz), v in acc.items():
-            cdict[(a, (bz + zj) % w if w > 1 else 0)] = v
-        cs.append(cdict)
+        zs.append(zj)
+        cs.append((base.zeta_pow(zj) * base.from_quadint(beta) ** (k - 1)).d)
 
     ring = ValueRing(D, w, cg.orders, tuple(cs))
     inv_cs = []
-    for j, beta in enumerate(class_betas):
-        zj = fin_exp(beta)
-        if class_part != "canonical":
-            zj = (zj + class_part[j]) % w
-        inv = ring.zeta_pow(-zj % w if w > 1 else 0)
+    for zj, beta in zip(zs, class_betas):
+        inv = ring.zeta_pow(-zj)
         inv = inv * ring.from_quadint(beta.conj()) ** (k - 1)
         inv = inv * ring.from_fraction(Fraction(1, beta.norm() ** (k - 1)))
         inv_cs.append(inv)
@@ -693,13 +661,7 @@ class ReductionMap:
         xp, zp, tp = self._power_tables()
         acc = F.zero()
         for exps, coef in elem.d.items():
-            num, den = coef.numerator, coef.denominator
-            if den % F.ell == 0:
-                raise ValueError("coefficient denominator is divisible by ell")
-            c = F.scalar(num % F.ell)
-            if den != 1:
-                c = c * F.inv(F.scalar(den % F.ell))
-            term = c * xp[exps[0]] * zp[exps[1]]
+            term = _reduce_coeff(F, coef) * xp[exps[0]] * zp[exps[1]]
             for j, e in enumerate(exps[2:]):
                 term = term * tp[j][e]
             acc = acc + term
@@ -713,10 +675,6 @@ class ReductionMap:
             "zeta": self.z_img.code(),
             "t": [t.code() for t in self.t_imgs],
         }
-
-
-def reduce_value(x: VrElem, m: ReductionMap) -> FFElem:
-    return m.reduce(x)
 
 
 def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
@@ -800,12 +758,17 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
         s += 1
 
 
+def _reduce_coeff(F: FiniteField, coef) -> FFElem:
+    """Image in F of an integer or rational coefficient.  The denominator is a
+    rational integer, so it is inverted in F_ell."""
+    num, den = coef.numerator, coef.denominator
+    if den % F.ell == 0:
+        raise ValueError("coefficient denominator is divisible by ell")
+    return F.scalar(num * pow(den, -1, F.ell))
+
+
 def _reduce_xz(cdict: dict, F: FiniteField, x0: FFElem, z0: FFElem) -> FFElem:
     acc = F.zero()
     for (a, b), coef in cdict.items():
-        num, den = coef.numerator, coef.denominator
-        if den % F.ell == 0:
-            raise ValueError("coefficient denominator is divisible by ell")
-        c = F.scalar(num % F.ell) * F.inv(F.scalar(den % F.ell))
-        acc = acc + c * F.pow(x0, a) * F.pow(z0, b)
+        acc = acc + _reduce_coeff(F, coef) * F.pow(x0, a) * F.pow(z0, b)
     return acc

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout (sorted keys, canonical separators);
-human-readable summaries go to stderr.  Exit codes for `verify`: 0 when the
-congruence holds, 1 on a mismatch, 2 on invalid input.
+human-readable summaries go to stderr.  Exit codes: 0 when the congruence
+holds (or the command succeeded), 1 on a mismatch, 2 on invalid input, 3 on an
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +17,7 @@ import sys
 from .congruence import Scenario, builtin_scenario, run_scenario, search_matching_char
 from .qfield import class_group
 from .qseries import coeff_strings, delta_qexp
-from .serrepred import predicted_level, ramification_case
+from .serrepred import SerrePrediction, predicted_level, ramification_case
 from .qfield import primes_above, check_fundamental
 
 
@@ -67,16 +69,7 @@ def cmd_predict(args) -> int:
     rel = "none"
     if ramified:
         rel = "2k-1" if ell == 2 * k - 1 else "2k-3"
-    _emit(
-        {
-            "N_rho": N_rho,
-            "N_prime": N_prime,
-            "MDK": N_prime,
-            "weight": k,
-            "ell_relation": rel,
-            "nebentypus_conductor": None,
-        }
-    )
+    _emit(SerrePrediction(N_rho, N_prime, N_prime, k, None, rel).to_json())
     _note(f"predicted level {N_prime} ({kind} at {ell}, case {case.value})")
     return 0
 
@@ -101,10 +94,7 @@ def _load_scenario(args) -> Scenario:
             raise ValueError(f"cannot read scenario file: {exc}") from exc
         s = Scenario.from_json(obj)
     if getattr(args, "perturb", None) is not None:
-        s = Scenario(
-            s.disc, s.weight, s.ell, s.char, s.target, s.bound_mode,
-            s.cond, s.bound, args.perturb,
-        )
+        s = dataclasses.replace(s, perturb=args.perturb)
     return s
 
 
@@ -187,6 +177,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _note(f"error: {exc}")
         return 2
+    except Exception as exc:
+        _note(f"internal error: {exc!r}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ orchestration for the built-in verification runs."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .arith import is_prime, primes_upto
@@ -20,10 +20,11 @@ from .ffield import FiniteField, finite_field
 from .qfield import (
     IdealRep,
     check_fundamental,
+    ideal_divide_prime,
     primes_above,
     unit_ideal,
 )
-from .qseries import QExpansion, delta_qexp, drop_multiples, sturm_bound, theta_series
+from .qseries import QExpansion, delta_qexp_recursion, drop_multiples, sturm_bound, theta_series
 from .serrepred import (
     DihedralDatum,
     SerrePrediction,
@@ -170,10 +171,7 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
     for n in idx:
         if fc[n] != gc[n]:
             mism.append((n, fc[n].code(), gc[n].code()))
-    rm = f.character if isinstance(f.character, dict) else None
-    return CongruenceReport(
-        F.ell, rm, bound, len(list(idx)), tuple(mism), not mism
-    )
+    return CongruenceReport(F.ell, None, bound, len(idx), tuple(mism), not mism)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +199,26 @@ class Scenario:
             char = obj["char"]
             target_spec = obj["target"]
             bound_mode = obj.get("bound_mode", "standard")
+            bound = None if obj.get("bound") is None else int(obj["bound"])
+            perturb = None if obj.get("perturb") is None else int(obj["perturb"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from exc
         if bound_mode not in ("paper", "standard"):
             raise ValueError(f"unknown bound mode {bound_mode!r}")
         if target_spec == "tau":
             target = "tau"
-        elif isinstance(target_spec, dict) and "curve" in target_spec:
-            target = EllipticCurve(*[int(a) for a in target_spec["curve"]])
+        elif isinstance(target_spec, dict) and _is_int_list(target_spec.get("curve"), 5):
+            target = EllipticCurve(*target_spec["curve"])
         else:
             raise ValueError("target must be 'tau' or {'curve': [a1,a2,a3,a4,a6]}")
+        if char != "search":
+            if not isinstance(char, dict):
+                raise ValueError("char must be 'search' or an explicit spec object")
+            if not _is_int_list(char.get("finite_part")):
+                raise ValueError("explicit char needs a 'finite_part' list of integers")
+            class_part = char.get("class_part", "canonical")
+            if class_part != "canonical" and not _is_int_list(class_part):
+                raise ValueError("class_part must be 'canonical' or a list of integers")
         cond = None
         cond_spec = None
         if isinstance(char, dict) and "conductor" in char:
@@ -218,18 +226,13 @@ class Scenario:
         elif "cond" in obj:
             cond_spec = obj["cond"]
         if cond_spec is not None:
-            cond = IdealRep(
-                disc, int(cond_spec["n"]), int(cond_spec["b"]), int(cond_spec.get("c", 1))
-            )
-        if char != "search" and not isinstance(char, dict):
-            raise ValueError("char must be 'search' or an explicit spec object")
-        bound = obj.get("bound")
-        perturb = obj.get("perturb")
-        return Scenario(
-            disc, weight, ell, char, target, bound_mode, cond,
-            None if bound is None else int(bound),
-            None if perturb is None else int(perturb),
-        )
+            try:
+                cond = IdealRep(
+                    disc, int(cond_spec["n"]), int(cond_spec["b"]), int(cond_spec.get("c", 1))
+                )
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"malformed conductor: {exc!r}") from exc
+        return Scenario(disc, weight, ell, char, target, bound_mode, cond, bound, perturb)
 
     def to_json(self) -> dict:
         out = {
@@ -246,12 +249,20 @@ class Scenario:
             "bound_mode": self.bound_mode,
         }
         if self.cond is not None:
-            out["cond"] = {"n": self.cond.n, "b": self.cond.b}
+            out["cond"] = self.cond.to_json()
         if self.bound is not None:
             out["bound"] = self.bound
         if self.perturb is not None:
             out["perturb"] = self.perturb
         return out
+
+
+def _is_int_list(x, length=None) -> bool:
+    return (
+        isinstance(x, list)
+        and all(isinstance(a, int) for a in x)
+        and (length is None or len(x) == length)
+    )
 
 
 def builtin_scenario(name: str) -> Scenario:
@@ -310,8 +321,6 @@ def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
         away = cond
     else:
         # strip the prime above ell (residue degree 1 in the ramified cases)
-        from .qfield import ideal_divide_prime
-
         away = ideal_divide_prime(cond, sp.primes[0])
     datum = DihedralDatum(s.ell, s.disc, s.weight, away, case)
     return datum, cond
@@ -322,7 +331,7 @@ def _target_expansion(s: Scenario, bound: int, prec: int):
     F = finite_field(s.ell, 1)
     if s.target == "tau":
         tgt = reduce_int_expansion(
-            drop_multiples(delta_qexp(prec), s.ell), s.ell, F
+            drop_multiples(delta_qexp_recursion(prec), s.ell), s.ell, F
         )
         idx = None
     else:
@@ -351,32 +360,29 @@ def _target_expansion(s: Scenario, bound: int, prec: int):
 
 def _scenario_bounds(s: Scenario) -> tuple[int, int]:
     """(comparison bound, series precision)."""
-    level = s.cond.norm() * abs(s.disc) if s.cond is not None else None
     if s.bound is not None:
-        bound = s.bound
-    else:
-        if level is None:
-            raise ValueError("cannot size the comparison bound without a conductor")
-        bound = sturm_bound(s.weight, level, s.bound_mode)
-    if level is not None:
-        prec = max(
-            bound,
-            sturm_bound(s.weight, level, "paper"),
-            sturm_bound(s.weight, level, "standard"),
-        ) if s.bound is None else bound
-    else:
-        prec = bound
-    return bound, prec
+        return s.bound, s.bound
+    if s.cond is None:
+        raise ValueError("cannot size the comparison bound without a conductor")
+    level = s.cond.norm() * abs(s.disc)
+    bound = sturm_bound(s.weight, level, s.bound_mode)
+    # series are expanded to the larger of the two cutoffs
+    return bound, max(sturm_bound(s.weight, level, mode) for mode in ("paper", "standard"))
 
 
 def _candidate_finite_parts(rg) -> list[tuple[int, ...]]:
-    ranges = [range(n) for n in rg.orders]
-    total = 1
-    for n in rg.orders:
-        total *= n
-    if total > SEARCH_CANDIDATE_CAP:
+    if rg.order > SEARCH_CANDIDATE_CAP:
         raise ValueError("finite-part candidate space exceeds the search cap")
-    return [tuple(t) for t in product(*ranges)]
+    return [tuple(t) for t in product(*(range(n) for n in rg.orders))]
+
+
+def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices, prec: int):
+    """Expand the theta series of chi once to prec, then lazily yield
+    (map, report) for each reduction map, in order."""
+    theta = theta_series(chi, prec)
+    for m in maps:
+        rep = compare(reduce_expansion(theta, m), target, bound, indices)
+        yield m, replace(rep, reduction_map=m.describe())
 
 
 def search_matching_char(s: Scenario):
@@ -410,79 +416,51 @@ def search_matching_char(s: Scenario):
         if len(maps) > SEARCH_MAP_CAP:
             diagnostics.append({**label, "skipped": "reduction fan-out above cap"})
             continue
-        theta_quick = theta_series(chi, quick)
-        surviving = []
-        for m in maps:
-            red = reduce_expansion(theta_quick, m)
-            rep = compare(red, target, quick, quick_idx)
-            if rep.verdict:
-                surviving.append(m)
+        quick_reports = _map_reports(chi, maps, target, quick, quick_idx, quick)
+        surviving = [m for m, rep in quick_reports if rep.verdict]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        theta_full = theta_series(chi, prec)
-        for m in surviving:
-            red = reduce_expansion(theta_full, m)
-            rep = compare(red, target, bound, indices)
-            rep = CongruenceReport(
-                rep.ell, m.describe(), rep.bound, rep.count, rep.mismatches, rep.verdict
-            )
+        for m, rep in _map_reports(chi, surviving, target, bound, indices, prec):
             if rep.verdict:
                 matches.append((chi, m, rep))
             else:
                 diagnostics.append(
-                    {**label, "map": m.describe(), "failed_at": rep.mismatches[0][0]}
+                    {**label, "map": rep.reduction_map, "failed_at": rep.mismatches[0][0]}
                 )
     return matches, diagnostics
 
 
 def run_scenario(s: Scenario) -> RunResult:
-    """Serre prediction plus the verification report for the scenario."""
+    """Serre prediction plus the verification report for the scenario.
+
+    A search keeps its first match.  An explicit character is compared under
+    every reduction map up to the first match, else reports the first map."""
     datum, cond = _scenario_datum(s)
     bound, prec = _scenario_bounds(s)
-
+    diagnostics = ()
     if s.char == "search":
-        matches, diagnostics = search_matching_char(s)
+        matches, found = search_matching_char(s)
         if matches:
             chi, rmap, report = matches[0]
         else:
             chi, rmap = None, None
             report = CongruenceReport(s.ell, None, bound, 0, (), False)
-        neb = None
-        if chi is not None:
-            eps, _ = nebentypus(chi)
-            neb = eps.descriptor()
-        pred = predict_invariants(datum, neb)
-        return RunResult(pred, report, chi, rmap, tuple(
-            json.dumps(d, sort_keys=True) for d in diagnostics
-        ))
-
-    # explicit character
-    spec = s.char
-    chi = build_hecke_char(
-        s.disc,
-        s.weight,
-        cond,
-        spec["finite_part"],
-        spec.get("class_part", "canonical"),
-        avoid_primes=(s.ell,),
-    )
-    target, indices = _target_expansion(s, bound, prec)
-    maps = build_reductions(chi.ring, s.ell)
-    theta = theta_series(chi, prec)
-    best = None
-    for m in maps:
-        red = reduce_expansion(theta, m)
-        rep = compare(red, target, bound, indices)
-        rep = CongruenceReport(
-            rep.ell, m.describe(), rep.bound, rep.count, rep.mismatches, rep.verdict
+        diagnostics = tuple(json.dumps(d, sort_keys=True) for d in found)
+    else:
+        chi = build_hecke_char(
+            s.disc,
+            s.weight,
+            cond,
+            s.char["finite_part"],
+            s.char.get("class_part", "canonical"),
+            avoid_primes=(s.ell,),
         )
-        if rep.verdict:
-            best = (m, rep)
-            break
-        if best is None:
-            best = (m, rep)
-    rmap, report = best
-    eps, _ = nebentypus(chi)
-    pred = predict_invariants(datum, eps.descriptor())
-    return RunResult(pred, report, chi, rmap)
+        target, indices = _target_expansion(s, bound, prec)
+        maps = build_reductions(chi.ring, s.ell)
+        reports = _map_reports(chi, maps, target, bound, indices, prec)
+        rmap, report = first = next(reports)
+        if not report.verdict:
+            rmap, report = next(((m, r) for m, r in reports if r.verdict), first)
+    neb = None if chi is None else nebentypus(chi)[0].descriptor()
+    return RunResult(predict_invariants(datum, neb), report, chi, rmap, diagnostics)

@@ -209,9 +209,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
 
-    def frobenius(self, a: FFElem) -> FFElem:
-        return self.pow(a, self.ell)
-
     # -- multiplicative structure ------------------------------------------
     def generator(self) -> FFElem:
         if self._gen is None:

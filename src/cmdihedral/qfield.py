@@ -194,6 +194,13 @@ class IdealRep:
     def sort_key(self):
         return (self.content, self.n, self.b)
 
+    def to_json(self) -> dict:
+        """{"n", "b"}, plus the content "c" when it is not 1."""
+        out = {"n": self.n, "b": self.b}
+        if self.content != 1:
+            out["c"] = self.content
+        return out
+
 
 def unit_ideal(D: int) -> IdealRep:
     return IdealRep(D, 1, disc_eps(D))
@@ -360,10 +367,6 @@ def primes_above(D: int, p: int) -> Splitting:
     return Splitting("split", tuple(pair))
 
 
-def splitting_type(D: int, p: int) -> Splitting:
-    return primes_above(D, p)
-
-
 @lru_cache(maxsize=None)
 def ideals_of_norm(D: int, n: int) -> tuple[IdealRep, ...]:
     """All integral ideals of norm n, assembled multiplicatively and sorted."""
@@ -443,7 +446,6 @@ class ClassGroup:
     reps: tuple[QuadForm, ...]
     gens: tuple[QuadForm, ...]
     orders: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
 
     @property
     def h(self) -> int:
@@ -473,10 +475,7 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 def class_group(D: int) -> ClassGroup:
     reps = reduced_forms(D)
     gens, orders, dlog = abelian_structure(list(reps), compose, reps[0])
-    table = tuple(
-        tuple(reps.index(compose(f, g)) for g in reps) for f in reps
-    )
-    cg = ClassGroup(D, reps, tuple(gens), tuple(orders), table)
+    cg = ClassGroup(D, reps, tuple(gens), tuple(orders))
     object.__setattr__(cg, "_dlog", dlog)
     return cg
 

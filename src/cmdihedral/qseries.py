@@ -103,8 +103,11 @@ def delta_qexp(prec: int) -> QExpansion:
 
 
 def delta_qexp_recursion(prec: int) -> QExpansion:
-    """Independent route: coefficients of q * prod(1-q^n)^24 from the
-    pentagonal-number recursion n*s_n = -sum_k (-1)^k (n - 25 g_k) s_{n-g_k}."""
+    """Coefficients of q * prod(1-q^n)^24 from the pentagonal-number
+    recursion n*s_n = -sum_k (-1)^k (n - 25 g_k) s_{n-g_k}.  The tau target
+    uses this route; the literal product `delta_qexp` is its test oracle."""
+    if prec > 10**5:
+        raise ValueError("precision cap exceeded")
     if prec < 1:
         raise ValueError("precision must be >= 1")
     m = prec

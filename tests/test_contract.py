@@ -1,0 +1,117 @@
+"""Input contract: malformed scenarios exit 2 with one line, internal errors
+exit 3, and scenario JSON round-trips losslessly."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cmdihedral import cli
+from cmdihedral.charmod import build_hecke_char
+from cmdihedral.congruence import EllipticCurve, Scenario
+from cmdihedral.qfield import IdealRep, ideals_of_norm
+
+DELTA = {"disc": -23, "weight": 12, "ell": 23, "target": "tau"}
+CURVE = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+         "cond": {"n": 71, "b": 71}, "bound": 50}
+EXPLICIT = {"conductor": {"n": 23, "b": 23}, "class_part": "canonical"}
+
+MALFORMED = {
+    "cond_without_b": {**DELTA, "char": "search", "cond": {"n": 23}},
+    "explicit_without_finite_part": {**DELTA, "char": EXPLICIT},
+    "finite_part_not_a_list": {**DELTA, "char": {**EXPLICIT, "finite_part": 11}},
+    "curve_too_short": {**CURVE, "target": {"curve": [0, -1, 1, -18507]}},
+    "finite_part_too_long": {**DELTA, "char": {**EXPLICIT, "finite_part": [11, 5]}},
+    "class_part_not_a_list": {
+        **DELTA, "char": {**EXPLICIT, "finite_part": [11], "class_part": 5},
+    },
+    "bound_not_a_number": {
+        **CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}, "bound": [50],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code = cli.main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_finite_part_length_checked_before_build():
+    with pytest.raises(ValueError, match="one exponent per generator"):
+        build_hecke_char(-23, 12, IdealRep(-23, 23, 23), [11, 5])
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(prec):
+        raise KeyError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "delta_qexp", broken)
+    code = cli.main(["tau", "--prec", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+
+
+def test_character_json_keeps_conductor_content():
+    chi = build_hecke_char(-23, 12, IdealRep(-23, 1, 1, 5), [1])
+    assert chi.to_json()["conductor"] == {"n": 1, "b": 1, "c": 5}
+    delta = build_hecke_char(-23, 12, IdealRep(-23, 23, 23), [11])
+    assert delta.to_json()["conductor"] == {"n": 23, "b": 23}
+
+
+DISCS = (-3, -4, -7, -23, -71)
+CURVES = (EllipticCurve(0, -1, 1, -18507, -989382), EllipticCurve(0, 0, 1, -1, 0))
+small = st.integers(min_value=0, max_value=50)
+
+
+@st.composite
+def ideals(draw, D):
+    n = draw(st.integers(min_value=1, max_value=30))
+    primitive = [a for a in ideals_of_norm(D, n) if a.content == 1]
+    if not primitive:
+        primitive = [IdealRep(D, 1, D % 2)]
+    a = draw(st.sampled_from(primitive))
+    return IdealRep(D, a.n, a.b, draw(st.integers(min_value=1, max_value=6)))
+
+
+@st.composite
+def scenarios(draw):
+    D = draw(st.sampled_from(DISCS))
+    char = draw(st.one_of(
+        st.just("search"),
+        st.builds(
+            lambda fp, cp: {"finite_part": fp, "class_part": cp},
+            st.lists(small, max_size=3),
+            st.one_of(st.just("canonical"), st.lists(small, max_size=2)),
+        ),
+    ))
+    return Scenario(
+        disc=D,
+        weight=draw(st.integers(min_value=2, max_value=30)),
+        ell=draw(st.sampled_from((5, 7, 11, 23))),
+        char=char,
+        target=draw(st.one_of(st.just("tau"), st.sampled_from(CURVES))),
+        bound_mode=draw(st.sampled_from(("standard", "paper"))),
+        cond=draw(st.one_of(st.none(), ideals(D))),
+        bound=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=5000))),
+        perturb=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=5000))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_scenario_json_roundtrip_property(s):
+    text = json.dumps(s.to_json(), sort_keys=True)
+    assert Scenario.from_json(json.loads(text)) == s
+    assert ("c" in json.loads(text).get("cond", {})) == (
+        s.cond is not None and s.cond.content != 1
+    )

@@ -1,0 +1,72 @@
+"""Guards against silent drift: pinned stdout bytes of the verification
+commands, and the function names the per-layer tracer of `perfbench/` wraps."""
+
+import hashlib
+import importlib
+import importlib.util
+import json
+import os
+
+import pytest
+
+from cmdihedral.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEEP = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
+
+EXPLICIT_MISMATCH = {
+    "disc": -23, "weight": 12, "ell": 23,
+    "char": {"conductor": {"n": 23, "b": 23}, "finite_part": [11], "class_part": "canonical"},
+    "target": "tau", "perturb": 5,
+}
+
+# name -> (argv, exit code, sha256 of stdout); "{mismatch}" is the scenario above.
+PINNED = {
+    "verify-delta23": (["verify", "--builtin", "delta23"], 0,
+     "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
+    "verify-curve65533": (["verify", "--builtin", "curve65533"], 0,
+     "61c7b26af6c732a7835e003845a7d9d939a7afe657d3b61c9663d0db3cfce550"),
+    "verify-curve71_deep": (["verify", "--scenario", DEEP], 0,
+     "0638b33459b63e1af3370052958a2d480dbd85754b037d3dc09a92d96320657e"),
+    "verify-curve65533-perturb2": (["verify", "--builtin", "curve65533", "--perturb", "2"], 1,
+     "a6fdbd8b1850cc954188ff9b382f1be6d9d12b363afa8005845794c1dc000c42"),
+    "search-delta23": (["search", "--builtin", "delta23"], 0,
+     "cfaac58fcd51d8d6a42b0ddb74efebb3161e595f6d658a9628928a9dad5e94ae"),
+    "search-curve65533": (["search", "--builtin", "curve65533"], 0,
+     "2786c64ec11eac038c58b40e76a5e01f1c961d3dfc81c92170a7c46ff303370c"),
+    "verify-explicit-mismatch": (["verify", "--scenario", "{mismatch}"], 1,
+     "234787bc75e55f6a63a4c8841225eede226da75caa30955e948a6cf3a6c3418b"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_stdout_bytes_pinned(name, tmp_path, capsys):
+    argv, exit_code, digest = PINNED[name]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(EXPLICIT_MISMATCH))
+    argv = [str(path) if a == "{mismatch}" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _layertrace():
+    path = os.path.join(ROOT, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("_layertrace_names", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_names_resolve():
+    lt = _layertrace()
+    for table in (lt.SPANS, lt.COUNTS):
+        for layer, names in table.items():
+            module = importlib.import_module(f"cmdihedral.{layer}")
+            for name in names:
+                if "." in name:
+                    cls_name, attr = name.split(".")
+                    assert attr in vars(getattr(module, cls_name)), f"{layer}.{name}"
+                else:
+                    assert callable(getattr(module, name, None)), f"{layer}.{name}"

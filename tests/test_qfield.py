@@ -16,10 +16,10 @@ from cmdihedral.qfield import (
     ideal_pow,
     ideals_of_norm,
     kronecker,
+    primes_above,
     principal_generator,
     principal_ideal,
     reduced_forms,
-    splitting_type,
     unit_ideal,
     units,
 )
@@ -170,16 +170,16 @@ def test_class_group_structures():
 # -- splitting and ideal enumeration ------------------------------------------
 
 def test_splitting_frozen_examples():
-    s = splitting_type(-23, 23)
+    s = primes_above(-23, 23)
     assert s.kind == "ramified" and s.primes[0].norm() == 23
-    assert splitting_type(-23, 2).kind == "split"
-    assert splitting_type(-71, 7).kind == "inert"
+    assert primes_above(-23, 2).kind == "split"
+    assert primes_above(-71, 7).kind == "inert"
 
 
 def test_splitting_agrees_with_ideal_counts():
     for D in DISCS:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            s = splitting_type(D, p)
+            s = primes_above(D, p)
             count = len(ideals_of_norm(D, p))
             assert count == {"split": 2, "ramified": 1, "inert": 0}[s.kind]
             for P in s.primes:
