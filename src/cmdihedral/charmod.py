@@ -636,36 +636,10 @@ class ReductionMap:
     def r(self) -> int:
         return self.field.r
 
-    def _power_tables(self):
-        tables = getattr(self, "_pows", None)
-        if tables is None:
-            R, F = self.ring, self.field
-            xp = [F.one(), self.x_img]
-            zp = [F.one()]
-            for _ in range(max(R.zdeg, 1)):
-                zp.append(zp[-1] * self.z_img)
-            tp = []
-            for j, h in enumerate(R.orders):
-                col = [F.one()]
-                for _ in range(h):
-                    col.append(col[-1] * self.t_imgs[j])
-                tp.append(col)
-            tables = (xp, zp, tp)
-            object.__setattr__(self, "_pows", tables)
-        return tables
-
     def reduce(self, elem: VrElem) -> FFElem:
         if elem.ring is not self.ring:
             raise ValueError("element belongs to a different value ring")
-        F = self.field
-        xp, zp, tp = self._power_tables()
-        acc = F.zero()
-        for exps, coef in elem.d.items():
-            term = _reduce_coeff(F, coef) * xp[exps[0]] * zp[exps[1]]
-            for j, e in enumerate(exps[2:]):
-                term = term * tp[j][e]
-            acc = acc + term
-        return acc
+        return _reduce_terms(self.field, elem.d, (self.x_img, self.z_img, *self.t_imgs))
 
     def describe(self) -> dict:
         return {
@@ -704,8 +678,6 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
     s = 1
     while True:
         r = r1 * s
-        if ell**r > 10**7:
-            raise ValueError("no valid assignment within the field-size bound")
         F = finite_field(ell, r)
         x_roots = F.poly_roots(list(minpoly))
         if not x_roots:
@@ -729,7 +701,7 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
             for z0 in z_imgs:
                 t_choices = []
                 for j in range(R.s):
-                    cbar = _reduce_xz(R.cs[j], F, x0, z0)
+                    cbar = _reduce_terms(F, R.cs[j], (x0, z0))
                     if cbar.is_zero():
                         raise ValueError(
                             "no valid assignment: relation constant reduces to zero"
@@ -767,8 +739,13 @@ def _reduce_coeff(F: FiniteField, coef) -> FFElem:
     return F.scalar(num * pow(den, -1, F.ell))
 
 
-def _reduce_xz(cdict: dict, F: FiniteField, x0: FFElem, z0: FFElem) -> FFElem:
+def _reduce_terms(F: FiniteField, terms: dict, imgs: tuple) -> FFElem:
+    """Image in F of sum(coef * prod(imgs[i] ** exps[i])) over terms {exps: coef}."""
     acc = F.zero()
-    for (a, b), coef in cdict.items():
-        acc = acc + _reduce_coeff(F, coef) * F.pow(x0, a) * F.pow(z0, b)
+    for exps, coef in terms.items():
+        term = _reduce_coeff(F, coef)
+        for img, e in zip(imgs, exps):
+            if e:
+                term = term * img**e
+        acc = acc + term
     return acc

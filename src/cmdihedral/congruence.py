@@ -146,32 +146,25 @@ class CongruenceReport:
         }
 
 
-def _common_field(f: QExpansion, g: QExpansion):
-    Ff, Fg = f.ring, g.ring
-    if not isinstance(Ff, FiniteField) or not isinstance(Fg, FiniteField):
-        raise ValueError("compare expects finite-field expansions")
-    if Ff is Fg:
-        return Ff, f.coeffs, g.coeffs
-    if Ff.ell != Fg.ell:
-        raise ValueError("expansions live in different characteristics")
-    if Ff.r == 1:
-        return Fg, [Fg.embed(c) for c in f.coeffs], g.coeffs
-    if Fg.r == 1:
-        return Ff, f.coeffs, [Ff.embed(c) for c in g.coeffs]
-    raise ValueError("no canonical embedding between the two fields")
-
-
 def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> CongruenceReport:
     """Coefficientwise comparison over 1..bound (or the given indices)."""
     if f.prec < bound or g.prec < bound:
         raise ValueError("insufficient precision for the requested bound")
-    F, fc, gc = _common_field(f, g)
+    Ff, Fg = f.ring, g.ring
+    if not isinstance(Ff, FiniteField) or not isinstance(Fg, FiniteField):
+        raise ValueError("compare expects finite-field expansions")
+    if Ff.ell != Fg.ell:
+        raise ValueError("expansions live in different characteristics")
+    if Ff.r != Fg.r and min(Ff.r, Fg.r) > 1:
+        raise ValueError("no canonical embedding between the two fields")
+    # a prime-field element has the same code in every extension
     idx = range(1, bound + 1) if indices is None else [n for n in indices if n <= bound]
     mism = []
     for n in idx:
-        if fc[n] != gc[n]:
-            mism.append((n, fc[n].code(), gc[n].code()))
-    return CongruenceReport(F.ell, None, bound, len(idx), tuple(mism), not mism)
+        a, b = f.coeffs[n].code(), g.coeffs[n].code()
+        if a != b:
+            mism.append((n, a, b))
+    return CongruenceReport(Ff.ell, None, bound, len(idx), tuple(mism), not mism)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +289,8 @@ class RunResult:
 def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
     check_fundamental(s.disc)
     sp = primes_above(s.disc, s.ell)
+    # every reduction lands in an extension of this field: check its size first
+    finite_field(s.ell, 2 if sp.kind == "inert" else 1)
     case = ramification_case(s.ell, sp.kind, s.weight)
     cond = s.cond
     if cond is None:

@@ -1,9 +1,10 @@
 """Arithmetic in F_{ell^r} with a deterministic modulus and generator.
 
 The modulus is the first irreducible monic polynomial of degree r in the
-base-ell enumeration of coefficient vectors; elements are coefficient tuples
-(low degree first) and carry an integer code sum(c_i * ell^i) used wherever a
-canonical ordering or serialization is needed.
+base-ell enumeration of coefficient vectors.  An element is its integer code
+sum(c_i * ell^i) over its coefficients (low degree first), so a prime-field
+element has the same code in every extension.  Arithmetic is lookups in the
+log, antilog and Zech tables built once per field.
 """
 
 from __future__ import annotations
@@ -11,6 +12,17 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import factorint, is_prime
+
+# Largest field order ell^r with tables; larger fields are rejected up front.
+FIELD_SIZE_CAP = 10**7
+
+
+def _digits(code, ell, r):
+    out = []
+    for _ in range(r):
+        code, c = divmod(code, ell)
+        out.append(c)
+    return out
 
 
 def _poly_trim(p):
@@ -50,9 +62,9 @@ def _poly_gcd(a, b, ell):
     return a
 
 
-def _xpow_mod(e, mod, ell):
-    # x^e mod the monic polynomial mod
-    result, base = [1], _poly_rem([0, 1], mod, ell)
+def _poly_powmod(a, e, mod, ell):
+    # a^e mod the monic polynomial mod
+    result, base = [1], _poly_rem(a, mod, ell)
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, ell)
@@ -62,11 +74,11 @@ def _xpow_mod(e, mod, ell):
 
 
 def _is_irreducible(mod, ell, r):
-    xq = _xpow_mod(ell**r, mod, ell)
+    xq = _poly_powmod([0, 1], ell**r, mod, ell)
     if _poly_trim(list(xq)) != [0, 1]:
         return False
     for q in factorint(r):
-        diff = list(_xpow_mod(ell ** (r // q), mod, ell))
+        diff = list(_poly_powmod([0, 1], ell ** (r // q), mod, ell))
         while len(diff) < 2:
             diff.append(0)
         diff[1] = (diff[1] - 1) % ell
@@ -77,21 +89,17 @@ def _is_irreducible(mod, ell, r):
 
 
 class FFElem:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "n")
 
-    def __init__(self, field: "FiniteField", coeffs: tuple[int, ...]):
+    def __init__(self, field: "FiniteField", n: int):
         self.field = field
-        self.coeffs = coeffs
+        self.n = n
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FFElem)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, FFElem) and self.field is other.field and self.n == other.n
 
     def __hash__(self):
-        return hash((self.field.ell, self.field.r, self.coeffs))
+        return hash((self.field.ell, self.field.r, self.n))
 
     def __add__(self, other):
         return self.field.add(self, other)
@@ -109,159 +117,150 @@ class FFElem:
         return self.field.pow(self, e)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.n == 0
 
     def code(self) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.field.ell + c
-        return out
+        return self.n
 
     def __repr__(self):
-        return f"FF({self.field.ell}^{self.field.r}:{self.code()})"
+        return f"FF({self.field.ell}^{self.field.r}:{self.n})"
 
 
 class FiniteField:
+    """F_{ell^r} with log, antilog and Zech tables over the generator g.
+
+    exp[k] is the code of g^k, log inverts it on nonzero codes, and
+    zech[k] = log(1 + g^k), or None where 1 + g^k = 0.
+    """
+
     def __init__(self, ell: int, r: int):
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
         if r < 1:
             raise ValueError("degree must be positive")
+        if ell**r > FIELD_SIZE_CAP:
+            raise ValueError(f"field size {ell}^{r} exceeds the cap of {FIELD_SIZE_CAP}")
         self.ell = ell
         self.r = r
-        self.q = ell**r
-        self.modulus = self._find_modulus() if r > 1 else None
-        self._gen = None
-        self._dlog = None
+        self.q = q = ell**r
+        self.modulus = self._find_modulus() if r > 1 else [0, 1]
+        self._m = q - 1
+        self.exp = exp = self._powers(self._find_generator())
+        self.log = log = [None] * q
+        for k, n in enumerate(exp):
+            log[n] = k
+        # 1 + g^k only changes the constant digit of the code
+        self.zech = [log[n - n % ell + (n + 1) % ell] for n in exp]
+        # the code of -1 is ell - 1; (q - 1) / 2 would be wrong in characteristic 2
+        self._log_minus_one = log[ell - 1]
 
     def _find_modulus(self):
         ell, r = self.ell, self.r
         for code in range(ell**r):
-            coeffs = []
-            c = code
-            for _ in range(r):
-                coeffs.append(c % ell)
-                c //= ell
-            mod = coeffs + [1]
+            mod = _digits(code, ell, r) + [1]
             if _is_irreducible(mod, ell, r):
                 return mod
         raise AssertionError("no irreducible polynomial found")
 
+    def _find_generator(self) -> list[int]:
+        """Digits of the least code of multiplicative order q - 1."""
+        ell, r, m = self.ell, self.r, self.q - 1
+        cofactors = [m // p for p in factorint(m)]
+        for code in range(1, self.q):
+            g = _digits(code, ell, r)
+            if all(_poly_powmod(g, c, self.modulus, ell) != [1] for c in cofactors):
+                return g
+        raise AssertionError("no generator found")
+
+    def _powers(self, g: list[int]) -> list[int]:
+        """Codes of g^0 .. g^(q-2)."""
+        ell, mod = self.ell, self.modulus
+        scale = [ell**i for i in range(self.r)]
+        out, acc = [], [1]
+        for _ in range(self.q - 1):
+            out.append(sum(c * s for c, s in zip(acc, scale)))
+            # g, of least code, has few digits: it is the outer (zero-skipping) loop
+            acc = _poly_mulmod(g, acc, mod, ell)
+        return out
+
     # -- constructors ------------------------------------------------------
     def zero(self) -> FFElem:
-        return FFElem(self, (0,) * self.r)
+        return FFElem(self, 0)
 
     def one(self) -> FFElem:
-        return self.scalar(1)
+        return FFElem(self, 1)
 
     def scalar(self, c: int) -> FFElem:
-        return FFElem(self, (c % self.ell,) + (0,) * (self.r - 1))
-
-    def from_code(self, code: int) -> FFElem:
-        coeffs = []
-        for _ in range(self.r):
-            coeffs.append(code % self.ell)
-            code //= self.ell
-        return FFElem(self, tuple(coeffs))
+        return FFElem(self, c % self.ell)
 
     def elements(self):
-        for code in range(self.q):
-            yield self.from_code(code)
-
-    def embed(self, x: FFElem) -> FFElem:
-        """Embed an element of the prime field F_ell into this field."""
-        if x.field is self:
-            return x
-        if x.field.ell != self.ell or x.field.r != 1:
-            raise ValueError("only prime-field scalars embed canonically")
-        return self.scalar(x.coeffs[0])
+        for n in range(self.q):
+            yield FFElem(self, n)
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a: FFElem, b: FFElem) -> FFElem:
-        return FFElem(self, tuple((x + y) % self.ell for x, y in zip(a.coeffs, b.coeffs)))
+        if not a.n:
+            return b
+        if not b.n:
+            return a
+        la = self.log[a.n]
+        z = self.zech[(self.log[b.n] - la) % self._m]
+        return FFElem(self, 0 if z is None else self.exp[(la + z) % self._m])
 
     def sub(self, a: FFElem, b: FFElem) -> FFElem:
-        return FFElem(self, tuple((x - y) % self.ell for x, y in zip(a.coeffs, b.coeffs)))
+        return self.add(a, self.neg(b))
 
     def neg(self, a: FFElem) -> FFElem:
-        return FFElem(self, tuple(-x % self.ell for x in a.coeffs))
+        if not a.n:
+            return a
+        return FFElem(self, self.exp[(self.log[a.n] + self._log_minus_one) % self._m])
 
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
-        if self.r == 1:
-            return FFElem(self, (a.coeffs[0] * b.coeffs[0] % self.ell,))
-        prod = _poly_mulmod(list(a.coeffs), list(b.coeffs), self.modulus, self.ell)
-        prod += [0] * (self.r - len(prod))
-        return FFElem(self, tuple(prod))
+        if not (a.n and b.n):
+            return FFElem(self, 0)
+        return FFElem(self, self.exp[(self.log[a.n] + self.log[b.n]) % self._m])
 
     def pow(self, a: FFElem, e: int) -> FFElem:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        acc, base = self.one(), a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        if not a.n:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return FFElem(self, 0 if e else 1)
+        return FFElem(self, self.exp[self.log[a.n] * e % self._m])
 
     def inv(self, a: FFElem) -> FFElem:
-        if a.is_zero():
+        if not a.n:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        return FFElem(self, self.exp[-self.log[a.n] % self._m])
 
     # -- multiplicative structure ------------------------------------------
     def generator(self) -> FFElem:
-        if self._gen is None:
-            fac = factorint(self.q - 1) if self.q > 2 else {}
-            for code in range(1, self.q):
-                g = self.from_code(code)
-                if all(
-                    not self.pow(g, (self.q - 1) // p) == self.one() for p in fac
-                ):
-                    self._gen = g
-                    break
-            else:
-                self._gen = self.one()
-        return self._gen
+        # 1 % m: in F_2 the table holds g^0 only
+        return FFElem(self, self.exp[1 % self._m])
 
     def dlog(self, x: FFElem) -> int:
-        if x.is_zero():
+        if not x.n:
             raise ValueError("dlog of zero")
-        if self._dlog is None:
-            table = {}
-            g = self.generator()
-            acc = self.one()
-            for k in range(self.q - 1):
-                table[acc.coeffs] = k
-                acc = self.mul(acc, g)
-            self._dlog = table
-        return self._dlog[x.coeffs]
+        return self.log[x.n]
 
     def element_order(self, x: FFElem) -> int:
         d = self.dlog(x)
-        return (self.q - 1) // gcd(self.q - 1, d)
+        return self._m // gcd(self._m, d)
 
     def nth_roots(self, c: FFElem, n: int) -> list[FFElem]:
         """All distinct solutions of x^n = c, sorted by code."""
-        if c.is_zero():
+        if not c.n:
             return [self.zero()]
-        # peel off the ell-part of n: x -> x^ell is the Frobenius bijection
-        while n % self.ell == 0:
-            c = self.pow(c, self.ell ** (self.r - 1))
-            n //= self.ell
-        a = self.dlog(c)
-        m = self.q - 1
+        m = self._m
         g = gcd(n, m)
+        a = self.log[c.n]
         if a % g:
             return []
-        n1, m1, a1 = n // g, m // g, a // g
-        x0 = a1 * pow(n1, -1, m1) % m1
-        gen = self.generator()
-        roots = [self.pow(gen, (x0 + k * m1) % m) for k in range(g)]
-        return sorted(roots, key=FFElem.code)
+        m1 = m // g
+        x0 = a // g * pow(n // g, -1, m1) % m1
+        return sorted((FFElem(self, self.exp[x0 + k * m1]) for k in range(g)), key=FFElem.code)
 
     def poly_roots(self, coeffs: list[int]) -> list[FFElem]:
-        """Roots in this field of a polynomial with integer coefficients."""
+        """Roots in this field of a polynomial with integer coefficients, sorted by code."""
         cs = [self.scalar(c) for c in coeffs]
         out = []
         for x in self.elements():
@@ -270,7 +269,7 @@ class FiniteField:
                 acc = self.add(self.mul(acc, x), c)
             if acc.is_zero():
                 out.append(x)
-        return sorted(out, key=FFElem.code)
+        return out
 
 
 _cache: dict[tuple[int, int], FiniteField] = {}

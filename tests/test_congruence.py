@@ -72,6 +72,16 @@ def test_compare_embeds_prime_field():
     f = _ff_series(F1, [1, 2, 3])
     g = QExpansion(F2, [F2.zero()] + [F2.scalar(v) for v in (1, 2, 3)], 2, 1)
     assert compare(f, g, 3).verdict
+    # an extension element (code >= 23) differs from every prime-field element
+    h = QExpansion(F2, [F2.zero(), F2.scalar(1), F2.generator(), F2.scalar(3)], 2, 1)
+    assert F2.generator().code() >= 23
+    rep = compare(h, f, 3)
+    assert rep.mismatches == ((2, F2.generator().code(), 2),)
+    with pytest.raises(ValueError):
+        compare(f, _ff_series(finite_field(7, 1), [1, 2, 3]), 3)
+    F49, F2401 = finite_field(7, 2), finite_field(7, 4)
+    with pytest.raises(ValueError, match="no canonical embedding"):
+        compare(_ff_series(F49, [1, 2, 3]), _ff_series(F2401, [1, 2, 3]), 3)
 
 
 # -- curve point counts --------------------------------------------------------------

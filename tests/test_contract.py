@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cmdihedral import cli
 from cmdihedral.charmod import build_hecke_char
 from cmdihedral.congruence import EllipticCurve, Scenario
+from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import IdealRep, ideals_of_norm
 
 DELTA = {"disc": -23, "weight": 12, "ell": 23, "target": "tau"}
@@ -41,6 +42,38 @@ def test_malformed_scenario_exits_2(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# F_ell (split ell) or F_{ell^2} (inert ell) above the field-size cap
+OVER_CAP = {
+    "split_ell_10000079": {**DELTA, "ell": 10000079, "char": "search",
+                           "cond": {"n": 23, "b": 23}, "bound": 40},
+    "inert_ell_3181": {**DELTA, "ell": 3181, "char": "search",
+                       "cond": {"n": 23, "b": 23}, "bound": 40},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(OVER_CAP))
+def test_field_over_cap_exits_2_before_candidates(name, command, tmp_path, capsys, monkeypatch):
+    def no_candidates(*args, **kwargs):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr("cmdihedral.congruence.build_hecke_char", no_candidates)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(OVER_CAP[name]))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("ell,r", [(10000079, 1), (3181, 2)])
+def test_field_size_cap_checked_in_constructor(ell, r):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        FiniteField(ell, r)
 
 
 def test_finite_part_length_checked_before_build():

@@ -1,0 +1,123 @@
+"""The table-driven finite field against an independent oracle on base-ell
+digit vectors: schoolbook products reduced by the field's modulus, digitwise
+sums, square-and-multiply powers, and brute-force root finding."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cmdihedral.arith import factorint
+from cmdihedral.ffield import FFElem, finite_field
+
+FIELDS = [(2, 3), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (23, 2)]
+
+
+def digits(F, n):
+    return [n // F.ell**i % F.ell for i in range(F.r)]
+
+
+def code(F, v):
+    return sum(c * F.ell**i for i, c in enumerate(v))
+
+
+def o_add(F, a, b):
+    return [(x + y) % F.ell for x, y in zip(a, b)]
+
+
+def o_neg(F, a):
+    return [-x % F.ell for x in a]
+
+
+def o_mul(F, a, b):
+    ell, r = F.ell, F.r
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    # x^r = -(modulus without its leading 1); fold the high terms down
+    low = F.modulus[:r]
+    for d in range(2 * r - 2, r - 1, -1):
+        top, prod[d] = prod[d], 0
+        for i, m in enumerate(low):
+            prod[d - r + i] -= top * m
+    return [c % ell for c in prod[:r]]
+
+
+def o_pow(F, a, e):
+    if e < 0:
+        return o_pow(F, o_inv(F, a), -e)
+    acc = digits(F, 1)
+    while e:
+        if e & 1:
+            acc = o_mul(F, acc, a)
+        a = o_mul(F, a, a)
+        e >>= 1
+    return acc
+
+
+def o_inv(F, a):
+    return o_pow(F, a, F.q - 2)
+
+
+@lru_cache(maxsize=None)
+def power_table(ell, r, n):
+    F = finite_field(ell, r)
+    return [code(F, o_pow(F, digits(F, x), n)) for x in range(F.q)]
+
+
+@st.composite
+def field_and_codes(draw, count):
+    F = finite_field(*draw(st.sampled_from(FIELDS)))
+    return F, [draw(st.integers(min_value=0, max_value=F.q - 1)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_codes(2), st.integers(min_value=-60, max_value=60))
+def test_arithmetic_matches_digit_oracle(fc, e):
+    F, (a, b) = fc
+    x, y = FFElem(F, a), FFElem(F, b)
+    da, db = digits(F, a), digits(F, b)
+    assert (x + y).code() == code(F, o_add(F, da, db))
+    assert (x - y).code() == code(F, o_add(F, da, o_neg(F, db)))
+    assert (-x).code() == code(F, o_neg(F, da))
+    assert (x * y).code() == code(F, o_mul(F, da, db))
+    if a:
+        assert F.inv(x).code() == code(F, o_inv(F, da))
+        assert (x**e).code() == code(F, o_pow(F, da, e))
+        g = F.generator()
+        assert g ** F.dlog(x) == x
+        assert F.dlog(g ** (e % (F.q - 1))) == e % (F.q - 1)
+    else:
+        assert (x**abs(e)).code() == (0 if e else 1)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(x)
+        with pytest.raises(ZeroDivisionError):
+            x**-1
+
+
+@pytest.mark.parametrize("ell,r", FIELDS)
+def test_generator_has_full_order(ell, r):
+    F = finite_field(ell, r)
+    g = digits(F, F.generator().code())
+    one = digits(F, 1)
+    m = F.q - 1
+    assert all(o_pow(F, g, m // p) != one for p in factorint(m))
+    # least code: every smaller nonzero code has a smaller order
+    for c in range(1, F.generator().code()):
+        assert any(o_pow(F, digits(F, c), m // p) == one for p in factorint(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_codes(1), st.sampled_from(["2", "3", "ell", "2ell", "q-1"]))
+def test_nth_roots_match_brute_force(fc, which):
+    F, (c,) = fc
+    n = {"2": 2, "3": 3, "ell": F.ell, "2ell": 2 * F.ell, "q-1": F.q - 1}[which]
+    table = power_table(F.ell, F.r, n)
+    expected = [x for x in range(F.q) if table[x] == c]
+    assert [x.code() for x in F.nth_roots(FFElem(F, c), n)] == expected
+
+
+@pytest.mark.parametrize("ell,r,gen", [(23, 1, 5), (23, 2, 25), (7, 2, 9), (7, 4, 12)])
+def test_generator_codes_frozen(ell, r, gen):
+    assert finite_field(ell, r).generator().code() == gen
