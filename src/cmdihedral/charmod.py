@@ -12,10 +12,10 @@ reduction map only has to invert those denominators mod ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import abelian_structure, divisors, factorint, is_prime, multiplicative_order
 from .ffield import FFElem, FiniteField, finite_field
@@ -48,6 +48,7 @@ class ResidueGroup:
     modulus: IdealRep
     gens: tuple[QuadInt, ...]
     orders: tuple[int, ...]
+    _dlog: dict = field(compare=False, repr=False)  # unit residue key -> exponents
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
         return _residue_key(self.modulus, alpha)
@@ -59,12 +60,13 @@ class ResidueGroup:
         except KeyError:
             raise ValueError("element is not a unit modulo the conductor") from None
 
+    def elements(self) -> list[QuadInt]:
+        """One representative x + y*w of each class, in table order."""
+        return [QuadInt(self.D, x, y) for x, y in self._dlog]
+
     @property
     def order(self) -> int:
-        out = 1
-        for h in self.orders:
-            out *= h
-        return out
+        return prod(self.orders)
 
 
 def _residue_key(f: IdealRep, alpha: QuadInt) -> tuple[int, int]:
@@ -77,41 +79,24 @@ def _residue_key(f: IdealRep, alpha: QuadInt) -> tuple[int, int]:
 
 
 def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:
-    c, n = f.content, f.n
-    primes = [p for p, _ in factor_ideal(f)] if not f.is_unit_ideal() else []
-    maps = []
-    for p in primes:
-        if p.content > 1:
-            maps.append(("inert", p.content, 0))
-        else:
-            s = (disc_eps(D) - p.b) // 2
-            maps.append(("res", p.n, s))
-    out = []
-    for x in range(c * n):
-        for y in range(c):
-            ok = True
-            for kind, q, s in maps:
-                if kind == "inert":
-                    if x % q == 0 and y % q == 0:
-                        ok = False
-                        break
-                else:
-                    if (x + y * s) % q == 0:
-                        ok = False
-                        break
-            if ok:
-                out.append((x, y))
-    return out
+    """Residue keys (x, y) of the classes x + y*w that lie in no prime factor of f."""
+    primes = [p for p, _ in factor_ideal(f)]
+    return [
+        (x, y)
+        for x in range(f.content * f.n)
+        for y in range(f.content)
+        if not any(quadint_in_ideal(QuadInt(D, x, y), p) for p in primes)
+    ]
 
 
-_rg_cache: dict[tuple[int, IdealRep], ResidueGroup] = {}
+def residue_group_order(f: IdealRep) -> int:
+    """|(O_K/f)^*| = prod N(P)^(e-1) * (N(P) - 1) over the prime powers P^e || f."""
+    return prod(P.norm() ** (e - 1) * (P.norm() - 1) for P, e in factor_ideal(f))
 
 
+@lru_cache(maxsize=None)
 def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs."""
-    key = (D, f)
-    if key in _rg_cache:
-        return _rg_cache[key]
     if f.norm() > 10**6:
         raise ValueError("conductor norm exceeds the 10^6 enumeration bound")
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
@@ -121,10 +106,7 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
 
     one = (1 % (f.content * f.n), 0)
     gens, orders, dlog = abelian_structure(keys, mul, one)
-    rg = ResidueGroup(D, f, tuple(QuadInt(D, x, y) for x, y in gens), tuple(orders))
-    object.__setattr__(rg, "_dlog", dlog)
-    _rg_cache[key] = rg
-    return rg
+    return ResidueGroup(D, f, tuple(QuadInt(D, x, y) for x, y in gens), tuple(orders), dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +481,39 @@ def build_hecke_char(
     if len(finite_part) != len(rg.orders):
         raise ValueError("finite part must assign one exponent per generator")
     fp = tuple(int(e) % n for e, n in zip(finite_part, rg.orders))
+    # generator i takes the value zeta_w^zeta_exps[i], w the lcm of the value orders
+    w = lcm(1, *(n // gcd(e, n) for e, n in zip(fp, rg.orders)))
+    zeta_exps = tuple(e * w // n for e, n in zip(fp, rg.orders))
 
-    # value orders and the root-of-unity order w
-    w = 1
-    zexp_data = []
-    for e, n in zip(fp, rg.orders):
-        g = gcd(e, n) if e else n
-        m = n // g
-        zexp_data.append((m, e // g if e else 0))
-        w = lcm(w, m)
-    zeta_exps = tuple((e * (w // m)) % w if m > 1 else 0 for m, e in zexp_data)
+    cg = class_group(D)
+    if class_part != "canonical":
+        class_part = tuple(int(a) % w for a in class_part)
+        if len(class_part) != len(cg.orders):
+            raise ValueError("class part must list one twist exponent per generator")
+
+    # the finite part alone decides both checks, in the ring without formal roots
+    base = ValueRing(D, w, (), ())
+
+    # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit
+    for u in units(D):
+        val = base.zeta_pow(_finite_exponent(rg, zeta_exps, w, u))
+        if val * base.from_quadint(u) ** (k - 1) != base.one():
+            raise ValueError(
+                f"unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = {u.a}+{u.b}w"
+            )
+
+    # conductor exactness: nontrivial on some unit congruent to 1 mod cond/P
+    one = QuadInt(D, 1, 0)
+    for P, _ in factor_ideal(cond):
+        smaller = ideal_divide_prime(cond, P)
+        near_one = (u for u in rg.elements() if quadint_in_ideal(u - one, smaller))
+        if not any(_finite_exponent(rg, zeta_exps, w, u) for u in near_one):
+            raise ValueError(
+                f"conductor not exact: character trivial on 1 + cond/P at P of norm {P.norm()}"
+            )
 
     # class extension
-    cg = class_group(D)
-    avoid = set(avoid_primes)
-    for p in factorint(cond.norm()) if cond.norm() > 1 else ():
-        avoid.add(p)
+    avoid = set(avoid_primes) | set(factorint(cond.norm()))
     class_ideals, class_betas = [], []
     for gform, h in zip(cg.gens, cg.orders):
         b = _canonical_class_ideal(D, gform, avoid)
@@ -524,14 +523,7 @@ def build_hecke_char(
         class_ideals.append(b)
         class_betas.append(beta)
 
-    if class_part != "canonical":
-        class_part = tuple(int(a) % w for a in class_part)
-        if len(class_part) != len(cg.orders):
-            raise ValueError("class part must list one twist exponent per generator")
-
-    # relation constants c_j = zeta_w^z_j * beta_j^(k-1), computed in the ring
-    # without formal roots
-    base = ValueRing(D, w, (), ())
+    # relation constants c_j = zeta_w^z_j * beta_j^(k-1)
     zs, cs = [], []
     for j, beta in enumerate(class_betas):
         zj = _finite_exponent(rg, zeta_exps, w, beta)
@@ -547,45 +539,11 @@ def build_hecke_char(
         inv = inv * ring.from_quadint(beta.conj()) ** (k - 1)
         inv = inv * ring.from_fraction(Fraction(1, beta.norm() ** (k - 1)))
         inv_cs.append(inv)
-    chi = HeckeChar(
+    return HeckeChar(
         D, k, cond, rg, fp, w, zeta_exps,
         tuple(class_ideals), tuple(class_betas),
         class_part, ring, tuple(inv_cs),
     )
-
-    # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit
-    for u in units(D):
-        val = chi.finite_value(u) * ring.from_quadint(u) ** (k - 1)
-        if val != ring.one():
-            raise ValueError(
-                f"unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = {u.a}+{u.b}w"
-            )
-
-    # conductor exactness: nontrivial on units congruent to 1 mod cond/P
-    if not cond.is_unit_ideal():
-        for P, _ in factor_ideal(cond):
-            smaller = ideal_divide_prime(cond, P)
-            exact = False
-            c, n = cond.content, cond.n
-            one = QuadInt(D, 1, 0)
-            for x in range(c * n):
-                for y in range(c):
-                    alpha = QuadInt(D, x, y)
-                    if not quadint_in_ideal(alpha - one, smaller):
-                        continue
-                    try:
-                        if chi.finite_exponent(alpha) % w != 0:
-                            exact = True
-                            break
-                    except ValueError:
-                        continue
-                if exact:
-                    break
-            if not exact:
-                raise ValueError(
-                    f"conductor not exact: character trivial on 1 + cond/P at P of norm {P.norm()}"
-                )
-    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 
 from .congruence import Scenario, builtin_scenario, run_scenario, search_matching_char
 from .qfield import class_group
-from .qseries import coeff_strings, delta_qexp
+from .qseries import coeff_strings, delta_qexp_recursion
 from .serrepred import SerrePrediction, predicted_level, ramification_case
 from .qfield import primes_above, check_fundamental
 
@@ -77,7 +77,7 @@ def cmd_predict(args) -> int:
 def cmd_tau(args) -> int:
     if args.prec < 1:
         raise ValueError("precision must be >= 1")
-    f = delta_qexp(args.prec)
+    f = delta_qexp_recursion(args.prec)
     _emit(coeff_strings(f))
     _note(f"tau(1..{args.prec})")
     return 0

@@ -15,6 +15,7 @@ from .charmod import (
     build_hecke_char,
     build_reductions,
     residue_group,
+    residue_group_order,
 )
 from .ffield import FiniteField, finite_field
 from .qfield import (
@@ -321,18 +322,18 @@ def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
     return datum, cond
 
 
-def _target_expansion(s: Scenario, bound: int, prec: int):
-    """(expansion over F_ell, comparison indices or None)."""
+def _target_expansion(s: Scenario, bound: int):
+    """(expansion over F_ell to the comparison bound, comparison indices or None)."""
     F = finite_field(s.ell, 1)
     if s.target == "tau":
         tgt = reduce_int_expansion(
-            drop_multiples(delta_qexp_recursion(prec), s.ell), s.ell, F
+            drop_multiples(delta_qexp_recursion(bound), s.ell), s.ell, F
         )
         idx = None
     else:
         E = s.target
         disc_E = E.discriminant()
-        coeffs = [F.zero() for _ in range(prec + 1)]
+        coeffs = [F.zero() for _ in range(bound + 1)]
         idx = []
         for p in primes_upto(bound):
             if p == s.ell or disc_E % p == 0:
@@ -342,7 +343,7 @@ def _target_expansion(s: Scenario, bound: int, prec: int):
         tgt = QExpansion(F, coeffs, s.weight, None)
     if s.perturb is not None:
         n = s.perturb
-        if not (1 <= n <= prec):
+        if not (1 <= n <= bound):
             raise ValueError("perturbation index out of range")
         coeffs = list(tgt.coeffs)
         coeffs[n] = coeffs[n] + F.one()
@@ -353,28 +354,19 @@ def _target_expansion(s: Scenario, bound: int, prec: int):
     return tgt, idx
 
 
-def _scenario_bounds(s: Scenario) -> tuple[int, int]:
-    """(comparison bound, series precision)."""
+def _scenario_bound(s: Scenario) -> int:
+    """The comparison bound; every series is expanded to it."""
     if s.bound is not None:
-        return s.bound, s.bound
+        return s.bound
     if s.cond is None:
         raise ValueError("cannot size the comparison bound without a conductor")
-    level = s.cond.norm() * abs(s.disc)
-    bound = sturm_bound(s.weight, level, s.bound_mode)
-    # series are expanded to the larger of the two cutoffs
-    return bound, max(sturm_bound(s.weight, level, mode) for mode in ("paper", "standard"))
+    return sturm_bound(s.weight, s.cond.norm() * abs(s.disc), s.bound_mode)
 
 
-def _candidate_finite_parts(rg) -> list[tuple[int, ...]]:
-    if rg.order > SEARCH_CANDIDATE_CAP:
-        raise ValueError("finite-part candidate space exceeds the search cap")
-    return [tuple(t) for t in product(*(range(n) for n in rg.orders))]
-
-
-def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices, prec: int):
-    """Expand the theta series of chi once to prec, then lazily yield
+def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
+    """Expand the theta series of chi once to bound, then lazily yield
     (map, report) for each reduction map, in order."""
-    theta = theta_series(chi, prec)
+    theta = theta_series(chi, bound)
     for m in maps:
         rep = compare(reduce_expansion(theta, m), target, bound, indices)
         yield m, replace(rep, reduction_map=m.describe())
@@ -384,14 +376,17 @@ def search_matching_char(s: Scenario):
     """Enumerate finite parts and reduction maps; return every matching
     (character, reduction map, report) triple plus skip diagnostics."""
     datum, cond = _scenario_datum(s)
-    bound, prec = _scenario_bounds(s)
-    target, indices = _target_expansion(s, bound, prec)
+    # one candidate per element of the character group of (O_K/cond)^*
+    if residue_group_order(cond) > SEARCH_CANDIDATE_CAP:
+        raise ValueError("finite-part candidate space exceeds the search cap")
+    bound = _scenario_bound(s)
+    target, indices = _target_expansion(s, bound)
     rg = residue_group(s.disc, cond)
     matches = []
     diagnostics = []
     quick = min(QUICK_PRUNE_BOUND, bound)
     quick_idx = None if indices is None else [n for n in indices if n <= quick]
-    for fp in _candidate_finite_parts(rg):
+    for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
         try:
             chi = build_hecke_char(
@@ -411,12 +406,12 @@ def search_matching_char(s: Scenario):
         if len(maps) > SEARCH_MAP_CAP:
             diagnostics.append({**label, "skipped": "reduction fan-out above cap"})
             continue
-        quick_reports = _map_reports(chi, maps, target, quick, quick_idx, quick)
+        quick_reports = _map_reports(chi, maps, target, quick, quick_idx)
         surviving = [m for m, rep in quick_reports if rep.verdict]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        for m, rep in _map_reports(chi, surviving, target, bound, indices, prec):
+        for m, rep in _map_reports(chi, surviving, target, bound, indices):
             if rep.verdict:
                 matches.append((chi, m, rep))
             else:
@@ -432,7 +427,7 @@ def run_scenario(s: Scenario) -> RunResult:
     A search keeps its first match.  An explicit character is compared under
     every reduction map up to the first match, else reports the first map."""
     datum, cond = _scenario_datum(s)
-    bound, prec = _scenario_bounds(s)
+    bound = _scenario_bound(s)
     diagnostics = ()
     if s.char == "search":
         matches, found = search_matching_char(s)
@@ -451,9 +446,9 @@ def run_scenario(s: Scenario) -> RunResult:
             s.char.get("class_part", "canonical"),
             avoid_primes=(s.ell,),
         )
-        target, indices = _target_expansion(s, bound, prec)
+        target, indices = _target_expansion(s, bound)
         maps = build_reductions(chi.ring, s.ell)
-        reports = _map_reports(chi, maps, target, bound, indices, prec)
+        reports = _map_reports(chi, maps, target, bound, indices)
         rmap, report = first = next(reports)
         if not report.verdict:
             rmap, report = next(((m, r) for m, r in reports if r.verdict), first)

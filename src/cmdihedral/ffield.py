@@ -260,16 +260,19 @@ class FiniteField:
         return sorted((FFElem(self, self.exp[x0 + k * m1]) for k in range(g)), key=FFElem.code)
 
     def poly_roots(self, coeffs: list[int]) -> list[FFElem]:
-        """Roots in this field of a polynomial with integer coefficients, sorted by code."""
-        cs = [self.scalar(c) for c in coeffs]
-        out = []
-        for x in self.elements():
-            acc = self.zero()
-            for c in reversed(cs):
-                acc = self.add(self.mul(acc, x), c)
-            if acc.is_zero():
-                out.append(x)
-        return out
+        """Distinct roots in this field of a polynomial with integer coefficients
+        (low degree first), sorted by code.  Degree 1, or degree 2 in odd
+        characteristic by the quadratic formula."""
+        cs = _poly_trim([c % self.ell for c in coeffs])
+        if len(cs) == 2:
+            return [self.scalar(-cs[0] * pow(cs[1], -1, self.ell))]
+        if len(cs) != 3 or self.ell == 2:
+            raise ValueError("poly_roots solves degree 1, or degree 2 in odd characteristic")
+        c, b, a = (self.scalar(x) for x in cs)
+        inv_2a = self.inv(self.scalar(2) * a)
+        disc = b * b - self.scalar(4) * a * c
+        roots = {((s - b) * inv_2a).n for s in self.nth_roots(disc, 2)}
+        return [FFElem(self, n) for n in sorted(roots)]
 
 
 _cache: dict[tuple[int, int], FiniteField] = {}

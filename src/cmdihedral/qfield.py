@@ -9,7 +9,7 @@ and reducing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -282,28 +282,13 @@ def quadint_in_ideal(alpha: QuadInt, a: IdealRep) -> bool:
     return (alpha.a - c * bb * mp) % (c * n) == 0
 
 
-def in_prime(alpha: QuadInt, p: IdealRep) -> bool:
-    """Membership in a prime ideal via its residue map."""
-    if p.content > 1:  # inert prime (q)
-        q = p.content
-        return alpha.a % q == 0 and alpha.b % q == 0
-    q = p.n
-    s = (disc_eps(p.D) - p.b) // 2  # image of w in O/p
-    return (alpha.a + alpha.b * s) % q == 0
-
-
-def ideal_in_prime(a: IdealRep, p: IdealRep) -> bool:
-    u, v = a.basis()
-    return in_prime(u, p) and in_prime(v, p)
-
-
 def ideals_coprime(a: IdealRep, f: IdealRep) -> bool:
     if gcd(a.norm(), f.norm()) == 1:
         return True
-    for p, _ in factor_ideal(f):
-        if ideal_in_prime(a, p):
-            return False
-    return True
+    basis = a.basis()
+    return not any(
+        all(quadint_in_ideal(x, p) for x in basis) for p, _ in factor_ideal(f)
+    )
 
 
 def kronecker(D: int, n: int) -> int:
@@ -446,6 +431,7 @@ class ClassGroup:
     reps: tuple[QuadForm, ...]
     gens: tuple[QuadForm, ...]
     orders: tuple[int, ...]
+    _dlog: dict = field(compare=False, repr=False)
 
     @property
     def h(self) -> int:
@@ -475,9 +461,7 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 def class_group(D: int) -> ClassGroup:
     reps = reduced_forms(D)
     gens, orders, dlog = abelian_structure(list(reps), compose, reps[0])
-    cg = ClassGroup(D, reps, tuple(gens), tuple(orders))
-    object.__setattr__(cg, "_dlog", dlog)
-    return cg
+    return ClassGroup(D, reps, tuple(gens), tuple(orders), dlog)
 
 
 def ideal_class(a: IdealRep, cg: ClassGroup | None = None) -> int:

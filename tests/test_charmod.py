@@ -1,7 +1,9 @@
 """Residue groups, Teichmuller lifts, Hecke characters, value rings and
 reductions."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from cmdihedral.charmod import (
     evaluate,
     predict_conductor_at_v,
     residue_group,
+    residue_group_order,
     teichmuller_lift,
 )
 from cmdihedral.ffield import finite_field
@@ -60,6 +63,7 @@ def test_residue_group_unit_count_formula():
     for D, f, expected in cases:
         rg = residue_group(D, f)
         assert rg.order == expected, (D, f)
+        assert residue_group_order(f) == expected, (D, f)
 
 
 def test_residue_group_generators_generate():
@@ -181,6 +185,46 @@ def test_build_hecke_char_conductor_exactness():
     for fp in itertools.product(*[range(n) for n in rg.orders]):
         with pytest.raises(ValueError):
             build_hecke_char(-23, 12, f, list(fp))
+
+
+# (D, k, conductor) whose every finite part is built for the frozen table
+DECISION_CASES = [
+    (-23, 12, P23),
+    (-23, 13, P23),
+    (-23, 12, ideal_multiply(P23, IdealRep(-23, 2, 1))),
+    (-23, 12, IdealRep(-23, 1, 1, 5)),
+    (-23, 3, ideal_pow(IdealRep(-23, 3, 1), 2)),
+    (-71, 2, P71),
+    (-4, 5, IdealRep(-4, 5, -4)),
+]
+
+
+def test_build_hecke_char_decision_table_frozen():
+    # 170 inputs: 70 built, 86 unit-inconsistent, 14 with an inexact conductor
+    table = {}
+    for D, k, f in DECISION_CASES:
+        rg = residue_group(D, f)
+        for fp in itertools.product(*(range(n) for n in rg.orders)):
+            key = f"{D},{k},{f.n},{f.b},{f.content},{fp}"
+            try:
+                build_hecke_char(D, k, f, list(fp))
+                table[key] = "ok"
+            except ValueError as exc:
+                table[key] = str(exc)
+    assert len(table) == 170
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+    assert digest == "80a514fe89c9430bc28f002a4af2be16c00d778fa41258eb4df6954cc182ae19"
+
+
+def test_finite_part_checked_before_class_extension(monkeypatch):
+    def no_class_extension(*args, **kwargs):
+        raise AssertionError("class extension reached")
+
+    monkeypatch.setattr("cmdihedral.charmod._canonical_class_ideal", no_class_extension)
+    with pytest.raises(ValueError, match="unit inconsistency"):
+        build_hecke_char(-23, 12, P23, [2])
+    with pytest.raises(ValueError, match="conductor not exact"):
+        build_hecke_char(-23, 13, P23, [0])
 
 
 def test_build_hecke_char_small_unit_groups():

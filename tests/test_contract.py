@@ -70,6 +70,41 @@ def test_field_over_cap_exits_2_before_candidates(name, command, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# (O_K/f)^* has 40008 elements, above the search cap of 10^4 candidates
+CONDUCTOR_40009 = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]},
+                   "cond": {"n": 40009, "b": -32203}}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_search_sized_before_residue_group(command, tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the residue group was enumerated")
+
+    monkeypatch.setattr("cmdihedral.congruence.residue_group", no_enumeration)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(CONDUCTOR_40009))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: finite-part candidate space exceeds the search cap"
+    ]
+
+
+def test_perturbation_beyond_paper_bound_exits_2(tmp_path, capsys):
+    # the paper-mode bound for delta23 is 92: index 100 is never compared
+    scenario = {**DELTA, "char": "search", "cond": {"n": 23, "b": 23},
+                "bound_mode": "paper", "perturb": 100}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: perturbation index out of range"]
+
+
 @pytest.mark.parametrize("ell,r", [(10000079, 1), (3181, 2)])
 def test_field_size_cap_checked_in_constructor(ell, r):
     with pytest.raises(ValueError, match="exceeds the cap"):
@@ -85,7 +120,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(prec):
         raise KeyError("boom\nsecond line")
 
-    monkeypatch.setattr(cli, "delta_qexp", broken)
+    monkeypatch.setattr(cli, "delta_qexp_recursion", broken)
     code = cli.main(["tau", "--prec", "3"])
     captured = capsys.readouterr()
     assert code == 3

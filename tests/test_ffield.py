@@ -121,3 +121,39 @@ def test_nth_roots_match_brute_force(fc, which):
 @pytest.mark.parametrize("ell,r,gen", [(23, 1, 5), (23, 2, 25), (7, 2, 9), (7, 4, 12)])
 def test_generator_codes_frozen(ell, r, gen):
     assert finite_field(ell, r).generator().code() == gen
+
+
+ROOT_FIELDS = [(3, 1), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (11, 2), (23, 1), (23, 2)]
+# x^2 - eps*x + N(w) for D = -23, -71, -4, -3, -7, -8: a double root where ell | D
+# (D = -3 over F_3, D = -7 over F_7), none in F_5 and F_125 for D = -23
+MINIMAL_POLYS = [[6, -1, 1], [18, -1, 1], [1, 0, 1], [1, -1, 1], [2, -1, 1], [2, 0, 1]]
+
+
+def brute_roots(F, coeffs):
+    cs = [F.scalar(c) for c in coeffs]
+    out = []
+    for x in F.elements():
+        acc = F.zero()
+        for c in reversed(cs):
+            acc = acc * x + c
+        if acc.is_zero():
+            out.append(x.code())
+    return out
+
+
+@pytest.mark.parametrize("ell,r", ROOT_FIELDS)
+def test_poly_roots_match_brute_force(ell, r):
+    F = finite_field(ell, r)
+    small = range(min(ell, 7))
+    polys = [[c, b, a] for a in (1, -1) for b in small for c in small]
+    polys += [[c, b] for b in range(1, min(ell, 4)) for c in small]
+    polys += MINIMAL_POLYS
+    for coeffs in polys:
+        assert [x.code() for x in F.poly_roots(coeffs)] == brute_roots(F, coeffs), coeffs
+
+
+@pytest.mark.parametrize("ell,r,coeffs", [(7, 1, [5]), (7, 1, [0, 7, 14]), (7, 1, [1, 0, 0, 1]),
+                                          (2, 3, [1, 1, 1])])
+def test_poly_roots_rejects_other_degrees(ell, r, coeffs):
+    with pytest.raises(ValueError):
+        finite_field(ell, r).poly_roots(coeffs)

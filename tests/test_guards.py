@@ -20,7 +20,15 @@ EXPLICIT_MISMATCH = {
     "target": "tau", "perturb": 5,
 }
 
-# name -> (argv, exit code, sha256 of stdout); "{mismatch}" is the scenario above.
+DELTA23_PAPER = {
+    "disc": -23, "weight": 12, "ell": 23, "char": "search",
+    "cond": {"n": 23, "b": 23}, "target": "tau", "bound_mode": "paper",
+}
+
+SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{paper}": DELTA23_PAPER}
+
+# name -> (argv, exit code, sha256 of stdout); "{mismatch}" and "{paper}" are
+# the scenarios above.
 PINNED = {
     "verify-delta23": (["verify", "--builtin", "delta23"], 0,
      "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
@@ -36,15 +44,23 @@ PINNED = {
      "2786c64ec11eac038c58b40e76a5e01f1c961d3dfc81c92170a7c46ff303370c"),
     "verify-explicit-mismatch": (["verify", "--scenario", "{mismatch}"], 1,
      "234787bc75e55f6a63a4c8841225eede226da75caa30955e948a6cf3a6c3418b"),
+    "verify-delta23-paper": (["verify", "--scenario", "{paper}"], 0,
+     "041f034eebe8579e0c0d66af109c5a35a3663946d8c6d5ac99126e874bf7773b"),
+    "search-delta23-paper": (["search", "--scenario", "{paper}"], 0,
+     "b8fef8458fe73d2da54d53b2d8d1caea4267adeb94d4b488e66bd10e00fd3eb4"),
+    "tau-30": (["tau", "--prec", "30"], 0,
+     "145ac048d6191bf01f83ffe563224f963b85dc1776b3da64176b1449206bcff7"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_stdout_bytes_pinned(name, tmp_path, capsys):
     argv, exit_code, digest = PINNED[name]
-    path = tmp_path / "mismatch.json"
-    path.write_text(json.dumps(EXPLICIT_MISMATCH))
-    argv = [str(path) if a == "{mismatch}" else a for a in argv]
+    paths = {}
+    for i, (slot, scenario) in enumerate(SCENARIOS.items()):
+        paths[slot] = tmp_path / f"scenario{i}.json"
+        paths[slot].write_text(json.dumps(scenario))
+    argv = [str(paths[a]) if a in paths else a for a in argv]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == exit_code

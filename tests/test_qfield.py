@@ -11,9 +11,11 @@ from cmdihedral.qfield import (
     QuadInt,
     class_group,
     compose,
+    factor_ideal,
     ideal_class,
     ideal_multiply,
     ideal_pow,
+    ideals_coprime,
     ideals_of_norm,
     kronecker,
     primes_above,
@@ -294,3 +296,27 @@ def test_quadint_norm_and_conj():
                 assert prod.b == 0 and prod.a == x.norm()
                 assert x.norm() >= 0
                 assert (x.norm() == 0) == (a == 0 and b == 0)
+
+
+def coprime_conductors(D):
+    """The first ramified, split and inert primes in a short list, their
+    product, and the split prime squared times the inert content."""
+    kinds = {}
+    for p in (2, 3, 5, 7, 11, 13, 23, 71):
+        sp = primes_above(D, p)
+        kinds.setdefault(sp.kind, sp.primes[0])
+    ram, split, inert = kinds["ramified"], kinds["split"], kinds["inert"]
+    prod = ideal_multiply(ideal_multiply(ram, split), inert)
+    return [ram, split, inert, prod, ideal_multiply(ideal_pow(split, 2), inert)]
+
+
+@pytest.mark.parametrize("D", [-23, -71, -4, -20])
+def test_ideals_coprime_matches_factorizations(D):
+    conductors = coprime_conductors(D)
+    assert {p.content > 1 for f in conductors for p, _ in factor_ideal(f)} == {True, False}
+    for n in range(1, 61):
+        for a in ideals_of_norm(D, n):
+            primes_a = {p for p, _ in factor_ideal(a)}
+            for f in conductors:
+                primes_f = {p for p, _ in factor_ideal(f)}
+                assert ideals_coprime(a, f) == (not primes_a & primes_f), (a, f)
