@@ -49,6 +49,8 @@ from .qseries import (
     delta_qexp,
     delta_qexp_recursion,
     drop_multiples,
+    euler_product,
+    prime_values,
     sturm_bound,
     sturm_index,
     theta_series,

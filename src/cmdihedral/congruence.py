@@ -25,7 +25,14 @@ from .qfield import (
     primes_above,
     unit_ideal,
 )
-from .qseries import QExpansion, delta_qexp_recursion, drop_multiples, sturm_bound, theta_series
+from .qseries import (
+    QExpansion,
+    delta_qexp_recursion,
+    drop_multiples,
+    euler_product,
+    prime_values,
+    sturm_bound,
+)
 from .serrepred import (
     DihedralDatum,
     SerrePrediction,
@@ -71,23 +78,22 @@ class EllipticCurve:
 
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) by a quadratic character sum over x."""
+    """a_p = p + 1 - #E(F_p) by a quadratic character sum over x, read from
+    a table of the squares mod p."""
     if not is_prime(p) or p > 10**5:
         raise ValueError("p must be a prime <= 10^5")
     if E.discriminant() % p == 0:
         raise ValueError(f"bad reduction at {p}")
     if p == 2:
         return p + 1 - _count_points_naive(E, p)
-    half = (p - 1) // 2
-    total = 0
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
-    for x in range(p):
-        g = (a1 * x + a3) ** 2 + 4 * (x * x * x + a2 * x * x + a4 * x + a6)
-        g %= p
-        if g == 0:
-            continue
-        total += 1 if pow(g, half, p) == 1 else -1
-    return -total
+    # (2y + a1 x + a3)^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6: 1 + (g/p) values of y
+    squares = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        squares[y * y % p] = 1
+    b2, b4, b6, _ = E.b_invariants()
+    gs = [(((4 * x + b2) * x + 2 * b4) * x + b6) % p for x in range(p)]
+    # a_p = -sum (g/p) = #non-squares - #squares = p - #zeros - 2 #squares
+    return p - gs.count(0) - 2 * sum(squares[g] for g in gs)
 
 
 def curve_ap_naive(E: EllipticCurve, p: int) -> int:
@@ -197,6 +203,8 @@ class Scenario:
             perturb = None if obj.get("perturb") is None else int(obj["perturb"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from exc
+        if bound is not None and bound < 1:
+            raise ValueError("bound must be a positive integer")
         if bound_mode not in ("paper", "standard"):
             raise ValueError(f"unknown bound mode {bound_mode!r}")
         if target_spec == "tau":
@@ -364,11 +372,15 @@ def _scenario_bound(s: Scenario) -> int:
 
 
 def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
-    """Expand the theta series of chi once to bound, then lazily yield
-    (map, report) for each reduction map, in order."""
-    theta = theta_series(chi, bound)
+    """Evaluate chi on the prime ideals up to bound once, then lazily yield
+    (map, report) for each reduction map, in order: the map reduces the prime
+    values and the theta series is their Euler product in its field."""
+    values = prime_values(chi, bound)
+    level = chi.cond.norm() * abs(chi.D)
     for m in maps:
-        rep = compare(reduce_expansion(theta, m), target, bound, indices)
+        coeffs = euler_product(m.field, [(q, m.reduce(v)) for q, v in values], bound)
+        theta = QExpansion(m.field, coeffs, chi.k, level, chi)
+        rep = compare(theta, target, bound, indices)
         yield m, replace(rep, reduction_map=m.describe())
 
 

@@ -1,4 +1,5 @@
-"""Truncated q-expansions: CM theta series over the exact value ring, the
+"""Truncated q-expansions: CM theta series (the Euler product over prime
+values, and the ideal sum over the exact value ring as its oracle), the
 weight-12 level-1 cusp form, coefficient killing, character twists and Sturm
 indices."""
 
@@ -6,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charmod import HeckeChar, evaluate
+from .charmod import HeckeChar, VrElem, evaluate
 from .ffield import FiniteField
-from .qfield import ideals_coprime, ideals_of_norm
-from .arith import factorint
+from .qfield import ideals_coprime, ideals_of_norm, primes_above
+from .arith import factorint, primes_upto
 from .serrepred import DirichletChar
 
 
@@ -36,7 +37,8 @@ class QExpansion:
 
 def theta_series(chi: HeckeChar, prec: int) -> QExpansion:
     """Sum of delta_H(a) q^Norm(a) over integral ideals coprime to the
-    conductor, truncated at prec."""
+    conductor, truncated at prec.  This evaluates chi on every ideal; it is
+    the test oracle of the Euler product over `prime_values`."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     R = chi.ring
@@ -50,6 +52,36 @@ def theta_series(chi: HeckeChar, prec: int) -> QExpansion:
     if coeffs[1] != R.one():
         raise AssertionError("theta series is not normalized")
     return QExpansion(R, coeffs, chi.k, chi.cond.norm() * abs(chi.D), chi)
+
+
+def prime_values(chi: HeckeChar, prec: int) -> list[tuple[int, VrElem]]:
+    """(N(P), chi(P)) for every prime ideal P coprime to the conductor with
+    N(P) <= prec, in the order of the rational prime below P."""
+    out = []
+    for p in primes_upto(prec):
+        for P in primes_above(chi.D, p).primes:
+            if P.norm() <= prec and ideals_coprime(P, chi.cond):
+                out.append((P.norm(), evaluate(chi, P)))
+    return out
+
+
+def euler_product(ring, values, prec: int) -> list:
+    """Coefficients c_0..c_prec of the Dirichlet series prod (1 - v N^-s)^-1
+    over the pairs (N, v) in values, in ring (a FiniteField or a ValueRing).
+    On the prime values of a character this is its theta series, because the
+    character is multiplicative on ideals."""
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
+    c = [ring.zero() for _ in range(prec + 1)]
+    c[1] = ring.one()
+    for q, v in values:
+        # upward in n: c[n // q] already carries this factor, so the pass
+        # multiplies by the whole geometric series sum v^e N^-es
+        for n in range(q, prec + 1, q):
+            lower = c[n // q]
+            if not lower.is_zero():
+                c[n] = c[n] + v * lower
+    return c
 
 
 def _pentagonal_exponents(prec: int):

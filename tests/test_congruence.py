@@ -98,12 +98,14 @@ def test_curve_discriminant_and_bad_primes():
 
 
 def test_curve_ap_two_methods_agree_and_hasse():
-    for p in primes_upto(200):
-        if E65533.discriminant() % p == 0:
-            continue
-        a = curve_ap(E65533, p)
-        assert a == curve_ap_naive(E65533, p)
-        assert a * a <= 4 * p
+    # 15a1 = [1, 1, 1, -10, -10]: a1 and a2 nonzero exercise every b-invariant
+    for E in (E65533, EllipticCurve(1, 1, 1, -10, -10)):
+        for p in primes_upto(200):
+            if E.discriminant() % p == 0:
+                continue
+            a = curve_ap(E, p)
+            assert a == curve_ap_naive(E, p)
+            assert a * a <= 4 * p
 
 
 def test_curve_ap_frozen_small_values():

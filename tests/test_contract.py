@@ -92,6 +92,24 @@ def test_search_sized_before_residue_group(command, tmp_path, capsys, monkeypatc
     ]
 
 
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("bound", [0, -5])
+def test_non_positive_bound_exits_2_before_candidates(bound, command, tmp_path, capsys,
+                                                      monkeypatch):
+    def no_candidates(*args, **kwargs):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr("cmdihedral.congruence.build_hecke_char", no_candidates)
+    scenario = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}, "bound": bound}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bound must be a positive integer"]
+
+
 def test_perturbation_beyond_paper_bound_exits_2(tmp_path, capsys):
     # the paper-mode bound for delta23 is 92: index 100 is never compared
     scenario = {**DELTA, "char": "search", "cond": {"n": 23, "b": 23},

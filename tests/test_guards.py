@@ -1,5 +1,6 @@
 """Guards against silent drift: pinned stdout bytes of the verification
-commands, and the function names the per-layer tracer of `perfbench/` wraps."""
+commands, the production theta route, and the function names the per-layer
+tracer of `perfbench/` wraps."""
 
 import hashlib
 import importlib
@@ -9,7 +10,10 @@ import os
 
 import pytest
 
+from cmdihedral import qseries
+from cmdihedral.arith import primes_upto
 from cmdihedral.cli import main
+from cmdihedral.qfield import kronecker
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEEP = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
@@ -55,6 +59,10 @@ PINNED = {
 
 @pytest.mark.parametrize("name", PINNED)
 def test_stdout_bytes_pinned(name, tmp_path, capsys):
+    _run_pinned(name, tmp_path, capsys)
+
+
+def _run_pinned(name, tmp_path, capsys):
     argv, exit_code, digest = PINNED[name]
     paths = {}
     for i, (slot, scenario) in enumerate(SCENARIOS.items()):
@@ -65,6 +73,31 @@ def test_stdout_bytes_pinned(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["verify-delta23", "search-delta23", "verify-curve71_deep"])
+def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatch):
+    # the ideal-sum theta series and its coefficientwise reduction are oracles only
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("production called the oracle route")
+
+    monkeypatch.setattr("cmdihedral.qseries.theta_series", oracle_only)
+    monkeypatch.setattr("cmdihedral.congruence.reduce_expansion", oracle_only)
+    evaluate, calls = qseries.evaluate, []
+
+    def counted(chi, a):
+        calls.append(a)
+        return evaluate(chi, a)
+
+    monkeypatch.setattr(qseries, "evaluate", counted)
+    _run_pinned(name, tmp_path, capsys)
+    if name == "verify-curve71_deep":
+        # chi is evaluated once per prime ideal of norm <= 3000 off the
+        # conductor: two above each split p, one above each inert p with
+        # p^2 <= 3000, none above 71, the one ramified prime (the conductor)
+        split = sum(1 for p in primes_upto(3000) if kronecker(-71, p) == 1)
+        inert = sum(1 for p in primes_upto(54) if kronecker(-71, p) == -1)
+        assert len(calls) == 2 * split + inert == 433
 
 
 def _layertrace():

@@ -2,16 +2,21 @@
 twists, Sturm indices."""
 
 import itertools
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmdihedral.charmod import build_reductions, evaluate
-from cmdihedral.qfield import ideals_coprime, ideals_of_norm, kronecker
+from cmdihedral.charmod import build_hecke_char, build_reductions, evaluate
+from cmdihedral.congruence import reduce_expansion
+from cmdihedral.qfield import IdealRep, ideal_multiply, ideals_coprime, ideals_of_norm, kronecker
 from cmdihedral.qseries import (
     delta_qexp,
     delta_qexp_recursion,
     drop_multiples,
+    euler_product,
+    prime_values,
     sturm_bound,
     sturm_index,
     theta_series,
@@ -81,6 +86,79 @@ def test_theta_reductions_match_cubic_field_values(delta_char):
     maps = build_reductions(delta_char.ring, 23)
     reduced = [(m.reduce(th.coeffs[2]).code(), m.reduce(th.coeffs[3]).code()) for m in maps]
     assert (22, 22) in reduced
+
+
+# -- the Euler product over prime values against the ideal sum ---------------------
+
+# name -> (D, k, conductor, finite part, ell, precision): the delta23 match, the
+# curve71_deep character (h = 7), a D = -4 character whose conductor is the inert
+# prime 3, and a D = -3 character at one of the two primes above 7
+CHARS = {
+    "delta23": (-23, 12, IdealRep(-23, 23, 23), [11], 23, 552),
+    "curve71_deep": (-71, 2, IdealRep(-71, 71, 71), [35], 7, 600),
+    "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], 7, 300),
+    "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], 13, 300),
+}
+
+
+@lru_cache(maxsize=None)
+def _char(name):
+    D, k, cond, fp, ell, _ = CHARS[name]
+    return build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
+
+
+@lru_cache(maxsize=None)
+def _theta(name):
+    return theta_series(_char(name), CHARS[name][-1])
+
+
+@pytest.mark.parametrize("name", sorted(CHARS))
+def test_euler_product_equals_theta_in_exact_ring(name):
+    chi, prec = _char(name), CHARS[name][-1]
+    assert euler_product(chi.ring, prime_values(chi, prec), prec) == _theta(name).coeffs
+
+
+@pytest.mark.parametrize("name", sorted(CHARS))
+def test_euler_product_reduces_like_theta_under_every_map(name):
+    chi, ell, prec = _char(name), CHARS[name][-2], CHARS[name][-1]
+    values = prime_values(chi, prec)
+    for m in build_reductions(chi.ring, ell):
+        fast = euler_product(m.field, [(q, m.reduce(v)) for q, v in values], prec)
+        oracle = reduce_expansion(_theta(name), m).coeffs
+        assert [c.code() for c in fast] == [c.code() for c in oracle]
+
+
+def test_prime_values_cover_the_prime_ideals_once():
+    # D = -3, conductor above 7: the other prime above 7 stays, 2 and 5 are
+    # inert (norms 4 and 25), 3 is ramified
+    chi = _char("D-3_split7")
+    norms = [q for q, _ in prime_values(chi, 30)]
+    assert norms == [4, 3, 25, 7, 13, 13, 19, 19]
+    with pytest.raises(ValueError, match="precision"):
+        euler_product(chi.ring, [], 0)
+
+
+@lru_cache(maxsize=None)
+def _coprime_ideals(name):
+    chi = _char(name)
+    return [a for n in range(1, 151) for a in ideals_of_norm(chi.D, n)
+            if ideals_coprime(a, chi.cond)]
+
+
+@st.composite
+def ideal_pairs(draw):
+    name = draw(st.sampled_from(sorted(CHARS)))
+    pool = _coprime_ideals(name)
+    return name, draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideal_pairs())
+def test_character_is_multiplicative_property(case):
+    # the Euler product rests on chi(ab) = chi(a) chi(b)
+    name, a, b = case
+    chi = _char(name)
+    assert evaluate(chi, ideal_multiply(a, b)) == evaluate(chi, a) * evaluate(chi, b)
 
 
 # -- coefficient killing and twisting -----------------------------------------------
