@@ -18,6 +18,7 @@ from .qfield import (
 )
 from .charmod import (
     HeckeChar,
+    PrimeTable,
     ReductionMap,
     ResidueGroup,
     TeichRep,
@@ -26,7 +27,10 @@ from .charmod import (
     build_reductions,
     evaluate,
     predict_conductor_at_v,
+    prime_table,
     residue_group,
+    table_exponents,
+    table_images,
     teichmuller_lift,
 )
 from .serrepred import (

@@ -1,13 +1,23 @@
 """Hecke characters of infinity type (k-1, 0) on an imaginary quadratic field,
-their exact value ring, Teichmuller lifts, and reductions to finite fields.
+the prime table they act on, their exact value ring, Teichmuller lifts, and
+reductions to finite fields.
 
 A character is stored ideal-theoretically: a finite-part character on
 (O_K/f)^* satisfying unit consistency, together with one formal root t_j per
 cyclic factor of the class group subject to t_j^{h_j} = eps_f(beta_j) *
-beta_j^{k-1} where (beta_j) = b_j^{h_j}.  Values live in the presentation ring
-Z[w_D, zeta_w, t_1..t_s] with rational normal-form coefficients whose
-denominators are supported at the norms of the class-extension ideals; a
-reduction map only has to invert those denominators mod ell.
+beta_j^{k-1} where (beta_j) = b_j^{h_j}.
+
+Production never forms a value chi(P).  A `PrimeTable`, built once per run,
+holds for each prime P off the conductor the exponents f_j that make
+P * prod b_j^{f_j} = (beta_P) principal, beta_P, and dlog_f(beta_P); a
+character only adds the zeta_w exponent s_P of eps_f(beta_P), and a reduction
+map m reads log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P)
+- sum_j f_j log m(t_j) off its field's log tables (`table_images`).
+
+The presentation ring Z[w_D, zeta_w, t_1..t_s] is the test oracle: `evaluate`
+gives chi(a) there exactly, with rational normal-form coefficients whose
+denominators are supported at the norms of the class-extension ideals, and
+`ReductionMap.reduce` takes it to F_{ell^r} term by term.
 """
 
 from __future__ import annotations
@@ -16,8 +26,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
-from .arith import abelian_structure, divisors, factorint, is_prime, multiplicative_order
+from .arith import (
+    abelian_structure,
+    divisors,
+    factorint,
+    is_prime,
+    multiplicative_order,
+    primes_upto,
+)
 from .ffield import FFElem, FiniteField, finite_field
 from .qfield import (
     IdealRep,
@@ -32,6 +50,7 @@ from .qfield import (
     ideals_of_norm,
     kronecker,
     omega_norm,
+    primes_above,
     principal_generator,
     quadint_in_ideal,
     units,
@@ -40,6 +59,10 @@ from .qfield import (
 
 # ---------------------------------------------------------------------------
 # residue groups (O_K/f)^*
+
+# Largest |(O_K/f)^*| that is enumerated; it also caps the finite parts a
+# search tries, one per element of the character group.
+RESIDUE_GROUP_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,8 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs."""
     if f.norm() > 10**6:
         raise ValueError("conductor norm exceeds the 10^6 enumeration bound")
+    if residue_group_order(f) > RESIDUE_GROUP_CAP:
+        raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
 
     def mul(u, v):
@@ -209,6 +234,26 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(w: int) -> tuple[dict, ...]:
+    """Normal forms of z^j for 0 <= j <= max(2w, 2 deg Phi_w), as
+    {z-exponent: coefficient}; shared read-only by every ring with this w."""
+    cyclo = cyclotomic_poly(w)
+    zdeg = len(cyclo) - 1
+    out = [{0: 1}]
+    for _ in range(max(2 * w, 2 * zdeg)):
+        nxt: dict[int, int] = {}
+        for b, c in out[-1].items():
+            if b + 1 < zdeg:
+                nxt[b + 1] = nxt.get(b + 1, 0) + c
+            else:
+                for i in range(zdeg):
+                    if cyclo[i]:
+                        nxt[i] = nxt.get(i, 0) - c * cyclo[i]
+        out.append({b: c for b, c in nxt.items() if c})
+    return tuple(out)
+
+
 class ValueRing:
     """Z[g_K, zeta_w, t_1..t_s] modulo the minimal polynomial of w_D, the w-th
     cyclotomic polynomial and t_j^{h_j} - c_j, with unique normal forms.
@@ -224,26 +269,11 @@ class ValueRing:
         self.eps = disc_eps(D)
         self.q0 = omega_norm(D)
         self.w = w
-        self.cyclo = cyclotomic_poly(w)
-        self.zdeg = len(self.cyclo) - 1
+        self.zdeg = len(cyclotomic_poly(w)) - 1
         self.orders = tuple(orders)
         self.s = len(orders)
         self.cs = tuple(dict(c) for c in cs)
-        self.nvars = 2 + self.s
-        # normal forms of z^j for 0 <= j < 2w, as {z-exponent: coefficient}
-        self._zpow = [{0: 1}]
-        for _ in range(max(2 * w, 2 * self.zdeg)):
-            prev = self._zpow[-1]
-            nxt: dict[int, int] = {}
-            for b, c in prev.items():
-                if b + 1 < self.zdeg:
-                    nxt[b + 1] = nxt.get(b + 1, 0) + c
-                else:
-                    for i in range(self.zdeg):
-                        ci = self.cyclo[i]
-                        if ci:
-                            nxt[i] = nxt.get(i, 0) - c * ci
-            self._zpow.append({b: c for b, c in nxt.items() if c})
+        self._zpow = _zeta_powers(w)
 
     # -- normal forms ------------------------------------------------------
     def _normalize(self, raw: dict) -> dict:
@@ -420,7 +450,7 @@ class HeckeChar:
     class_betas: tuple[QuadInt, ...]
     class_part: object  # "canonical" or tuple of zeta_w exponents
     ring: ValueRing
-    inv_cs: tuple = ()  # inverses of the relation constants, one per generator
+    class_zetas: tuple[int, ...]  # z_j of the relation constant zeta_w^z_j * beta_j^(k-1)
 
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""
@@ -448,7 +478,7 @@ def _finite_exponent(rg: ResidueGroup, zeta_exps: tuple[int, ...], w: int,
     return sum(di * ei for di, ei in zip(d, zeta_exps)) % w
 
 
-def _canonical_class_ideal(D: int, form, avoid: set[int]) -> IdealRep:
+def _canonical_class_ideal(D: int, form, avoid: frozenset[int]) -> IdealRep:
     target = form.reduced()
     n = 1
     while n <= 4 * abs(D) * max(avoid | {1}) + 1000:
@@ -459,6 +489,23 @@ def _canonical_class_ideal(D: int, form, avoid: set[int]) -> IdealRep:
                 return a
         n += 1
     raise AssertionError("no class representative coprime to the conductor found")
+
+
+@lru_cache(maxsize=None)
+def _class_extension(D: int, avoid: frozenset[int]) -> tuple[tuple, tuple]:
+    """(b_j, beta_j) per class-group generator: the first ideal b_j of the
+    class with norm prime to avoid, and a generator beta_j of b_j^{h_j}.
+    Every character of one run shares it."""
+    cg = class_group(D)
+    ideals, betas = [], []
+    for gform, h in zip(cg.gens, cg.orders):
+        b = _canonical_class_ideal(D, gform, avoid)
+        beta = principal_generator(ideal_pow(b, h))
+        if beta is None:
+            raise AssertionError("generator power is not principal")
+        ideals.append(b)
+        betas.append(beta)
+    return tuple(ideals), tuple(betas)
 
 
 def build_hecke_char(
@@ -512,16 +559,9 @@ def build_hecke_char(
                 f"conductor not exact: character trivial on 1 + cond/P at P of norm {P.norm()}"
             )
 
-    # class extension
-    avoid = set(avoid_primes) | set(factorint(cond.norm()))
-    class_ideals, class_betas = [], []
-    for gform, h in zip(cg.gens, cg.orders):
-        b = _canonical_class_ideal(D, gform, avoid)
-        beta = principal_generator(ideal_pow(b, h))
-        if beta is None:
-            raise AssertionError("generator power is not principal")
-        class_ideals.append(b)
-        class_betas.append(beta)
+    class_ideals, class_betas = _class_extension(
+        D, frozenset(avoid_primes) | frozenset(factorint(cond.norm()))
+    )
 
     # relation constants c_j = zeta_w^z_j * beta_j^(k-1)
     zs, cs = [], []
@@ -533,16 +573,9 @@ def build_hecke_char(
         cs.append((base.zeta_pow(zj) * base.from_quadint(beta) ** (k - 1)).d)
 
     ring = ValueRing(D, w, cg.orders, tuple(cs))
-    inv_cs = []
-    for zj, beta in zip(zs, class_betas):
-        inv = ring.zeta_pow(-zj)
-        inv = inv * ring.from_quadint(beta.conj()) ** (k - 1)
-        inv = inv * ring.from_fraction(Fraction(1, beta.norm() ** (k - 1)))
-        inv_cs.append(inv)
     return HeckeChar(
-        D, k, cond, rg, fp, w, zeta_exps,
-        tuple(class_ideals), tuple(class_betas),
-        class_part, ring, tuple(inv_cs),
+        D, k, cond, rg, fp, w, zeta_exps, class_ideals, class_betas,
+        class_part, ring, tuple(zs),
     )
 
 
@@ -550,27 +583,115 @@ def build_hecke_char(
 # evaluation
 
 
-def evaluate(chi: HeckeChar, a: IdealRep) -> VrElem:
-    """delta_H(a) for an integral ideal a coprime to the conductor."""
-    if a.D != chi.D:
-        raise ValueError("mismatched discriminants")
-    if not ideals_coprime(a, chi.cond):
-        raise ValueError("ideal is not coprime to the conductor")
-    cg = class_group(chi.D)
-    evec = cg.dlog(a.as_form())
+def _principal_part(a: IdealRep, class_ideals) -> tuple[tuple[int, ...], QuadInt]:
+    """(f, beta): f_j = (h_j - e_j) mod h_j for the class vector e of a, and a
+    generator beta of the principal ideal a * prod b_j^f_j."""
+    cg = class_group(a.D)
+    fs = tuple((h - e) % h for e, h in zip(cg.dlog(a.as_form()), cg.orders))
     I = a
-    for bj, ej, hj in zip(chi.class_ideals, evec, cg.orders):
-        fj = (hj - ej) % hj
+    for bj, fj in zip(class_ideals, fs):
         if fj:
             I = ideal_multiply(I, ideal_pow(bj, fj))
     beta = principal_generator(I)
     if beta is None:
         raise AssertionError("class decomposition failed to reach a principal ideal")
-    R = chi.ring
-    out = chi.finite_value(beta) * R.from_quadint(beta) ** (chi.k - 1)
-    for j, (ej, hj) in enumerate(zip(evec, cg.orders)):
-        if ej:
-            out = out * R.t_pow(j, ej) * chi.inv_cs[j]
+    return fs, beta
+
+
+def evaluate(chi: HeckeChar, a: IdealRep) -> VrElem:
+    """delta_H(a) in the exact value ring, for an integral ideal a coprime to
+    the conductor: eps_f(beta) beta^(k-1) prod t_j^(h_j - f_j) c_j^-1 over
+    f_j != 0.  The test oracle of `table_images`."""
+    if a.D != chi.D:
+        raise ValueError("mismatched discriminants")
+    if not ideals_coprime(a, chi.cond):
+        raise ValueError("ideal is not coprime to the conductor")
+    fs, beta = _principal_part(a, chi.class_ideals)
+    R, km1 = chi.ring, chi.k - 1
+    out = chi.finite_value(beta) * R.from_quadint(beta) ** km1
+    for j, (fj, hj, zj, bj) in enumerate(zip(fs, R.orders, chi.class_zetas, chi.class_betas)):
+        if fj:
+            # c_j^-1 = zeta_w^-z_j * conj(beta_j)^(k-1) / N(beta_j)^(k-1)
+            inv_c = R.zeta_pow(-zj) * R.from_quadint(bj.conj()) ** km1
+            inv_c = inv_c * R.from_fraction(Fraction(1, bj.norm() ** km1))
+            out = out * R.t_pow(j, hj - fj) * inv_c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the prime table
+
+
+class PrimeRow(NamedTuple):
+    norm: int
+    fs: tuple[int, ...]  # f_j = (h_j - e_j) mod h_j for the class vector e of P
+    beta: QuadInt  # generator of P * prod b_j^f_j
+    dlog: tuple[int, ...]  # beta in (O_K/f)^*, on the residue-group generators
+
+
+class PrimeTable(NamedTuple):
+    """The character-independent data of every prime ideal P coprime to the
+    conductor with N(P) <= bound, in the order of the rational prime below P
+    (two rows above a split p, one above a ramified p, one of norm p^2 above
+    an inert p).  A named tuple, not a dataclass: it is cheaper to define at
+    import."""
+
+    D: int
+    cond: IdealRep
+    class_ideals: tuple[IdealRep, ...]
+    bound: int
+    rows: tuple[PrimeRow, ...]
+
+
+def prime_table(D: int, cond: IdealRep, class_ideals, bound: int) -> PrimeTable:
+    """The prime table of the characters of conductor cond whose class
+    extension uses the ideals class_ideals."""
+    rg = residue_group(D, cond)
+    rows = []
+    for p in primes_upto(bound):
+        for P in primes_above(D, p).primes:
+            if P.norm() <= bound and ideals_coprime(P, cond):
+                fs, beta = _principal_part(P, class_ideals)
+                rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
+    return PrimeTable(D, cond, tuple(class_ideals), bound, tuple(rows))
+
+
+def table_exponents(chi: HeckeChar, table: PrimeTable, bound: int) -> list[tuple]:
+    """(N(P), f, beta_P, s_P) for the rows with N(P) <= bound; the finite part
+    enters only through s_P = <zeta_exps, dlog_f beta_P> mod w."""
+    if (table.D, table.cond, table.class_ideals) != (chi.D, chi.cond, chi.class_ideals):
+        raise ValueError("the prime table belongs to another conductor or class extension")
+    if bound > table.bound:
+        raise ValueError("the prime table does not reach the bound")
+    w, zs = chi.w, chi.zeta_exps
+    return [
+        (norm, fs, beta, sum(d * z for d, z in zip(dlog, zs)) % w)
+        for norm, fs, beta, dlog in table.rows
+        if norm <= bound
+    ]
+
+
+def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, FFElem]]:
+    """(N(P), m(chi(P))) for the rows of `table_exponents` of a weight-k
+    character, read off the log tables of the map's field F_q:
+
+        log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P)
+                        - sum_j f_j log m(t_j)   mod q - 1,
+
+    because m(c_j^-1) = m(t_j)^-h_j.  m(chi(P)) = 0 where m(beta_P) = 0, that
+    is for P above ell."""
+    F = m.field
+    order, log, exp = F.q - 1, F.log, F.exp
+    lz = log[m.z_img.n]
+    lts = [log[t.n] for t in m.t_imgs]
+    out = []
+    for norm, fs, beta, s in rows:
+        b = F.add(F.scalar(beta.a), F.mul(F.scalar(beta.b), m.x_img)).n
+        if b:
+            e = s * lz + (k - 1) * log[b] - sum(f * lt for f, lt in zip(fs, lts))
+            out.append((norm, FFElem(F, exp[e % order])))
+        else:
+            out.append((norm, F.zero()))
     return out
 
 

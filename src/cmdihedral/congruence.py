@@ -10,12 +10,17 @@ from itertools import product
 
 from .arith import is_prime, primes_upto
 from .charmod import (
+    RESIDUE_GROUP_CAP,
     HeckeChar,
+    PrimeTable,
     ReductionMap,
     build_hecke_char,
     build_reductions,
+    prime_table,
     residue_group,
     residue_group_order,
+    table_exponents,
+    table_images,
 )
 from .ffield import FiniteField, finite_field
 from .qfield import (
@@ -30,7 +35,6 @@ from .qseries import (
     delta_qexp_recursion,
     drop_multiples,
     euler_product,
-    prime_values,
     sturm_bound,
 )
 from .serrepred import (
@@ -44,7 +48,6 @@ from .serrepred import (
 
 SEARCH_ORDER_CAP = 500
 SEARCH_MAP_CAP = 100
-SEARCH_CANDIDATE_CAP = 10**4
 QUICK_PRUNE_BOUND = 20
 
 
@@ -371,14 +374,15 @@ def _scenario_bound(s: Scenario) -> int:
     return sturm_bound(s.weight, s.cond.norm() * abs(s.disc), s.bound_mode)
 
 
-def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
-    """Evaluate chi on the prime ideals up to bound once, then lazily yield
-    (map, report) for each reduction map, in order: the map reduces the prime
-    values and the theta series is their Euler product in its field."""
-    values = prime_values(chi, bound)
+def _map_reports(chi: HeckeChar, maps, table: PrimeTable, target: QExpansion, bound: int,
+                 indices):
+    """Lazily yield (map, report) for each reduction map, in order: the map
+    takes chi on the rows of the prime table up to bound into its field, and
+    the theta series is the Euler product of those values."""
+    rows = table_exponents(chi, table, bound)
     level = chi.cond.norm() * abs(chi.D)
     for m in maps:
-        coeffs = euler_product(m.field, [(q, m.reduce(v)) for q, v in values], bound)
+        coeffs = euler_product(m.field, table_images(rows, chi.k, m), bound)
         theta = QExpansion(m.field, coeffs, chi.k, level, chi)
         rep = compare(theta, target, bound, indices)
         yield m, replace(rep, reduction_map=m.describe())
@@ -389,7 +393,7 @@ def search_matching_char(s: Scenario):
     (character, reduction map, report) triple plus skip diagnostics."""
     datum, cond = _scenario_datum(s)
     # one candidate per element of the character group of (O_K/cond)^*
-    if residue_group_order(cond) > SEARCH_CANDIDATE_CAP:
+    if residue_group_order(cond) > RESIDUE_GROUP_CAP:
         raise ValueError("finite-part candidate space exceeds the search cap")
     bound = _scenario_bound(s)
     target, indices = _target_expansion(s, bound)
@@ -398,6 +402,7 @@ def search_matching_char(s: Scenario):
     diagnostics = []
     quick = min(QUICK_PRUNE_BOUND, bound)
     quick_idx = None if indices is None else [n for n in indices if n <= quick]
+    table = None
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
         try:
@@ -418,12 +423,15 @@ def search_matching_char(s: Scenario):
         if len(maps) > SEARCH_MAP_CAP:
             diagnostics.append({**label, "skipped": "reduction fan-out above cap"})
             continue
-        quick_reports = _map_reports(chi, maps, target, quick, quick_idx)
+        if table is None:
+            # every candidate shares the conductor and the class extension
+            table = prime_table(s.disc, cond, chi.class_ideals, bound)
+        quick_reports = _map_reports(chi, maps, table, target, quick, quick_idx)
         surviving = [m for m, rep in quick_reports if rep.verdict]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        for m, rep in _map_reports(chi, surviving, target, bound, indices):
+        for m, rep in _map_reports(chi, surviving, table, target, bound, indices):
             if rep.verdict:
                 matches.append((chi, m, rep))
             else:
@@ -460,7 +468,8 @@ def run_scenario(s: Scenario) -> RunResult:
         )
         target, indices = _target_expansion(s, bound)
         maps = build_reductions(chi.ring, s.ell)
-        reports = _map_reports(chi, maps, target, bound, indices)
+        table = prime_table(s.disc, cond, chi.class_ideals, bound)
+        reports = _map_reports(chi, maps, table, target, bound, indices)
         rmap, report = first = next(reports)
         if not report.verdict:
             rmap, report = next(((m, r) for m, r in reports if r.verdict), first)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cmdihedral.charmod import (
+    RESIDUE_GROUP_CAP,
     ValueRing,
     build_hecke_char,
     build_reductions,
@@ -26,6 +27,7 @@ from cmdihedral.qfield import (
     ideal_pow,
     ideals_coprime,
     ideals_of_norm,
+    primes_above,
     principal_ideal,
     unit_ideal,
 )
@@ -84,6 +86,18 @@ def test_residue_group_generators_generate():
 def test_residue_group_rejects_large_modulus():
     with pytest.raises(ValueError):
         residue_group(-23, IdealRep(-23, 1, 1, 1009))  # norm 1009^2 > 10^6
+
+
+def test_residue_group_order_capped_before_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the residue group was enumerated")
+
+    monkeypatch.setattr("cmdihedral.charmod._unit_keys", no_enumeration)
+    # norm 10061, a split prime of Q(sqrt -71): 10060 units, just above the cap
+    f = primes_above(-71, 10061).primes[0]
+    assert residue_group_order(f) == 10060 > RESIDUE_GROUP_CAP
+    with pytest.raises(ValueError, match="residue group order exceeds the cap"):
+        residue_group(-71, f)
 
 
 # -- Teichmuller lifts ---------------------------------------------------------
@@ -220,6 +234,8 @@ def test_finite_part_checked_before_class_extension(monkeypatch):
     def no_class_extension(*args, **kwargs):
         raise AssertionError("class extension reached")
 
+    # the cached entry point, so an earlier build of the same extension cannot hide it
+    monkeypatch.setattr("cmdihedral.charmod._class_extension", no_class_extension)
     monkeypatch.setattr("cmdihedral.charmod._canonical_class_ideal", no_class_extension)
     with pytest.raises(ValueError, match="unit inconsistency"):
         build_hecke_char(-23, 12, P23, [2])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmdihedral import cli
-from cmdihedral.charmod import build_hecke_char
+from cmdihedral.charmod import RESIDUE_GROUP_CAP, build_hecke_char
 from cmdihedral.congruence import EllipticCurve, Scenario
 from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import IdealRep, ideals_of_norm
@@ -89,6 +89,24 @@ def test_search_sized_before_residue_group(command, tmp_path, capsys, monkeypatc
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: finite-part candidate space exceeds the search cap"
+    ]
+
+
+def test_explicit_character_capped_before_enumeration(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the residue group was enumerated")
+
+    monkeypatch.setattr("cmdihedral.charmod._unit_keys", no_enumeration)
+    scenario = {**CONDUCTOR_40009, "char": {"conductor": CONDUCTOR_40009["cond"],
+                                            "finite_part": [1]}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: residue group order exceeds the cap of {RESIDUE_GROUP_CAP}"
     ]
 
 

@@ -1,6 +1,6 @@
 """Guards against silent drift: pinned stdout bytes of the verification
-commands, the production theta route, and the function names the per-layer
-tracer of `perfbench/` wraps."""
+commands, the production route through one prime table, and the function
+names the per-layer tracer of `perfbench/` wraps."""
 
 import hashlib
 import importlib
@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from cmdihedral import qseries
+from cmdihedral import charmod, congruence, qseries, serrepred
 from cmdihedral.arith import primes_upto
 from cmdihedral.cli import main
 from cmdihedral.qfield import kronecker
@@ -75,29 +75,43 @@ def _run_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["verify-delta23", "search-delta23", "verify-curve71_deep"])
+@pytest.mark.parametrize(
+    "name", ["verify-delta23", "search-delta23", "search-curve65533", "verify-curve71_deep"]
+)
 def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatch):
-    # the ideal-sum theta series and its coefficientwise reduction are oracles only
+    # the exact value ring, the ideal-sum theta series and its coefficientwise
+    # reduction are oracles only
     def oracle_only(*args, **kwargs):
         raise AssertionError("production called the oracle route")
 
     monkeypatch.setattr("cmdihedral.qseries.theta_series", oracle_only)
     monkeypatch.setattr("cmdihedral.congruence.reduce_expansion", oracle_only)
-    evaluate, calls = qseries.evaluate, []
+    monkeypatch.setattr(charmod.ReductionMap, "reduce", oracle_only)
+    evaluate, calls = charmod.evaluate, []
 
     def counted(chi, a):
         calls.append(a)
         return evaluate(chi, a)
 
-    monkeypatch.setattr(qseries, "evaluate", counted)
+    for module in (charmod, qseries, serrepred):
+        monkeypatch.setattr(module, "evaluate", counted)
+    build, tables = congruence.prime_table, []
+
+    def recorded(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(congruence, "prime_table", recorded)
     _run_pinned(name, tmp_path, capsys)
+    assert calls == []
+    assert len(tables) == 1
     if name == "verify-curve71_deep":
-        # chi is evaluated once per prime ideal of norm <= 3000 off the
-        # conductor: two above each split p, one above each inert p with
-        # p^2 <= 3000, none above 71, the one ramified prime (the conductor)
+        # one row per prime ideal of norm <= 3000 off the conductor: two above
+        # each split p, one above each inert p with p^2 <= 3000, none above 71,
+        # the one ramified prime (the conductor)
         split = sum(1 for p in primes_upto(3000) if kronecker(-71, p) == 1)
         inert = sum(1 for p in primes_upto(54) if kronecker(-71, p) == -1)
-        assert len(calls) == 2 * split + inert == 433
+        assert len(tables[0].rows) == 2 * split + inert == 433
 
 
 def _layertrace():

@@ -1,9 +1,12 @@
 """Field arithmetic: forms, class groups, splitting, ideal enumeration."""
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmdihedral.qfield import (
     IdealRep,
@@ -13,6 +16,7 @@ from cmdihedral.qfield import (
     compose,
     factor_ideal,
     ideal_class,
+    ideal_divide_prime,
     ideal_multiply,
     ideal_pow,
     ideals_coprime,
@@ -320,3 +324,32 @@ def test_ideals_coprime_matches_factorizations(D):
             for f in conductors:
                 primes_f = {p for p, _ in factor_ideal(f)}
                 assert ideals_coprime(a, f) == (not primes_a & primes_f), (a, f)
+
+
+@lru_cache(maxsize=None)
+def ideals_up_to(D, bound):
+    return [a for n in range(1, bound + 1) for a in ideals_of_norm(D, n)]
+
+
+@lru_cache(maxsize=None)
+def primes_up_to(D, bound):
+    return [a for a in ideals_up_to(D, bound) if factor_ideal(a) == [(a, 1)]]
+
+
+@st.composite
+def ideal_triples(draw):
+    D = draw(st.sampled_from([-23, -71, -4, -20]))
+    pool = ideals_up_to(D, 200)
+    return (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)),
+            draw(st.sampled_from(primes_up_to(D, 200))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_triples())
+def test_factor_multiply_divide_consistent_property(case):
+    a, b, P = case
+    ab = ideal_multiply(a, b)
+    assert ab.norm() == a.norm() * b.norm()
+    merged = Counter(dict(factor_ideal(a))) + Counter(dict(factor_ideal(b)))
+    assert factor_ideal(ab) == sorted(merged.items(), key=lambda kv: (kv[0].norm(), kv[0].b))
+    assert ideal_divide_prime(ideal_multiply(a, P), P) == a
