@@ -1,14 +1,26 @@
 """Reduction of exact expansions, coefficientwise congruence comparison,
-elliptic-curve Frobenius traces by point counting, and the scenario
-orchestration for the built-in verification runs."""
+elliptic-curve Frobenius traces, and the scenario orchestration for the
+built-in verification runs.
+
+Frobenius traces a_p = p + 1 - #E(F_p) are exact.  For p <= AP_BSGS_CROSSOVER
+they are a character sum over a table of the squares mod p, O(p) per prime.
+Above it they come from the Shanks-Mestre method (Cohen, GTM 138, ch. 7;
+Schoof, J. Theor. Nombres Bordeaux 7, 1995): the order of a few points of E
+and of its quadratic twist, each found by baby-step giant-step across the
+Hasse interval, leaves one a_p, in O(p^{1/4}) group operations per point.
+Mestre's theorem guarantees that for p > 229, which is why the crossover is
+never below 229; measured per prime, the two routes tie just below 229 and
+the search is faster above, so the crossover sits at 229.  Every comparison
+bound is capped at BOUND_CAP before any target or candidate is built."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
 from itertools import product
+from math import isqrt
 
-from .arith import is_prime, primes_upto
+from .arith import factorint, is_prime, primes_upto, sqrt_mod_prime
 from .charmod import (
     RESIDUE_GROUP_CAP,
     HeckeChar,
@@ -49,6 +61,10 @@ from .serrepred import (
 SEARCH_ORDER_CAP = 500
 SEARCH_MAP_CAP = 100
 QUICK_PRUNE_BOUND = 20
+# the precision cap of delta_qexp_recursion, for every target
+BOUND_CAP = 10**5
+# a_p from the table of squares at and below, by baby-step giant-step above
+AP_BSGS_CROSSOVER = 229
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +97,25 @@ class EllipticCurve:
 
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) by a quadratic character sum over x, read from
-    a table of the squares mod p."""
-    if not is_prime(p) or p > 10**5:
-        raise ValueError("p must be a prime <= 10^5")
+    """a_p = p + 1 - #E(F_p) at a prime p of good reduction.
+
+    At and below AP_BSGS_CROSSOVER this is a quadratic character sum over x,
+    read from a table of the squares mod p, in O(p).  Above it, the
+    Shanks-Mestre baby-step giant-step search on the short model and its
+    quadratic twist gives the exact a_p in O(p^{1/4}) group operations per
+    point.  The crossover is never below 229: Mestre's theorem, which makes
+    the search exact, holds for p > 229.  At 2 and 3, where the short model
+    does not exist, the table of squares always runs."""
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
         raise ValueError(f"bad reduction at {p}")
+    if p <= AP_BSGS_CROSSOVER:
+        return _ap_by_squares(E, p)
+    return _ap_by_bsgs(E, p)
+
+
+def _ap_by_squares(E: EllipticCurve, p: int) -> int:
     if p == 2:
         return p + 1 - _count_points_naive(E, p)
     # (2y + a1 x + a3)^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6: 1 + (g/p) values of y
@@ -97,6 +126,114 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
     gs = [(((4 * x + b2) * x + 2 * b4) * x + b6) % p for x in range(p)]
     # a_p = -sum (g/p) = #non-squares - #squares = p - #zeros - 2 #squares
     return p - gs.count(0) - 2 * sum(squares[g] for g in gs)
+
+
+def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
+    """Each point P of E keeps the candidates a with ord(P) | #E = p + 1 - a,
+    each point of the twist E' by the least non-residue d those with
+    ord(P) | #E' = p + 1 + a.  Points are taken by increasing x, alternating
+    between E and E', until one candidate is left.  For p > 229, Mestre's
+    theorem makes that happen before both curves run out of points."""
+    a4, a6 = _short_model(E, p)
+    d = 2
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+    curves = [(1, a4, _points(a4, a6, p)),
+              (-1, a4 * d * d % p, _points(a4 * d * d, a6 * d**3, p))]
+    r = isqrt(4 * p)
+    candidates = set(range(-r, r + 1))
+    while len(candidates) != 1:
+        if not curves or not candidates:
+            raise AssertionError(f"the points of E and its twist leave a_{p} open")
+        sign, a, points = curves.pop(0)
+        P = next(points, None)
+        if P is not None:
+            curves.append((sign, a, points))
+            n = _point_order(P, a, p)
+            candidates = {t for t in candidates if (p + 1 - sign * t) % n == 0}
+    return candidates.pop()
+
+
+def _short_model(E: EllipticCurve, p: int) -> tuple[int, int]:
+    """(A, B) with y^2 = x^3 + A x + B isomorphic to E over F_p, p > 3."""
+    b2, b4, b6, _ = E.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    return -27 * c4 % p, -54 * c6 % p
+
+
+def _points(a4: int, a6: int, p: int):
+    """One affine point of y^2 = x^3 + a4 x + a6 per x with a root, by increasing x."""
+    for x in range(p):
+        y = sqrt_mod_prime((x * x + a4) * x + a6, p)
+        if y is not None:
+            yield x, y
+
+
+def _point_order(P, a4: int, p: int) -> int:
+    """Exact order of P: baby steps jP (j <= s) stand for +-jP, giant steps
+    of 2s+1 cross the Hasse interval [p+1-r, p+1+r] until cP = +-jP; the
+    order is the least divisor of the multiple c -+ j that kills P."""
+    r = isqrt(4 * p)
+    s = isqrt(r) + 1
+    baby = {}
+    R = None
+    for j in range(1, s + 1):
+        R = _ec_add(R, P, a4, p)
+        if R is None:
+            return j
+        baby.setdefault(R[0], (j, R[1]))
+    step = 2 * s + 1
+    G = _ec_mul(step, P, a4, p)
+    c = p + 1 - r + s
+    R = _ec_mul(c, P, a4, p)
+    while c - s <= p + 1 + r:
+        if R is None:
+            m = c
+            break
+        hit = baby.get(R[0])
+        if hit is not None:
+            j, y = hit
+            m = c - j if y == R[1] else c + j
+            break
+        R = _ec_add(R, G, a4, p)
+        c += step
+    else:
+        raise AssertionError(f"no multiple of the point in the Hasse interval for p = {p}")
+    n = m
+    for q in factorint(m):
+        while n % q == 0 and _ec_mul(n // q, P, a4, p) is None:
+            n //= q
+    return n
+
+
+def _ec_add(P, Q, a4: int, p: int):
+    """P + Q on y^2 = x^3 + a4 x + a6 in affine coordinates; None is the origin."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, P, a4: int, p: int):
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, a4, p)
+        k >>= 1
+        if k:
+            P = _ec_add(P, P, a4, p)
+    return R
 
 
 def curve_ap_naive(E: EllipticCurve, p: int) -> int:
@@ -366,12 +503,17 @@ def _target_expansion(s: Scenario, bound: int):
 
 
 def _scenario_bound(s: Scenario) -> int:
-    """The comparison bound; every series is expanded to it."""
+    """The comparison bound; every series is expanded to it, so it is capped
+    before any target or candidate is built."""
     if s.bound is not None:
-        return s.bound
-    if s.cond is None:
+        bound = s.bound
+    elif s.cond is None:
         raise ValueError("cannot size the comparison bound without a conductor")
-    return sturm_bound(s.weight, s.cond.norm() * abs(s.disc), s.bound_mode)
+    else:
+        bound = sturm_bound(s.weight, s.cond.norm() * abs(s.disc), s.bound_mode)
+    if bound > BOUND_CAP:
+        raise ValueError(f"comparison bound {bound} exceeds the cap of {BOUND_CAP}")
+    return bound
 
 
 def _map_reports(chi: HeckeChar, maps, table: PrimeTable, target: QExpansion, bound: int,

@@ -1,11 +1,15 @@
 """Reductions, comparison reports, curve point counts, scenario runs."""
 
 import json
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cmdihedral import congruence
 from cmdihedral.charmod import build_reductions
 from cmdihedral.congruence import (
+    AP_BSGS_CROSSOVER,
     EllipticCurve,
     Scenario,
     builtin_scenario,
@@ -115,6 +119,66 @@ def test_curve_ap_frozen_small_values():
     for p, ap in expected.items():
         assert curve_ap_naive(E65533, p) == ap
         assert curve_ap(E65533, p) == ap
+
+
+# -- a_p by baby-step giant-step above the crossover, checked against the table of squares
+
+ABOVE_CROSSOVER = [p for p in primes_upto(10**4) if p > AP_BSGS_CROSSOVER]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5),
+       st.sampled_from(ABOVE_CROSSOVER))
+def test_curve_ap_bsgs_equals_square_table_property(coeffs, p):
+    try:
+        E = EllipticCurve(*coeffs)
+    except ValueError:
+        assume(False)
+    assume(E.discriminant() % p != 0)
+    assert congruence._ap_by_bsgs(E, p) == congruence._ap_by_squares(E, p)
+
+
+def _bsgs_points(E, p, monkeypatch):
+    """a_p by the search, with (A of the curve, order) for every point it used."""
+    point_order, used = congruence._point_order, []
+
+    def recorded(P, a4, q):
+        used.append((a4, point_order(P, a4, q)))
+        return used[-1][1]
+
+    monkeypatch.setattr(congruence, "_point_order", recorded)
+    return congruence._ap_by_bsgs(E, p), used
+
+
+def _hasse_multiples(n, p):
+    r = isqrt(4 * p)
+    return [m for m in range(p + 1 - r, p + 2 + r) if m % n == 0]
+
+
+def test_curve_ap_bsgs_twist_decides(monkeypatch):
+    # the first point of E has order 44, with two multiples in the Hasse
+    # interval; the first point of the twist leaves one candidate
+    p = 367
+    ap, used = _bsgs_points(E65533, p, monkeypatch)
+    assert ap == congruence._ap_by_squares(E65533, p)
+    (a4, n), (twist_a4, _) = used
+    assert a4 == congruence._short_model(E65533, p)[0] != twist_a4
+    assert len(_hasse_multiples(n, p)) == 2
+
+
+def test_curve_ap_bsgs_first_point_of_small_order(monkeypatch):
+    # (0, 0) has order 2 on E and on its twist at p = 277
+    p = 277
+    ap, used = _bsgs_points(E65533, p, monkeypatch)
+    assert ap == congruence._ap_by_squares(E65533, p)
+    assert [n for _, n in used[:2]] == [2, 2] and len(used) > 2
+
+
+# the first prime above the crossover; 521 = 1 mod 8, so square roots run the
+# Tonelli-Shanks loop; 99991, a prime near the bound cap
+@pytest.mark.parametrize("p", [ABOVE_CROSSOVER[0], 521, 99991])
+def test_curve_ap_bsgs_pinned_primes(p):
+    assert curve_ap(E65533, p) == congruence._ap_by_squares(E65533, p)
 
 
 # -- scenario runs --------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmdihedral import cli
 from cmdihedral.charmod import RESIDUE_GROUP_CAP, build_hecke_char
-from cmdihedral.congruence import EllipticCurve, Scenario
+from cmdihedral.congruence import EllipticCurve, Scenario, curve_ap, curve_ap_naive
 from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import IdealRep, ideals_of_norm
 
@@ -139,6 +139,51 @@ def test_perturbation_beyond_paper_bound_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: perturbation index out of range"]
+
+
+CURVE71 = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}}
+CURVE71_EXPLICIT = {**CURVE71, "char": {"conductor": {"n": 71, "b": 71}, "finite_part": [35]}}
+
+# comparison bounds above the cap of 10^5: explicit ones on either side of
+# 100002, the last bound below the first prime above 10^5, and the Sturm bound
+# 109296 of a tau target at level 23^2 * 197
+OVER_BOUND_CAP = {
+    "curve-explicit-100001": ({**CURVE71_EXPLICIT, "bound": 100001}, 100001),
+    "curve-explicit-100003": ({**CURVE71_EXPLICIT, "bound": 100003}, 100003),
+    "curve-search-100001": ({**CURVE71, "bound": 100001}, 100001),
+    "curve-search-100003": ({**CURVE71, "bound": 100003}, 100003),
+    "tau-sturm": ({**DELTA, "char": "search", "cond": {"n": 4531, "b": 3427}}, 109296),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(OVER_BOUND_CAP))
+def test_bound_over_cap_exits_2_before_any_work(name, command, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the bound cap")
+
+    for fn in ("curve_ap", "build_hecke_char", "prime_table"):
+        monkeypatch.setattr(f"cmdihedral.congruence.{fn}", no_work)
+    scenario, bound = OVER_BOUND_CAP[name]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: comparison bound {bound} exceeds the cap of 100000"
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_curve_ap_at_2_and_3_off_the_short_model(p, monkeypatch):
+    def no_short_model(*args, **kwargs):
+        raise AssertionError("the short model is not valid at 2 and 3")
+
+    monkeypatch.setattr("cmdihedral.congruence._short_model", no_short_model)
+    for E in CURVES:
+        assert curve_ap(E, p) == curve_ap_naive(E, p)
 
 
 @pytest.mark.parametrize("ell,r", [(10000079, 1), (3181, 2)])

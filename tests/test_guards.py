@@ -114,6 +114,33 @@ def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatc
         assert len(tables[0].rows) == 2 * split + inert == 433
 
 
+@pytest.mark.parametrize("name", ["verify-curve71_deep", "verify-delta23"])
+def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys,
+                                                         monkeypatch):
+    curve_ap, squares = congruence.curve_ap, congruence._ap_by_squares
+    primes, table_primes = [], []
+
+    def counted(E, p):
+        primes.append(p)
+        return curve_ap(E, p)
+
+    def table_route(E, p):
+        table_primes.append(p)
+        return squares(E, p)
+
+    # below 229, Mestre's theorem does not make the search exact
+    assert congruence.AP_BSGS_CROSSOVER >= 229
+    monkeypatch.setattr(congruence, "curve_ap", counted)
+    monkeypatch.setattr(congruence, "_ap_by_squares", table_route)
+    _run_pinned(name, tmp_path, capsys)
+    if name == "verify-delta23":
+        assert primes == []
+    else:
+        # the good primes p <= 3000 other than ell = 7: all but 7, 13 and 71
+        assert len(primes) == len(primes_upto(3000)) - 3 == 427
+        assert table_primes == [p for p in primes if p <= congruence.AP_BSGS_CROSSOVER]
+
+
 def _layertrace():
     path = os.path.join(ROOT, "perfbench", "layertrace.py")
     spec = importlib.util.spec_from_file_location("_layertrace_names", path)
