@@ -18,7 +18,6 @@ from .qfield import (
 )
 from .charmod import (
     HeckeChar,
-    PrimeTable,
     ReductionMap,
     ResidueGroup,
     TeichRep,

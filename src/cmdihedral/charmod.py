@@ -7,12 +7,14 @@ A character is stored ideal-theoretically: a finite-part character on
 cyclic factor of the class group subject to t_j^{h_j} = eps_f(beta_j) *
 beta_j^{k-1} where (beta_j) = b_j^{h_j}.
 
-Production never forms a value chi(P).  A `PrimeTable`, built once per run,
-holds for each prime P off the conductor the exponents f_j that make
-P * prod b_j^{f_j} = (beta_P) principal, beta_P, and dlog_f(beta_P); a
-character only adds the zeta_w exponent s_P of eps_f(beta_P), and a reduction
-map m reads log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P)
-- sum_j f_j log m(t_j) off its field's log tables (`table_images`).
+Production never forms a value chi(P).  The prime table (`prime_table`),
+cached per conductor, class extension and bound, holds for each prime P off
+the conductor the exponents f_j that make P * prod b_j^{f_j} = (beta_P)
+principal, beta_P, and dlog_f(beta_P).  `table_exponents(chi, bound)` reads
+the table of chi's own conductor, class extension and bound and adds only the
+zeta_w exponent s_P of eps_f(beta_P); a reduction map m reads
+log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
+off its field's log tables (`table_images`).
 
 The presentation ring Z[w_D, zeta_w, t_1..t_s] is the test oracle: `evaluate`
 gives chi(a) there exactly, with rational normal-form coefficients whose
@@ -34,6 +36,7 @@ from .arith import (
     factorint,
     is_prime,
     multiplicative_order,
+    prime_to_part,
     primes_upto,
 )
 from .ffield import FFElem, FiniteField, finite_field
@@ -112,6 +115,13 @@ def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:
     ]
 
 
+def check_conductor_norm(f: IdealRep) -> None:
+    """Refuse a conductor of norm above 10^6, the largest whose residue
+    classes are enumerated, before anything factors it."""
+    if f.norm() > 10**6:
+        raise ValueError("conductor norm exceeds the 10^6 enumeration bound")
+
+
 def residue_group_order(f: IdealRep) -> int:
     """|(O_K/f)^*| = prod N(P)^(e-1) * (N(P) - 1) over the prime powers P^e || f."""
     return prod(P.norm() ** (e - 1) * (P.norm() - 1) for P, e in factor_ideal(f))
@@ -120,8 +130,7 @@ def residue_group_order(f: IdealRep) -> int:
 @lru_cache(maxsize=None)
 def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs."""
-    if f.norm() > 10**6:
-        raise ValueError("conductor norm exceeds the 10^6 enumeration bound")
+    check_conductor_norm(f)
     if residue_group_order(f) > RESIDUE_GROUP_CAP:
         raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
@@ -629,23 +638,15 @@ class PrimeRow(NamedTuple):
     dlog: tuple[int, ...]  # beta in (O_K/f)^*, on the residue-group generators
 
 
-class PrimeTable(NamedTuple):
-    """The character-independent data of every prime ideal P coprime to the
-    conductor with N(P) <= bound, in the order of the rational prime below P
-    (two rows above a split p, one above a ramified p, one of norm p^2 above
-    an inert p).  A named tuple, not a dataclass: it is cheaper to define at
-    import."""
-
-    D: int
-    cond: IdealRep
-    class_ideals: tuple[IdealRep, ...]
-    bound: int
-    rows: tuple[PrimeRow, ...]
-
-
-def prime_table(D: int, cond: IdealRep, class_ideals, bound: int) -> PrimeTable:
-    """The prime table of the characters of conductor cond whose class
-    extension uses the ideals class_ideals."""
+@lru_cache(maxsize=None)
+def prime_table(D: int, cond: IdealRep, class_ideals: tuple[IdealRep, ...],
+                bound: int) -> tuple[PrimeRow, ...]:
+    """The character-independent rows of every prime ideal P coprime to cond
+    with N(P) <= bound, in the order of the rational prime below P (two rows
+    above a split p, one above a ramified p, one of norm p^2 above an inert
+    p), for the class extension by the ideals class_ideals.  Cached per
+    conductor, class extension and bound, so the characters of one search
+    share each table."""
     rg = residue_group(D, cond)
     rows = []
     for p in primes_upto(bound):
@@ -653,21 +654,16 @@ def prime_table(D: int, cond: IdealRep, class_ideals, bound: int) -> PrimeTable:
             if P.norm() <= bound and ideals_coprime(P, cond):
                 fs, beta = _principal_part(P, class_ideals)
                 rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
-    return PrimeTable(D, cond, tuple(class_ideals), bound, tuple(rows))
+    return tuple(rows)
 
 
-def table_exponents(chi: HeckeChar, table: PrimeTable, bound: int) -> list[tuple]:
-    """(N(P), f, beta_P, s_P) for the rows with N(P) <= bound; the finite part
-    enters only through s_P = <zeta_exps, dlog_f beta_P> mod w."""
-    if (table.D, table.cond, table.class_ideals) != (chi.D, chi.cond, chi.class_ideals):
-        raise ValueError("the prime table belongs to another conductor or class extension")
-    if bound > table.bound:
-        raise ValueError("the prime table does not reach the bound")
+def table_exponents(chi: HeckeChar, bound: int) -> list[tuple]:
+    """(N(P), f, beta_P, s_P) for the rows of chi's prime table up to bound;
+    the finite part enters only through s_P = <zeta_exps, dlog_f beta_P> mod w."""
     w, zs = chi.w, chi.zeta_exps
     return [
         (norm, fs, beta, sum(d * z for d, z in zip(dlog, zs)) % w)
-        for norm, fs, beta, dlog in table.rows
-        if norm <= bound
+        for norm, fs, beta, dlog in prime_table(chi.D, chi.cond, chi.class_ideals, bound)
     ]
 
 
@@ -747,21 +743,14 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
     r1 = lcm(r_x, d_z)
 
     minpoly = [R.q0, -R.eps, 1]
-    hprimes = []
-    for h in R.orders:
-        hp = h
-        while hp % ell == 0:
-            hp //= ell
-        hprimes.append(hp)
+    hprimes = [prime_to_part(h, ell) for h in R.orders]
 
     s = 1
     while True:
         r = r1 * s
         F = finite_field(ell, r)
-        x_roots = F.poly_roots(list(minpoly))
-        if not x_roots:
-            s += 1
-            continue
+        # r_x | r, so the minimal polynomial of w_D splits in F
+        x_roots = F.poly_roots(minpoly)
         if R.w > 1:
             g = F.generator()
             z_imgs = sorted(

@@ -15,7 +15,6 @@ bound is capped at BOUND_CAP before any target or candidate is built."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import isqrt
@@ -24,11 +23,10 @@ from .arith import factorint, is_prime, primes_upto, sqrt_mod_prime
 from .charmod import (
     RESIDUE_GROUP_CAP,
     HeckeChar,
-    PrimeTable,
     ReductionMap,
     build_hecke_char,
     build_reductions,
-    prime_table,
+    check_conductor_norm,
     residue_group,
     residue_group_order,
     table_exponents,
@@ -432,7 +430,6 @@ class RunResult:
     report: CongruenceReport
     character: HeckeChar | None
     reduction: ReductionMap | None
-    diagnostics: tuple = ()
 
 
 def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
@@ -450,6 +447,7 @@ def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
         if d_ord:
             P = sp.primes[0]
             cond = P
+    check_conductor_norm(cond)
     # split the conductor into away/at-ell parts and validate
     away_norm = cond.norm()
     at_ell = 0
@@ -502,26 +500,24 @@ def _target_expansion(s: Scenario, bound: int):
     return tgt, idx
 
 
-def _scenario_bound(s: Scenario) -> int:
-    """The comparison bound; every series is expanded to it, so it is capped
-    before any target or candidate is built."""
+def _scenario_bound(s: Scenario, cond: IdealRep) -> int:
+    """The comparison bound, sized by the conductor cond of `_scenario_datum`;
+    every series is expanded to it, so it is capped before any target or
+    candidate is built."""
     if s.bound is not None:
         bound = s.bound
-    elif s.cond is None:
-        raise ValueError("cannot size the comparison bound without a conductor")
     else:
-        bound = sturm_bound(s.weight, s.cond.norm() * abs(s.disc), s.bound_mode)
+        bound = sturm_bound(s.weight, cond.norm() * abs(s.disc), s.bound_mode)
     if bound > BOUND_CAP:
         raise ValueError(f"comparison bound {bound} exceeds the cap of {BOUND_CAP}")
     return bound
 
 
-def _map_reports(chi: HeckeChar, maps, table: PrimeTable, target: QExpansion, bound: int,
-                 indices):
+def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
     """Lazily yield (map, report) for each reduction map, in order: the map
-    takes chi on the rows of the prime table up to bound into its field, and
+    takes chi on the rows of its prime table up to bound into its field, and
     the theta series is the Euler product of those values."""
-    rows = table_exponents(chi, table, bound)
+    rows = table_exponents(chi, bound)
     level = chi.cond.norm() * abs(chi.D)
     for m in maps:
         coeffs = euler_product(m.field, table_images(rows, chi.k, m), bound)
@@ -537,14 +533,12 @@ def search_matching_char(s: Scenario):
     # one candidate per element of the character group of (O_K/cond)^*
     if residue_group_order(cond) > RESIDUE_GROUP_CAP:
         raise ValueError("finite-part candidate space exceeds the search cap")
-    bound = _scenario_bound(s)
+    bound = _scenario_bound(s, cond)
     target, indices = _target_expansion(s, bound)
     rg = residue_group(s.disc, cond)
     matches = []
     diagnostics = []
     quick = min(QUICK_PRUNE_BOUND, bound)
-    quick_idx = None if indices is None else [n for n in indices if n <= quick]
-    table = None
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
         try:
@@ -565,15 +559,12 @@ def search_matching_char(s: Scenario):
         if len(maps) > SEARCH_MAP_CAP:
             diagnostics.append({**label, "skipped": "reduction fan-out above cap"})
             continue
-        if table is None:
-            # every candidate shares the conductor and the class extension
-            table = prime_table(s.disc, cond, chi.class_ideals, bound)
-        quick_reports = _map_reports(chi, maps, table, target, quick, quick_idx)
+        quick_reports = _map_reports(chi, maps, target, quick, indices)
         surviving = [m for m, rep in quick_reports if rep.verdict]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        for m, rep in _map_reports(chi, surviving, table, target, bound, indices):
+        for m, rep in _map_reports(chi, surviving, target, bound, indices):
             if rep.verdict:
                 matches.append((chi, m, rep))
             else:
@@ -589,16 +580,14 @@ def run_scenario(s: Scenario) -> RunResult:
     A search keeps its first match.  An explicit character is compared under
     every reduction map up to the first match, else reports the first map."""
     datum, cond = _scenario_datum(s)
-    bound = _scenario_bound(s)
-    diagnostics = ()
+    bound = _scenario_bound(s, cond)
     if s.char == "search":
-        matches, found = search_matching_char(s)
+        matches, _ = search_matching_char(s)
         if matches:
             chi, rmap, report = matches[0]
         else:
             chi, rmap = None, None
             report = CongruenceReport(s.ell, None, bound, 0, (), False)
-        diagnostics = tuple(json.dumps(d, sort_keys=True) for d in found)
     else:
         chi = build_hecke_char(
             s.disc,
@@ -610,10 +599,9 @@ def run_scenario(s: Scenario) -> RunResult:
         )
         target, indices = _target_expansion(s, bound)
         maps = build_reductions(chi.ring, s.ell)
-        table = prime_table(s.disc, cond, chi.class_ideals, bound)
-        reports = _map_reports(chi, maps, table, target, bound, indices)
+        reports = _map_reports(chi, maps, target, bound, indices)
         rmap, report = first = next(reports)
         if not report.verdict:
             rmap, report = next(((m, r) for m, r in reports if r.verdict), first)
     neb = None if chi is None else nebentypus(chi)[0].descriptor()
-    return RunResult(predict_invariants(datum, neb), report, chi, rmap, diagnostics)
+    return RunResult(predict_invariants(datum, neb), report, chi, rmap)

@@ -9,6 +9,7 @@ log, antilog and Zech tables built once per field.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .arith import factorint, is_prime
@@ -275,11 +276,6 @@ class FiniteField:
         return [FFElem(self, n) for n in sorted(roots)]
 
 
-_cache: dict[tuple[int, int], FiniteField] = {}
-
-
+@lru_cache(maxsize=None)
 def finite_field(ell: int, r: int) -> FiniteField:
-    key = (ell, r)
-    if key not in _cache:
-        _cache[key] = FiniteField(ell, r)
-    return _cache[key]
+    return FiniteField(ell, r)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import abelian_structure, factorint, is_prime, prime_to_part
@@ -197,17 +198,10 @@ class DirichletChar:
         }
 
 
-_unit_group_cache: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _unit_group(modulus: int):
-    if modulus not in _unit_group_cache:
-        elems = [m for m in range(modulus) if gcd(m, modulus) == 1] or [0]
-        gens, orders, dlog = abelian_structure(
-            elems, lambda a, b: a * b % modulus, 1 % modulus
-        )
-        _unit_group_cache[modulus] = (gens, orders, dlog)
-    return _unit_group_cache[modulus]
+    elems = [m for m in range(modulus) if gcd(m, modulus) == 1] or [0]
+    return abelian_structure(elems, lambda a, b: a * b % modulus, 1 % modulus)
 
 
 # ---------------------------------------------------------------------------

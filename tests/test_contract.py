@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmdihedral import cli
+from cmdihedral import arith, charmod, cli, congruence, ffield, qfield, qseries, serrepred
 from cmdihedral.charmod import RESIDUE_GROUP_CAP, build_hecke_char
 from cmdihedral.congruence import EllipticCurve, Scenario, curve_ap, curve_ap_naive
 from cmdihedral.ffield import FiniteField
@@ -162,8 +162,8 @@ def test_bound_over_cap_exits_2_before_any_work(name, command, tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("work started above the bound cap")
 
-    for fn in ("curve_ap", "build_hecke_char", "prime_table"):
-        monkeypatch.setattr(f"cmdihedral.congruence.{fn}", no_work)
+    for fn in ("congruence.curve_ap", "congruence.build_hecke_char", "charmod.prime_table"):
+        monkeypatch.setattr(f"cmdihedral.{fn}", no_work)
     scenario, bound = OVER_BOUND_CAP[name]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -173,6 +173,36 @@ def test_bound_over_cap_exits_2_before_any_work(name, command, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: comparison bound {bound} exceeds the cap of 100000"
+    ]
+
+
+# a split prime of norm 100000000000133 ~ 10^14 in Q(sqrt(-71)): trial division
+# of its norm would take seconds, so it is refused before anything factors it
+HUGE_CONDUCTOR = {"n": 100000000000133, "b": -25034182316825}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("bound", [None, 50])
+def test_conductor_norm_checked_before_factoring(command, bound, tmp_path, capsys,
+                                                 monkeypatch):
+    factorint = arith.factorint
+
+    def small_only(n):
+        if n > 10**6:
+            raise AssertionError(f"factored {n}")
+        return factorint(n)
+
+    for module in (arith, charmod, congruence, ffield, qfield, qseries, serrepred):
+        monkeypatch.setattr(module, "factorint", small_only)
+    scenario = {**CURVE71, "cond": HUGE_CONDUCTOR, "bound": bound}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: conductor norm exceeds the 10^6 enumeration bound"
     ]
 
 

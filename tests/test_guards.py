@@ -1,12 +1,13 @@
 """Guards against silent drift: pinned stdout bytes of the verification
-commands, the production route through one prime table, and the function
-names the per-layer tracer of `perfbench/` wraps."""
+commands, the production route through the cached prime tables, and the
+function names the per-layer tracer of `perfbench/` wraps."""
 
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+from functools import lru_cache
 
 import pytest
 
@@ -75,6 +76,31 @@ def _run_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_tau_conductor_derived_when_absent(command, tmp_path, capsys):
+    # without "cond", a tau target at the ramified ell = 23 gets the prime
+    # above 23 as conductor, which is the delta23 scenario
+    scenario = {"disc": -23, "weight": 12, "ell": 23, "char": "search", "target": "tau"}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    _, exit_code, digest = PINNED[f"{command}-delta23"]
+    assert main([command, "--scenario", str(path)]) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _record_prime_tables(monkeypatch):
+    """Replace the cached `charmod.prime_table` by a fresh cache over the same
+    function; the returned dict maps each computed key to its rows."""
+    build, tables = charmod.prime_table.__wrapped__, {}
+
+    def recorded(*key):
+        tables[key] = build(*key)
+        return tables[key]
+
+    monkeypatch.setattr(charmod, "prime_table", lru_cache(maxsize=None)(recorded))
+    return tables
+
+
 @pytest.mark.parametrize(
     "name", ["verify-delta23", "search-delta23", "search-curve65533", "verify-curve71_deep"]
 )
@@ -95,23 +121,50 @@ def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatc
 
     for module in (charmod, qseries, serrepred):
         monkeypatch.setattr(module, "evaluate", counted)
-    build, tables = congruence.prime_table, []
-
-    def recorded(*args):
-        tables.append(build(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(congruence, "prime_table", recorded)
+    tables = _record_prime_tables(monkeypatch)
     _run_pinned(name, tmp_path, capsys)
     assert calls == []
-    assert len(tables) == 1
+    # one table per (conductor, class extension, bound): the comparison bound,
+    # and in a search also the quick bound, shared by every candidate
+    bounds = sorted(key[-1] for key in tables)
     if name == "verify-curve71_deep":
+        assert bounds == [3000]
         # one row per prime ideal of norm <= 3000 off the conductor: two above
         # each split p, one above each inert p with p^2 <= 3000, none above 71,
         # the one ramified prime (the conductor)
         split = sum(1 for p in primes_upto(3000) if kronecker(-71, p) == 1)
         inert = sum(1 for p in primes_upto(54) if kronecker(-71, p) == -1)
-        assert len(tables[0].rows) == 2 * split + inert == 433
+        (rows,) = tables.values()
+        assert len(rows) == 2 * split + inert == 433
+    else:
+        full = 500 if name.endswith("curve65533") else 552
+        assert bounds == [congruence.QUICK_PRUNE_BOUND, full]
+
+
+# name -> scenario of a search in which every candidate fails at q^2
+PERTURBED_SEARCHES = {
+    "delta23": {"disc": -23, "weight": 12, "ell": 23, "char": "search",
+                "cond": {"n": 23, "b": 23}, "target": "tau", "perturb": 2},
+    "curve65533": {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+                   "cond": {"n": 71, "b": 71}, "bound": 500, "perturb": 2,
+                   "target": {"curve": [0, -1, 1, -18507, -989382]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_SEARCHES))
+def test_pruned_search_computes_only_the_quick_rows(name, tmp_path, capsys, monkeypatch):
+    tables = _record_prime_tables(monkeypatch)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(PERTURBED_SEARCHES[name]))
+    assert main(["search", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().out == "[]\n"
+    # only the quick table: one row per prime ideal of norm <= 20 off the
+    # conductor, above 2, 3, 13 (split) and 5 (inert) for D = -23, and above
+    # 2, 3, 5, 19 (split) and 7 (inert) for D = -71
+    assert [key[-1] for key in tables] == [congruence.QUICK_PRUNE_BOUND]
+    (rows,) = tables.values()
+    assert len(rows) == {"delta23": 6, "curve65533": 8}[name]
+    assert max(row.norm for row in rows) <= congruence.QUICK_PRUNE_BOUND
 
 
 @pytest.mark.parametrize("name", ["verify-curve71_deep", "verify-delta23"])

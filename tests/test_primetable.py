@@ -1,4 +1,4 @@
-"""The prime table and the log-space route against the exact value ring: on
+"""The prime tables and the log-space route against the exact value ring: on
 every row and under every reduction map, the value read off the field's log
 tables equals the reduction of chi(P) computed by `evaluate`."""
 
@@ -59,10 +59,9 @@ def test_curve65533_candidates_include_the_match():
 @pytest.mark.parametrize("D,k,cond,fp,ell,bound", cases())
 def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound):
     chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
-    table = prime_table(D, cond, chi.class_ideals, bound)
     exact = prime_values(chi, bound)
-    assert [row.norm for row in table.rows] == [q for q, _ in exact]
-    rows = table_exponents(chi, table, bound)
+    rows = table_exponents(chi, bound)
+    assert [q for q, *_ in rows] == [q for q, _ in exact]
     # a map kills exactly one prime above ell, when the table holds one: (7) of
     # norm 49 for D = -71 and D = -4, one of the two of norm 13 for D = -3
     above_ell = any(q % ell == 0 for q, _ in exact)
@@ -77,22 +76,12 @@ def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound)
 def test_quick_bound_filters_the_same_table():
     D, k, cond, fp, ell, bound = CHARS["delta23"]
     chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
-    table = prime_table(D, cond, chi.class_ideals, bound)
-    quick = table_exponents(chi, table, 20)
-    assert [q for q, *_ in quick] == [q for q, _ in prime_values(chi, 20)]
-    assert quick == [row for row in table_exponents(chi, table, bound) if row[0] <= 20]
-
-
-def test_table_must_match_the_character():
-    D, k, cond, fp, ell, bound = CHARS["delta23"]
-    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
-    table = prime_table(D, cond, chi.class_ideals, 100)
-    with pytest.raises(ValueError, match="does not reach"):
-        table_exponents(chi, table, 101)
-    other = build_hecke_char(D, k, cond, fp, avoid_primes=(ell, 2, 3))
-    assert other.class_ideals != chi.class_ideals
-    with pytest.raises(ValueError, match="another conductor or class extension"):
-        table_exponents(other, table, 100)
+    full = prime_table(D, cond, chi.class_ideals, bound)
+    quick = prime_table(D, cond, chi.class_ideals, 20)
+    assert quick == tuple(row for row in full if row.norm <= 20)
+    assert [q for q, *_ in table_exponents(chi, 20)] == [q for q, _ in prime_values(chi, 20)]
+    # cached per conductor, class extension and bound
+    assert prime_table(D, cond, chi.class_ideals, 20) is quick
 
 
 def test_candidates_share_one_class_extension():
