@@ -12,7 +12,10 @@ cached per conductor, class extension and bound, holds for each prime P off
 the conductor the exponents f_j that make P * prod b_j^{f_j} = (beta_P)
 principal, beta_P, and dlog_f(beta_P).  `table_exponents(chi, bound)` reads
 the table of chi's own conductor, class extension and bound and adds only the
-zeta_w exponent s_P of eps_f(beta_P); a reduction map m reads
+zeta_w exponent s_P of eps_f(beta_P).  A row costs one ideal multiplication
+per nonzero f_j, by a power b_j^{f_j} cached per class extension
+(`_class_power`), and one lattice reduction for beta_P.  A reduction map m
+reads
 log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
 off its field's log tables (`table_images`).
 
@@ -517,6 +520,13 @@ def _class_extension(D: int, avoid: frozenset[int]) -> tuple[tuple, tuple]:
     return tuple(ideals), tuple(betas)
 
 
+@lru_cache(maxsize=None)
+def _class_power(b: IdealRep, f: int) -> IdealRep:
+    """b^f for a class-extension ideal b and 0 < f < h_j: at most h_j - 1
+    powers per generator, shared by every prime of every table."""
+    return ideal_pow(b, f)
+
+
 def build_hecke_char(
     D: int,
     k: int,
@@ -600,7 +610,7 @@ def _principal_part(a: IdealRep, class_ideals) -> tuple[tuple[int, ...], QuadInt
     I = a
     for bj, fj in zip(class_ideals, fs):
         if fj:
-            I = ideal_multiply(I, ideal_pow(bj, fj))
+            I = ideal_multiply(I, _class_power(bj, fj))
     beta = principal_generator(I)
     if beta is None:
         raise AssertionError("class decomposition failed to reach a principal ideal")

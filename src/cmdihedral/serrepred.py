@@ -121,14 +121,14 @@ class DirichletChar:
 
     @staticmethod
     def kronecker_char(D: int, modulus: int) -> "DirichletChar":
+        """(D|.) mod a multiple of |D|, for a fundamental D: the symbol has
+        period |D|, so it is computed once per residue mod |D|."""
         if modulus % abs(D):
             raise ValueError("modulus must be a multiple of |D|")
-        exps = []
-        for m in range(modulus):
-            if gcd(m, modulus) > 1:
-                exps.append(None)
-            else:
-                exps.append(0 if kronecker(D, m) == 1 else 1)
+        period = [0 if kronecker(D, r) == 1 else 1 for r in range(abs(D))]
+        exps = [
+            None if gcd(m, modulus) > 1 else period[m % abs(D)] for m in range(modulus)
+        ]
         return DirichletChar(modulus, 2, exps)
 
     # -- structure ---------------------------------------------------------

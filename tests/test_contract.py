@@ -206,6 +206,50 @@ def test_conductor_norm_checked_before_factoring(command, bound, tmp_path, capsy
     ]
 
 
+# |D| ~ 10^18: trial division of |D| runs to about 10^9 and reduced_forms would
+# enumerate about |D|/3 forms, so the discriminant is refused before anything
+# factors it
+HUGE_DISC = -1000000000000000003
+HUGE_DISC_ARGV = {
+    "classgroup": ["classgroup", "--disc", str(HUGE_DISC)],
+    "predict": ["predict", "--disc", str(HUGE_DISC), "--ell", "23", "--weight", "12",
+                "--cond-norm", "1"],
+    "verify": ["verify", "--scenario", "{scenario}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_DISC_ARGV))
+def test_discriminant_capped_before_factoring(command, tmp_path, capsys, monkeypatch):
+    factorint = arith.factorint
+
+    def below_cap_only(n):
+        if n > qfield.DISC_CAP:
+            raise AssertionError(f"factored {n}")
+        return factorint(n)
+
+    for module in (arith, charmod, congruence, ffield, qfield, qseries, serrepred):
+        monkeypatch.setattr(module, "factorint", below_cap_only)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**DELTA, "disc": HUGE_DISC, "char": "search"}))
+    argv = [str(path) if a == "{scenario}" else a for a in HUGE_DISC_ARGV[command]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: |D| exceeds the cap of {qfield.DISC_CAP}"]
+
+
+def test_ell_at_the_primality_limit_exits_2(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to all twelve bases
+    psi12 = "318665857834031151167461"
+    code = cli.main(["predict", "--disc", "-23", "--ell", psi12, "--weight", "2",
+                     "--cond-norm", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: primality at or above {psi12} is not decided"]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_curve_ap_at_2_and_3_off_the_short_model(p, monkeypatch):
     def no_short_model(*args, **kwargs):

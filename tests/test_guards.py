@@ -14,7 +14,7 @@ import pytest
 from cmdihedral import charmod, congruence, qseries, serrepred
 from cmdihedral.arith import primes_upto
 from cmdihedral.cli import main
-from cmdihedral.qfield import kronecker
+from cmdihedral.qfield import IdealRep, class_group, kronecker
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEEP = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
@@ -139,6 +139,33 @@ def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatc
     else:
         full = 500 if name.endswith("curve65533") else 552
         assert bounds == [congruence.QUICK_PRUNE_BOUND, full]
+
+
+def test_prime_table_costs_one_multiply_and_one_generator_per_row(monkeypatch):
+    # the curve71_deep table: a row multiplies P by one cached class power
+    # b^f (0 < f < h = 7) and reduces one lattice for its generator
+    with open(DEEP) as fh:
+        deep = json.load(fh)
+    D, cond = deep["disc"], IdealRep(deep["disc"], 71, 71)
+    chi = charmod.build_hecke_char(D, deep["weight"], cond, deep["char"]["finite_part"])
+    calls = {"ideal_pow": 0, "ideal_multiply": 0, "principal_generator": 0}
+
+    def counted(name):
+        fn = getattr(charmod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(charmod, name, counted(name))
+    charmod._class_power.cache_clear()
+    rows = charmod.prime_table.__wrapped__(D, cond, chi.class_ideals, deep["bound"])
+    assert len(rows) == 433
+    assert calls["ideal_pow"] <= sum(class_group(D).orders) == 7
+    assert calls["ideal_multiply"] <= len(rows)
+    assert calls["principal_generator"] == len(rows)
 
 
 # name -> scenario of a search in which every candidate fails at q^2

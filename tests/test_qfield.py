@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmdihedral.qfield import (
     IdealRep,
@@ -29,6 +29,8 @@ from cmdihedral.qfield import (
     unit_ideal,
     units,
 )
+
+from oracles import principal_generator_by_search
 
 DISCS = [-23, -71, -4, -7, -8, -11]
 
@@ -280,6 +282,29 @@ def test_principal_generator_roundtrip_sweep():
                 else:
                     assert g.norm() == a.norm()
                     assert principal_ideal(g) == a
+
+
+# every ideal of norm <= 300 per discriminant: h = 1 for -3, -4, -7, and
+# non-principal classes for -20, -23, -71, -84
+PG_DISCS = (-3, -4, -7, -20, -23, -71, -84)
+
+
+@lru_cache(maxsize=None)
+def _ideals_upto(D, bound):
+    return tuple(a for n in range(1, bound + 1) for a in ideals_of_norm(D, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.sampled_from(PG_DISCS).flatmap(lambda D: st.sampled_from(_ideals_upto(D, 300))),
+    c=st.integers(1, 3),
+)
+@example(a=IdealRep(-23, 2, 1), c=3)  # not principal
+@example(a=IdealRep(-3, 7, 5), c=2)  # principal, six unit multiples
+@example(a=IdealRep(-4, 5, 4), c=3)  # principal, four unit multiples
+def test_principal_generator_equals_the_norm_form_search(a, c):
+    b = IdealRep(a.D, a.n, a.b, a.content * c)
+    assert principal_generator(b) == principal_generator_by_search(b)
 
 
 def test_units():

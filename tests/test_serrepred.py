@@ -1,9 +1,11 @@
 """Ramification cases, level formulas, nebentypus, M', twisting."""
 
+from math import gcd
+
 import pytest
 
 from cmdihedral.charmod import build_hecke_char, build_reductions, evaluate
-from cmdihedral.qfield import IdealRep, ideals_of_norm, unit_ideal
+from cmdihedral.qfield import IdealRep, ideals_of_norm, kronecker, unit_ideal
 from cmdihedral.serrepred import (
     DihedralDatum,
     DirichletChar,
@@ -119,6 +121,14 @@ def test_nebentypus_trivial_conductor_char():
     eps, eta = nebentypus(chi)
     assert eta.is_trivial()
     assert eps == DirichletChar.kronecker_char(-4, 4)
+
+
+@pytest.mark.parametrize("D", [-3, -4, -7, -8, -20, -23, -71, -84])
+@pytest.mark.parametrize("mult", [1, 2, 9, 71])
+def test_kronecker_char_equals_the_symbol_at_every_residue(D, mult):
+    M = mult * abs(D)
+    direct = [None if gcd(m, M) > 1 else (0 if kronecker(D, m) == 1 else 1) for m in range(M)]
+    assert DirichletChar.kronecker_char(D, M) == DirichletChar(M, 2, direct)
 
 
 def test_m_prime_frozen():
