@@ -19,17 +19,23 @@ reads
 log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
 off its field's log tables (`table_images`).
 
-The presentation ring Z[w_D, zeta_w, t_1..t_s] is the test oracle: `evaluate`
-gives chi(a) there exactly, with rational normal-form coefficients whose
-denominators are supported at the norms of the class-extension ideals, and
-`ReductionMap.reduce` takes it to F_{ell^r} term by term.
+Production never builds a value ring either: a character is its integers,
+unit consistency is decided on exponents, and `build_reductions(chi, ell)`
+reduces each relation constant as m(c_j) = m(zeta_w)^z_j m(beta_j)^(k-1),
+with the image of a + b*w_D from the same `_image` as `table_images`.
+
+The presentation ring Z[w_D, zeta_w, t_1..t_s], built on the first read of
+`chi.ring`, is the test oracle: `evaluate` gives chi(a) there exactly, with
+rational normal-form coefficients whose denominators are supported at the
+norms of the class-extension ideals, and `ReductionMap.reduce` takes it to
+F_{ell^r} term by term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -169,9 +175,6 @@ class TeichRep:
 
     def __pow__(self, k: int) -> "TeichRep":
         return TeichRep.make(self.m, self.e * (k % self.m))
-
-    def inverse(self) -> "TeichRep":
-        return TeichRep.make(self.m, -self.e)
 
     def is_one(self) -> bool:
         return self.m == 1
@@ -461,8 +464,17 @@ class HeckeChar:
     class_ideals: tuple[IdealRep, ...]
     class_betas: tuple[QuadInt, ...]
     class_part: object  # "canonical" or tuple of zeta_w exponents
-    ring: ValueRing
     class_zetas: tuple[int, ...]  # z_j of the relation constant zeta_w^z_j * beta_j^(k-1)
+
+    @cached_property
+    def ring(self) -> ValueRing:
+        """The exact value ring, built on the first read; only oracles read it."""
+        base = ValueRing(self.D, self.w, (), ())
+        cs = tuple(
+            (base.zeta_pow(z) * base.from_quadint(beta) ** (self.k - 1)).d
+            for z, beta in zip(self.class_zetas, self.class_betas)
+        )
+        return ValueRing(self.D, self.w, class_group(self.D).orders, cs)
 
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""
@@ -557,13 +569,12 @@ def build_hecke_char(
         if len(class_part) != len(cg.orders):
             raise ValueError("class part must list one twist exponent per generator")
 
-    # the finite part alone decides both checks, in the ring without formal roots
-    base = ValueRing(D, w, (), ())
-
-    # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit
-    for u in units(D):
-        val = base.zeta_pow(_finite_exponent(rg, zeta_exps, w, u))
-        if val * base.from_quadint(u) ** (k - 1) != base.one():
+    # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit u = g^a, decided
+    # as in Z[w_D] (x) Z[zeta_w], where zeta_w meets the units of K only at +-1
+    n = len(units(D))
+    for a, u in enumerate(units(D)):
+        v = TeichRep.make(n, a * (k - 1))
+        if v.m > 2 or TeichRep.make(w, _finite_exponent(rg, zeta_exps, w, u)) != v:
             raise ValueError(
                 f"unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = {u.a}+{u.b}w"
             )
@@ -583,18 +594,12 @@ def build_hecke_char(
     )
 
     # relation constants c_j = zeta_w^z_j * beta_j^(k-1)
-    zs, cs = [], []
-    for j, beta in enumerate(class_betas):
-        zj = _finite_exponent(rg, zeta_exps, w, beta)
-        if class_part != "canonical":
-            zj = (zj + class_part[j]) % w
-        zs.append(zj)
-        cs.append((base.zeta_pow(zj) * base.from_quadint(beta) ** (k - 1)).d)
-
-    ring = ValueRing(D, w, cg.orders, tuple(cs))
+    zs = [_finite_exponent(rg, zeta_exps, w, beta) for beta in class_betas]
+    if class_part != "canonical":
+        zs = [(z + c) % w for z, c in zip(zs, class_part)]
     return HeckeChar(
         D, k, cond, rg, fp, w, zeta_exps, class_ideals, class_betas,
-        class_part, ring, tuple(zs),
+        class_part, tuple(zs),
     )
 
 
@@ -692,7 +697,7 @@ def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, FFElem]]:
     lts = [log[t.n] for t in m.t_imgs]
     out = []
     for norm, fs, beta, s in rows:
-        b = F.add(F.scalar(beta.a), F.mul(F.scalar(beta.b), m.x_img)).n
+        b = _image(F, m.x_img, beta).n
         if b:
             e = s * lz + (k - 1) * log[b] - sum(f * lt for f, lt in zip(fs, lts))
             out.append((norm, FFElem(F, exp[e % order])))
@@ -701,43 +706,49 @@ def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, FFElem]]:
     return out
 
 
+def _image(F: FiniteField, x: FFElem, alpha: QuadInt) -> FFElem:
+    """Image a + b*x in F of alpha = a + b*w_D, where x is the image of w_D."""
+    return F.add(F.scalar(alpha.a), F.mul(F.scalar(alpha.b), x))
+
+
 # ---------------------------------------------------------------------------
 # reductions to finite fields
 
 
 @dataclass(frozen=True)
 class ReductionMap:
-    ring: ValueRing
+    chi: HeckeChar
     field: FiniteField
     x_img: FFElem
     z_img: FFElem
     t_imgs: tuple[FFElem, ...]
 
-    @property
-    def ell(self) -> int:
-        return self.field.ell
-
-    @property
-    def r(self) -> int:
-        return self.field.r
-
     def reduce(self, elem: VrElem) -> FFElem:
-        if elem.ring is not self.ring:
+        """Image in the field of an element of chi's value ring, term by term."""
+        if elem.ring is not self.chi.ring:
             raise ValueError("element belongs to a different value ring")
-        return _reduce_terms(self.field, elem.d, (self.x_img, self.z_img, *self.t_imgs))
+        F, imgs = self.field, (self.x_img, self.z_img, *self.t_imgs)
+        acc = F.zero()
+        for exps, coef in elem.d.items():
+            term = _reduce_coeff(F, coef)
+            for img, e in zip(imgs, exps):
+                if e:
+                    term = term * img**e
+            acc = acc + term
+        return acc
 
     def describe(self) -> dict:
         return {
-            "ell": self.ell,
-            "r": self.r,
+            "ell": self.field.ell,
+            "r": self.field.r,
             "omega": self.x_img.code(),
             "zeta": self.z_img.code(),
             "t": [t.code() for t in self.t_imgs],
         }
 
 
-def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
-    """All ring homomorphisms into the smallest common F_{ell^r}.
+def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
+    """All homomorphisms of chi's value ring into the smallest common F_{ell^r}.
 
     The field is the splitting field of the relation system, so images of the
     formal roots t_j may land in a proper extension even when one root exists
@@ -745,15 +756,15 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
     """
     if not is_prime(ell) or ell < 3:
         raise ValueError("reduction characteristic must be an odd prime")
-    if R.w % ell == 0:
+    D, w, orders = chi.D, chi.w, class_group(chi.D).orders
+    if w % ell == 0:
         raise ValueError("ell divides the root-of-unity order of the ring")
-    k = kronecker(R.D, ell)
-    r_x = 1 if k >= 0 else 2
-    d_z = multiplicative_order(ell % R.w, R.w) if R.w > 1 else 1
+    r_x = 1 if kronecker(D, ell) >= 0 else 2
+    d_z = multiplicative_order(ell % w, w) if w > 1 else 1
     r1 = lcm(r_x, d_z)
 
-    minpoly = [R.q0, -R.eps, 1]
-    hprimes = [prime_to_part(h, ell) for h in R.orders]
+    minpoly = [omega_norm(D), -disc_eps(D), 1]
+    hprimes = [prime_to_part(h, ell) for h in orders]
 
     s = 1
     while True:
@@ -761,13 +772,13 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
         F = finite_field(ell, r)
         # r_x | r, so the minimal polynomial of w_D splits in F
         x_roots = F.poly_roots(minpoly)
-        if R.w > 1:
+        if w > 1:
             g = F.generator()
             z_imgs = sorted(
                 (
-                    F.pow(g, j * ((F.q - 1) // R.w))
-                    for j in range(1, R.w + 1)
-                    if gcd(j, R.w) == 1
+                    F.pow(g, j * ((F.q - 1) // w))
+                    for j in range(1, w + 1)
+                    if gcd(j, w) == 1
                 ),
                 key=FFElem.code,
             )
@@ -778,14 +789,14 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
         for x0 in x_roots:
             for z0 in z_imgs:
                 t_choices = []
-                for j in range(R.s):
-                    cbar = _reduce_terms(F, R.cs[j], (x0, z0))
+                for z, beta, h, hp in zip(chi.class_zetas, chi.class_betas, orders, hprimes):
+                    cbar = z0**z * _image(F, x0, beta) ** (chi.k - 1)
                     if cbar.is_zero():
                         raise ValueError(
                             "no valid assignment: relation constant reduces to zero"
                         )
-                    roots = F.nth_roots(cbar, R.orders[j])
-                    if len(roots) < hprimes[j]:
+                    roots = F.nth_roots(cbar, h)
+                    if len(roots) < hp:
                         complete = False
                         break
                     t_choices.append(roots)
@@ -795,7 +806,7 @@ def build_reductions(R: ValueRing, ell: int) -> list[ReductionMap]:
                 for roots in t_choices:
                     combos = [c + (t,) for c in combos for t in roots]
                 for combo in combos:
-                    maps.append(ReductionMap(R, F, x0, z0, combo))
+                    maps.append(ReductionMap(chi, F, x0, z0, combo))
             if not complete:
                 break
         if complete:
@@ -815,15 +826,3 @@ def _reduce_coeff(F: FiniteField, coef) -> FFElem:
     if den % F.ell == 0:
         raise ValueError("coefficient denominator is divisible by ell")
     return F.scalar(num * pow(den, -1, F.ell))
-
-
-def _reduce_terms(F: FiniteField, terms: dict, imgs: tuple) -> FFElem:
-    """Image in F of sum(coef * prod(imgs[i] ** exps[i])) over terms {exps: coef}."""
-    acc = F.zero()
-    for exps, coef in terms.items():
-        term = _reduce_coeff(F, coef)
-        for img, e in zip(imgs, exps):
-            if e:
-                term = term * img**e
-        acc = acc + term
-    return acc

@@ -552,7 +552,7 @@ def search_matching_char(s: Scenario):
             diagnostics.append({**label, "skipped": "finite-part order above cap"})
             continue
         try:
-            maps = build_reductions(chi.ring, s.ell)
+            maps = build_reductions(chi, s.ell)
         except ValueError as exc:
             diagnostics.append({**label, "skipped": str(exc)})
             continue
@@ -598,7 +598,7 @@ def run_scenario(s: Scenario) -> RunResult:
             avoid_primes=(s.ell,),
         )
         target, indices = _target_expansion(s, bound)
-        maps = build_reductions(chi.ring, s.ell)
+        maps = build_reductions(chi, s.ell)
         reports = _map_reports(chi, maps, target, bound, indices)
         rmap, report = first = next(reports)
         if not report.verdict:

@@ -199,9 +199,6 @@ class IdealRep:
     def conj(self) -> "IdealRep":
         return IdealRep(self.D, self.n, -self.b, self.content)
 
-    def is_unit_ideal(self) -> bool:
-        return self.content == 1 and self.n == 1
-
     def sort_key(self):
         return (self.content, self.n, self.b)
 

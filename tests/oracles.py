@@ -1,8 +1,9 @@
 """Independent exact routes that the fast paths of `src/` are tested against."""
 
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from cmdihedral.qfield import IdealRep, QuadInt, disc_eps, quadint_in_ideal
+from cmdihedral.charmod import ResidueGroup, ValueRing
+from cmdihedral.qfield import IdealRep, QuadInt, disc_eps, quadint_in_ideal, units
 
 
 def principal_generator_by_search(a: IdealRep) -> QuadInt | None:
@@ -25,4 +26,19 @@ def principal_generator_by_search(a: IdealRep) -> QuadInt | None:
                 if cand.norm() == N and quadint_in_ideal(cand, a):
                     return cand
         y += 1
+    return None
+
+
+def unit_inconsistency_in_ring(D: int, k: int, rg: ResidueGroup, fp) -> QuadInt | None:
+    """The first unit u of K, in the order of `units(D)`, with
+    eps_f(u) * u^(k-1) != 1 in Z[w_D] (x) Z[zeta_w] = ValueRing(D, w, (), ()),
+    where eps_f takes generator i of (O_K/f)^* of order n_i to zeta_{n_i}^fp[i]
+    and w is the lcm of those value orders; None when every unit passes."""
+    fp = [e % n for e, n in zip(fp, rg.orders)]
+    w = lcm(1, *(n // gcd(e, n) for e, n in zip(fp, rg.orders)))
+    R = ValueRing(D, w, (), ())
+    for u in units(D):
+        e = sum(d * (f * w // n) for d, f, n in zip(rg.dlog(u), fp, rg.orders))
+        if R.zeta_pow(e) * R.from_quadint(u) ** (k - 1) != R.one():
+            return u
     return None

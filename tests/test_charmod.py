@@ -4,7 +4,6 @@ reductions."""
 import hashlib
 import itertools
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -31,6 +30,8 @@ from cmdihedral.qfield import (
     principal_ideal,
     unit_ideal,
 )
+
+from oracles import unit_inconsistency_in_ring
 
 P23 = IdealRep(-23, 23, 23)
 P71 = IdealRep(-71, 71, 71)
@@ -230,6 +231,35 @@ def test_build_hecke_char_decision_table_frozen():
     assert digest == "80a514fe89c9430bc28f002a4af2be16c00d778fa41258eb4df6954cc182ae19"
 
 
+def test_unit_check_decides_as_the_value_ring():
+    # the exponent check against the ring Z[w_D] (x) Z[zeta_w], which keeps
+    # zeta_w apart from the units of K: at D = -4 with k even and at D = -3
+    # with k != 1 (mod 3), w_D^(k-1) has order 3, 4 or 6, so every finite part
+    # is refused there, cases the frozen decision table lacks
+    seen = {"refused": 0, "passed": 0}
+    for D in (-3, -4, -7, -23):
+        conductors = [f for n in range(1, 21) for f in ideals_of_norm(D, n)]
+        for f in conductors:
+            if residue_group_order(f) > RESIDUE_GROUP_CAP:
+                continue
+            rg = residue_group(D, f)
+            for k in range(2, 14):
+                for fp in itertools.product(*(range(n) for n in rg.orders)):
+                    u = unit_inconsistency_in_ring(D, k, rg, fp)
+                    if u is None:
+                        seen["passed"] += 1
+                        try:
+                            build_hecke_char(D, k, f, list(fp))
+                        except ValueError as exc:
+                            assert "unit inconsistency" not in str(exc)
+                        continue
+                    seen["refused"] += 1
+                    with pytest.raises(ValueError, match="unit inconsistency") as exc:
+                        build_hecke_char(D, k, f, list(fp))
+                    assert str(exc.value).endswith(f"at u = {u.a}+{u.b}w")
+    assert seen["refused"] and seen["passed"]
+
+
 def test_finite_part_checked_before_class_extension(monkeypatch):
     def no_class_extension(*args, **kwargs):
         raise AssertionError("class extension reached")
@@ -299,7 +329,7 @@ def test_evaluate_deterministic_across_rebuilds():
 # -- reductions -------------------------------------------------------------------
 
 def test_build_reductions_delta_maps(delta_char):
-    maps = build_reductions(delta_char.ring, 23)
+    maps = build_reductions(delta_char, 23)
     assert len(maps) == 3
     # omega reduces to the double root of its minimal polynomial mod 23
     assert all(m.x_img.code() == 12 for m in maps)
@@ -314,7 +344,7 @@ def test_delta_sum_of_conjugate_reductions_is_22(delta_char):
     # mod the ramified prime (a - 5) above 23 to:
     assert (-21 * 25 - 4 * 5 + 84) % 23 == 22
     assert (53 * 25 + 251 * 5 - 212) % 23 == 22
-    maps = build_reductions(delta_char.ring, 23)
+    maps = build_reductions(delta_char, 23)
     p2a, p2b = ideals_of_norm(-23, 2)
     p3a, p3b = ideals_of_norm(-23, 3)
     v2 = [m.reduce(evaluate(delta_char, p2a)) + m.reduce(evaluate(delta_char, p2b)) for m in maps]
@@ -325,35 +355,49 @@ def test_delta_sum_of_conjugate_reductions_is_22(delta_char):
 
 def test_build_reductions_order22_ring():
     chi = build_hecke_char(-23, 12, P23, [1])
-    maps = build_reductions(chi.ring, 23)
+    maps = build_reductions(chi, 23)
     zetas = {m.z_img.code() for m in maps}
     assert len(zetas) == 10  # primitive 22nd roots mod 23
     assert all(m.z_img.field.element_order(m.z_img) == 22 for m in maps)
 
 
-def test_build_reductions_cube_root_ring():
-    # adjusted semantics: all three cube roots are enumerated in F_{23^2},
-    # exactly one of them prime-field valued
-    R = ValueRing(-23, 1, (3,), ({(0, 0): Fraction(2)},))
-    maps = build_reductions(R, 23)
-    assert len(maps) == 3
-    in_prime = [m for m in maps if m.t_imgs[0].code() < 23]
-    assert len(in_prime) == 1
-    t = in_prime[0].t_imgs[0]
-    assert (t * t * t).code() == 2
+# name -> (D, k, conductor, finite part, ell) of characters whose maps are checked
+# against the relation constants of the exact ring
+RELATION_CHARS = {
+    "delta23": (-23, 12, P23, [11], 23),
+    "order22": (-23, 12, P23, [1], 23),
+    "curve71_deep": (-71, 2, P71, [35], 7),
+    "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], 7),
+    "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CHARS))
+def test_build_reductions_satisfy_the_exact_relations(name):
+    # m(t_j)^h_j = m(c_j) for the relation constant c_j of the exact value ring,
+    # reduced term by term there
+    D, k, cond, fp, ell = RELATION_CHARS[name]
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
+    R = chi.ring
+    maps = build_reductions(chi, ell)
+    assert maps
+    for m in maps:
+        for j, (h, c) in enumerate(zip(R.orders, R.cs)):
+            cj = R.elem({(a, b) + (0,) * R.s: v for (a, b), v in c.items()})
+            assert m.t_imgs[j] ** h == m.reduce(cj) != m.field.zero()
 
 
 def test_build_reductions_rejects_bad_ell(delta_char):
     chi22 = build_hecke_char(-23, 12, P23, [1])  # w = 22
     with pytest.raises(ValueError):
-        build_reductions(chi22.ring, 11)  # 11 divides w
+        build_reductions(chi22, 11)  # 11 divides w
     with pytest.raises(ValueError):
-        build_reductions(delta_char.ring, 4)
+        build_reductions(delta_char, 4)
 
 
 def test_reduce_is_ring_homomorphism(delta_char):
     chi = delta_char
-    maps = build_reductions(chi.ring, 23)
+    maps = build_reductions(chi, 23)
     m = maps[0]
     R = chi.ring
     one = R.one()
@@ -366,7 +410,7 @@ def test_reduce_is_ring_homomorphism(delta_char):
 
 def test_reduce_evaluate_multiplicative_into_units(delta_char):
     chi = delta_char
-    maps = build_reductions(chi.ring, 23)
+    maps = build_reductions(chi, 23)
     m = maps[1]
     pool = [
         a

@@ -43,7 +43,7 @@ def test_reduce_int_expansion():
 
 
 def test_reduce_expansion_zero_and_structure(delta_char):
-    maps = build_reductions(delta_char.ring, 23)
+    maps = build_reductions(delta_char, 23)
     th = theta_series(delta_char, 10)
     red = reduce_expansion(th, maps[1])
     assert red.coeffs[5].is_zero()  # inert prime

@@ -141,6 +141,20 @@ def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatc
         assert bounds == [congruence.QUICK_PRUNE_BOUND, full]
 
 
+@pytest.mark.parametrize(
+    "name", ["verify-delta23", "search-delta23", "verify-curve65533", "search-curve65533",
+             "verify-curve71_deep"]
+)
+def test_production_builds_no_value_ring(name, tmp_path, capsys, monkeypatch):
+    # a character is its integers: the unit check reads exponents and the
+    # reduction maps read z_j and beta_j, so only oracles build the exact ring
+    def no_ring(*args, **kwargs):
+        raise AssertionError("production built a value ring")
+
+    monkeypatch.setattr(charmod, "ValueRing", no_ring)
+    _run_pinned(name, tmp_path, capsys)
+
+
 def test_prime_table_costs_one_multiply_and_one_generator_per_row(monkeypatch):
     # the curve71_deep table: a row multiplies P by one cached class power
     # b^f (0 < f < h = 7) and reduces one lattice for its generator

@@ -192,7 +192,7 @@ def test_dirichlet_char_algebra():
 def test_charpoly_data_split_and_inert(delta_char):
     eps, _ = nebentypus(delta_char)
     tr, det = charpoly_data(2, delta_char, eps, 12)
-    maps = build_reductions(delta_char.ring, 23)
+    maps = build_reductions(delta_char, 23)
     # tau(2) = -24 is 22 mod 23 under the matching reductions
     assert sorted(m.reduce(tr).code() for m in maps) == [2, 22, 22]
     assert all(m.reduce(det) == m.field.scalar(pow(2, 11, 23)) for m in maps)
