@@ -15,9 +15,10 @@ the table of chi's own conductor, class extension and bound and adds only the
 zeta_w exponent s_P of eps_f(beta_P).  A row costs one ideal multiplication
 per nonzero f_j, by a power b_j^{f_j} cached per class extension
 (`_class_power`), and one lattice reduction for beta_P.  A reduction map m
-reads
+holds the int codes of m(w_D), m(zeta_w) and m(t_j) in its field, and reads
 log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
-off its field's log tables (`table_images`).
+off the field's log tables (`table_images`).  Every image in a finite field
+is such a code, and field arithmetic on codes is a `FiniteField` method call.
 
 Production never builds a value ring either: a character is its integers,
 unit consistency is decided on exponents, and `build_reductions(chi, ell)`
@@ -48,7 +49,7 @@ from .arith import (
     prime_to_part,
     primes_upto,
 )
-from .ffield import FFElem, FiniteField, finite_field
+from .ffield import FiniteField, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
@@ -179,19 +180,18 @@ class TeichRep:
     def is_one(self) -> bool:
         return self.m == 1
 
-    def reduce_into(self, field: FiniteField) -> FFElem:
+    def reduce_into(self, field: FiniteField) -> int:
         if (field.q - 1) % self.m:
             raise ValueError("field has no root of unity of this order")
         return field.pow(field.generator(), self.e * ((field.q - 1) // self.m))
 
 
-def teichmuller_lift(x: FFElem) -> TeichRep:
-    """The unique prime-to-ell root of unity reducing to x (multiplicative lift)."""
-    if x.is_zero():
+def teichmuller_lift(F: FiniteField, x: int) -> TeichRep:
+    """The unique prime-to-ell root of unity reducing to the element x of F
+    (multiplicative lift)."""
+    if not x:
         raise ValueError("Teichmuller lift of zero")
-    field = x.field
-    a = field.dlog(x)
-    return TeichRep.make(field.q - 1, a)
+    return TeichRep.make(F.q - 1, F.dlog(x))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,13 @@ class ValueRing:
 
     def elem(self, raw: dict) -> "VrElem":
         return VrElem(self, self._normalize(raw))
+
+    # the FiniteField interface that `euler_product` and `twist` call
+    def add(self, a: "VrElem", b: "VrElem") -> "VrElem":
+        return a + b
+
+    def mul(self, a: "VrElem", b: "VrElem") -> "VrElem":
+        return a * b
 
     # -- constructors ------------------------------------------------------
     def zero(self) -> "VrElem":
@@ -682,7 +689,7 @@ def table_exponents(chi: HeckeChar, bound: int) -> list[tuple]:
     ]
 
 
-def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, FFElem]]:
+def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, int]]:
     """(N(P), m(chi(P))) for the rows of `table_exponents` of a weight-k
     character, read off the log tables of the map's field F_q:
 
@@ -693,20 +700,20 @@ def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, FFElem]]:
     is for P above ell."""
     F = m.field
     order, log, exp = F.q - 1, F.log, F.exp
-    lz = log[m.z_img.n]
-    lts = [log[t.n] for t in m.t_imgs]
+    lz = log[m.z_img]
+    lts = [log[t] for t in m.t_imgs]
     out = []
     for norm, fs, beta, s in rows:
-        b = _image(F, m.x_img, beta).n
+        b = _image(F, m.x_img, beta)
         if b:
             e = s * lz + (k - 1) * log[b] - sum(f * lt for f, lt in zip(fs, lts))
-            out.append((norm, FFElem(F, exp[e % order])))
+            out.append((norm, exp[e % order]))
         else:
-            out.append((norm, F.zero()))
+            out.append((norm, 0))
     return out
 
 
-def _image(F: FiniteField, x: FFElem, alpha: QuadInt) -> FFElem:
+def _image(F: FiniteField, x: int, alpha: QuadInt) -> int:
     """Image a + b*x in F of alpha = a + b*w_D, where x is the image of w_D."""
     return F.add(F.scalar(alpha.a), F.mul(F.scalar(alpha.b), x))
 
@@ -719,31 +726,32 @@ def _image(F: FiniteField, x: FFElem, alpha: QuadInt) -> FFElem:
 class ReductionMap:
     chi: HeckeChar
     field: FiniteField
-    x_img: FFElem
-    z_img: FFElem
-    t_imgs: tuple[FFElem, ...]
+    # codes in field of the images of w_D, zeta_w and t_1..t_s
+    x_img: int
+    z_img: int
+    t_imgs: tuple[int, ...]
 
-    def reduce(self, elem: VrElem) -> FFElem:
+    def reduce(self, elem: VrElem) -> int:
         """Image in the field of an element of chi's value ring, term by term."""
         if elem.ring is not self.chi.ring:
             raise ValueError("element belongs to a different value ring")
         F, imgs = self.field, (self.x_img, self.z_img, *self.t_imgs)
-        acc = F.zero()
+        acc = 0
         for exps, coef in elem.d.items():
             term = _reduce_coeff(F, coef)
             for img, e in zip(imgs, exps):
                 if e:
-                    term = term * img**e
-            acc = acc + term
+                    term = F.mul(term, F.pow(img, e))
+            acc = F.add(acc, term)
         return acc
 
     def describe(self) -> dict:
         return {
             "ell": self.field.ell,
             "r": self.field.r,
-            "omega": self.x_img.code(),
-            "zeta": self.z_img.code(),
-            "t": [t.code() for t in self.t_imgs],
+            "omega": self.x_img,
+            "zeta": self.z_img,
+            "t": list(self.t_imgs),
         }
 
 
@@ -775,23 +783,18 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
         if w > 1:
             g = F.generator()
             z_imgs = sorted(
-                (
-                    F.pow(g, j * ((F.q - 1) // w))
-                    for j in range(1, w + 1)
-                    if gcd(j, w) == 1
-                ),
-                key=FFElem.code,
+                F.pow(g, j * ((F.q - 1) // w)) for j in range(1, w + 1) if gcd(j, w) == 1
             )
         else:
-            z_imgs = [F.one()]
+            z_imgs = [1]
         maps = []
         complete = True
         for x0 in x_roots:
             for z0 in z_imgs:
                 t_choices = []
                 for z, beta, h, hp in zip(chi.class_zetas, chi.class_betas, orders, hprimes):
-                    cbar = z0**z * _image(F, x0, beta) ** (chi.k - 1)
-                    if cbar.is_zero():
+                    cbar = F.mul(F.pow(z0, z), F.pow(_image(F, x0, beta), chi.k - 1))
+                    if not cbar:
                         raise ValueError(
                             "no valid assignment: relation constant reduces to zero"
                         )
@@ -812,14 +815,12 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
         if complete:
             if not maps:
                 raise ValueError("no valid assignment for the reduction maps")
-            maps.sort(
-                key=lambda m: (m.x_img.code(), m.z_img.code(), [t.code() for t in m.t_imgs])
-            )
+            maps.sort(key=lambda m: (m.x_img, m.z_img, m.t_imgs))
             return maps
         s += 1
 
 
-def _reduce_coeff(F: FiniteField, coef) -> FFElem:
+def _reduce_coeff(F: FiniteField, coef) -> int:
     """Image in F of an integer or rational coefficient.  The denominator is a
     rational integer, so it is inverted in F_ell."""
     num, den = coef.numerator, coef.denominator

@@ -64,12 +64,8 @@ def cmd_predict(args) -> int:
         raise ValueError("conductor norm must be positive and coprime to ell")
     kind = primes_above(D, ell).kind
     case = ramification_case(ell, kind, k)
-    ramified = kind == "ramified"
-    N_prime = predicted_level(N_rho, ell, ramified)
-    rel = "none"
-    if ramified:
-        rel = "2k-1" if ell == 2 * k - 1 else "2k-3"
-    _emit(SerrePrediction(N_rho, N_prime, N_prime, k, None, rel).to_json())
+    N_prime = predicted_level(N_rho, ell, kind == "ramified")
+    _emit(SerrePrediction(N_rho, N_prime, N_prime, k, None, case.ell_relation).to_json())
     _note(f"predicted level {N_prime} ({kind} at {ell}, case {case.value})")
     return 0
 

@@ -257,7 +257,7 @@ def _count_points_naive(E: EllipticCurve, p: int) -> int:
 
 
 def reduce_expansion(f: QExpansion, m: ReductionMap) -> QExpansion:
-    coeffs = [m.field.zero()] + [m.reduce(c) for c in f.coeffs[1:]]
+    coeffs = [0] + [m.reduce(c) for c in f.coeffs[1:]]
     return QExpansion(m.field, coeffs, f.weight, f.level, f.character)
 
 
@@ -267,7 +267,7 @@ def reduce_int_expansion(f: QExpansion, ell: int, field: FiniteField | None = No
     F = field if field is not None else finite_field(ell, 1)
     if F.ell != ell:
         raise ValueError("field characteristic mismatch")
-    coeffs = [F.zero()] + [F.scalar(c % ell) for c in f.coeffs[1:]]
+    coeffs = [0] + [F.scalar(c) for c in f.coeffs[1:]]
     return QExpansion(F, coeffs, f.weight, f.level, f.character)
 
 
@@ -304,11 +304,8 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
         raise ValueError("no canonical embedding between the two fields")
     # a prime-field element has the same code in every extension
     idx = range(1, bound + 1) if indices is None else [n for n in indices if n <= bound]
-    mism = []
-    for n in idx:
-        a, b = f.coeffs[n].code(), g.coeffs[n].code()
-        if a != b:
-            mism.append((n, a, b))
+    fc, gc = f.coeffs, g.coeffs
+    mism = [(n, fc[n], gc[n]) for n in idx if fc[n] != gc[n]]
     return CongruenceReport(Ff.ell, None, bound, len(idx), tuple(mism), not mism)
 
 
@@ -331,16 +328,18 @@ class Scenario:
     @staticmethod
     def from_json(obj: dict) -> "Scenario":
         try:
-            disc = int(obj["disc"])
-            weight = int(obj["weight"])
-            ell = int(obj["ell"])
+            disc = _json_int(obj["disc"], "disc")
+            weight = _json_int(obj["weight"], "weight")
+            ell = _json_int(obj["ell"], "ell")
             char = obj["char"]
             target_spec = obj["target"]
             bound_mode = obj.get("bound_mode", "standard")
-            bound = None if obj.get("bound") is None else int(obj["bound"])
-            perturb = None if obj.get("perturb") is None else int(obj["perturb"])
-        except (KeyError, TypeError, ValueError) as exc:
+            bound = None if obj.get("bound") is None else _json_int(obj["bound"], "bound")
+            perturb = None if obj.get("perturb") is None else _json_int(obj["perturb"], "perturb")
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed scenario: {exc}") from exc
+        # the conductor is an ideal of this discriminant: check it first
+        check_fundamental(disc)
         if bound is not None and bound < 1:
             raise ValueError("bound must be a positive integer")
         if bound_mode not in ("paper", "standard"):
@@ -350,15 +349,21 @@ class Scenario:
         elif isinstance(target_spec, dict) and _is_int_list(target_spec.get("curve"), 5):
             target = EllipticCurve(*target_spec["curve"])
         else:
-            raise ValueError("target must be 'tau' or {'curve': [a1,a2,a3,a4,a6]}")
+            raise ValueError(
+                "malformed scenario: target must be 'tau' or {'curve': [a1,a2,a3,a4,a6]}"
+            )
         if char != "search":
             if not isinstance(char, dict):
                 raise ValueError("char must be 'search' or an explicit spec object")
             if not _is_int_list(char.get("finite_part")):
-                raise ValueError("explicit char needs a 'finite_part' list of integers")
+                raise ValueError(
+                    "malformed scenario: explicit char needs a 'finite_part' list of integers"
+                )
             class_part = char.get("class_part", "canonical")
             if class_part != "canonical" and not _is_int_list(class_part):
-                raise ValueError("class_part must be 'canonical' or a list of integers")
+                raise ValueError(
+                    "malformed scenario: class_part must be 'canonical' or a list of integers"
+                )
         cond = None
         cond_spec = None
         if isinstance(char, dict) and "conductor" in char:
@@ -368,7 +373,9 @@ class Scenario:
         if cond_spec is not None:
             try:
                 cond = IdealRep(
-                    disc, int(cond_spec["n"]), int(cond_spec["b"]), int(cond_spec.get("c", 1))
+                    disc, _json_int(cond_spec["n"], "conductor n"),
+                    _json_int(cond_spec["b"], "conductor b"),
+                    _json_int(cond_spec.get("c", 1), "conductor c"),
                 )
             except (KeyError, TypeError, AttributeError) as exc:
                 raise ValueError(f"malformed conductor: {exc!r}") from exc
@@ -397,10 +404,21 @@ class Scenario:
         return out
 
 
+def _is_json_int(x) -> bool:
+    # bool is a subclass of int, but true is not a JSON integer
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_int(x, name: str) -> int:
+    if not _is_json_int(x):
+        raise ValueError(f"malformed scenario: {name} must be an integer, not {type(x).__name__}")
+    return x
+
+
 def _is_int_list(x, length=None) -> bool:
     return (
         isinstance(x, list)
-        and all(isinstance(a, int) for a in x)
+        and all(_is_json_int(a) for a in x)
         and (length is None or len(x) == length)
     )
 
@@ -479,12 +497,12 @@ def _target_expansion(s: Scenario, bound: int):
     else:
         E = s.target
         disc_E = E.discriminant()
-        coeffs = [F.zero() for _ in range(bound + 1)]
+        coeffs = [0] * (bound + 1)
         idx = []
         for p in primes_upto(bound):
             if p == s.ell or disc_E % p == 0:
                 continue
-            coeffs[p] = F.scalar(curve_ap(E, p) % s.ell)
+            coeffs[p] = F.scalar(curve_ap(E, p))
             idx.append(p)
         tgt = QExpansion(F, coeffs, s.weight, None)
     if s.perturb is not None:
@@ -492,7 +510,7 @@ def _target_expansion(s: Scenario, bound: int):
         if not (1 <= n <= bound):
             raise ValueError("perturbation index out of range")
         coeffs = list(tgt.coeffs)
-        coeffs[n] = coeffs[n] + F.one()
+        coeffs[n] = F.add(coeffs[n], 1)
         tgt = QExpansion(F, coeffs, tgt.weight, tgt.level, tgt.character)
         if idx is not None and n not in idx:
             idx.append(n)

@@ -3,8 +3,11 @@
 The modulus is the first irreducible monic polynomial of degree r in the
 base-ell enumeration of coefficient vectors.  An element is its integer code
 sum(c_i * ell^i) over its coefficients (low degree first), so a prime-field
-element has the same code in every extension.  Arithmetic is lookups in the
-log, antilog and Zech tables built once per field.
+element has the same code in every extension.  There is no element object:
+every `FiniteField` method takes and returns plain int codes, and field
+arithmetic is only ever a method call, because + - * ** on codes are integer
+arithmetic.  The methods are lookups in the log, antilog and Zech tables
+built once per field.
 """
 
 from __future__ import annotations
@@ -89,44 +92,6 @@ def _is_irreducible(mod, ell, r):
     return True
 
 
-class FFElem:
-    __slots__ = ("field", "n")
-
-    def __init__(self, field: "FiniteField", n: int):
-        self.field = field
-        self.n = n
-
-    def __eq__(self, other):
-        return isinstance(other, FFElem) and self.field is other.field and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.field.ell, self.field.r, self.n))
-
-    def __add__(self, other):
-        return self.field.add(self, other)
-
-    def __sub__(self, other):
-        return self.field.sub(self, other)
-
-    def __mul__(self, other):
-        return self.field.mul(self, other)
-
-    def __neg__(self):
-        return self.field.neg(self)
-
-    def __pow__(self, e):
-        return self.field.pow(self, e)
-
-    def is_zero(self):
-        return self.n == 0
-
-    def code(self) -> int:
-        return self.n
-
-    def __repr__(self):
-        return f"FF({self.field.ell}^{self.field.r}:{self.n})"
-
-
 class FiniteField:
     """F_{ell^r} with log, antilog and Zech tables over the generator g.
 
@@ -185,82 +150,78 @@ class FiniteField:
         return out
 
     # -- constructors ------------------------------------------------------
-    def zero(self) -> FFElem:
-        return FFElem(self, 0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> FFElem:
-        return FFElem(self, 1)
+    def one(self) -> int:
+        return 1
 
-    def scalar(self, c: int) -> FFElem:
-        return FFElem(self, c % self.ell)
-
-    def elements(self):
-        for n in range(self.q):
-            yield FFElem(self, n)
+    def scalar(self, c: int) -> int:
+        return c % self.ell
 
     # -- arithmetic --------------------------------------------------------
-    def add(self, a: FFElem, b: FFElem) -> FFElem:
-        if not a.n:
+    def add(self, a: int, b: int) -> int:
+        if not a:
             return b
-        if not b.n:
+        if not b:
             return a
-        la = self.log[a.n]
-        z = self.zech[(self.log[b.n] - la) % self._m]
-        return FFElem(self, 0 if z is None else self.exp[(la + z) % self._m])
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self._m]
+        return 0 if z is None else self.exp[(la + z) % self._m]
 
-    def sub(self, a: FFElem, b: FFElem) -> FFElem:
+    def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def neg(self, a: FFElem) -> FFElem:
-        if not a.n:
-            return a
-        return FFElem(self, self.exp[(self.log[a.n] + self._log_minus_one) % self._m])
+    def neg(self, a: int) -> int:
+        if not a:
+            return 0
+        return self.exp[(self.log[a] + self._log_minus_one) % self._m]
 
-    def mul(self, a: FFElem, b: FFElem) -> FFElem:
-        if not (a.n and b.n):
-            return FFElem(self, 0)
-        return FFElem(self, self.exp[(self.log[a.n] + self.log[b.n]) % self._m])
+    def mul(self, a: int, b: int) -> int:
+        if not (a and b):
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % self._m]
 
-    def pow(self, a: FFElem, e: int) -> FFElem:
-        if not a.n:
+    def pow(self, a: int, e: int) -> int:
+        if not a:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
-            return FFElem(self, 0 if e else 1)
-        return FFElem(self, self.exp[self.log[a.n] * e % self._m])
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % self._m]
 
-    def inv(self, a: FFElem) -> FFElem:
-        if not a.n:
+    def inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return FFElem(self, self.exp[-self.log[a.n] % self._m])
+        return self.exp[-self.log[a] % self._m]
 
     # -- multiplicative structure ------------------------------------------
-    def generator(self) -> FFElem:
+    def generator(self) -> int:
         # 1 % m: in F_2 the table holds g^0 only
-        return FFElem(self, self.exp[1 % self._m])
+        return self.exp[1 % self._m]
 
-    def dlog(self, x: FFElem) -> int:
-        if not x.n:
+    def dlog(self, x: int) -> int:
+        if not x:
             raise ValueError("dlog of zero")
-        return self.log[x.n]
+        return self.log[x]
 
-    def element_order(self, x: FFElem) -> int:
+    def element_order(self, x: int) -> int:
         d = self.dlog(x)
         return self._m // gcd(self._m, d)
 
-    def nth_roots(self, c: FFElem, n: int) -> list[FFElem]:
+    def nth_roots(self, c: int, n: int) -> list[int]:
         """All distinct solutions of x^n = c, sorted by code."""
-        if not c.n:
-            return [self.zero()]
+        if not c:
+            return [0]
         m = self._m
         g = gcd(n, m)
-        a = self.log[c.n]
+        a = self.log[c]
         if a % g:
             return []
         m1 = m // g
         x0 = a // g * pow(n // g, -1, m1) % m1
-        return sorted((FFElem(self, self.exp[x0 + k * m1]) for k in range(g)), key=FFElem.code)
+        return sorted(self.exp[x0 + k * m1] for k in range(g))
 
-    def poly_roots(self, coeffs: list[int]) -> list[FFElem]:
+    def poly_roots(self, coeffs: list[int]) -> list[int]:
         """Distinct roots in this field of a polynomial with integer coefficients
         (low degree first), sorted by code.  Degree 1, or degree 2 in odd
         characteristic by the quadratic formula."""
@@ -269,11 +230,10 @@ class FiniteField:
             return [self.scalar(-cs[0] * pow(cs[1], -1, self.ell))]
         if len(cs) != 3 or self.ell == 2:
             raise ValueError("poly_roots solves degree 1, or degree 2 in odd characteristic")
-        c, b, a = (self.scalar(x) for x in cs)
-        inv_2a = self.inv(self.scalar(2) * a)
-        disc = b * b - self.scalar(4) * a * c
-        roots = {((s - b) * inv_2a).n for s in self.nth_roots(disc, 2)}
-        return [FFElem(self, n) for n in sorted(roots)]
+        c, b, a = cs  # reduced mod ell: prime-field codes
+        inv_2a = self.inv(self.mul(self.scalar(2), a))
+        disc = self.sub(self.mul(b, b), self.mul(self.scalar(4), self.mul(a, c)))
+        return sorted({self.mul(self.sub(s, b), inv_2a) for s in self.nth_roots(disc, 2)})
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ indices."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .charmod import HeckeChar, VrElem, evaluate
@@ -17,7 +18,8 @@ from .serrepred import DirichletChar
 @dataclass
 class QExpansion:
     """Coefficients c_1..c_prec of a cuspidal q-series (c_0 = 0 throughout);
-    ring is "int", a FiniteField, or a ValueRing."""
+    ring is "int", a FiniteField (coefficients are its int codes), or a
+    ValueRing."""
 
     ring: object
     coeffs: list  # index n holds c_n; index 0 unused (always zero)
@@ -72,15 +74,16 @@ def euler_product(ring, values, prec: int) -> list:
     character is multiplicative on ideals."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    c = [ring.zero() for _ in range(prec + 1)]
+    zero, add, mul = ring.zero(), ring.add, ring.mul
+    c = [zero] * (prec + 1)
     c[1] = ring.one()
     for q, v in values:
         # upward in n: c[n // q] already carries this factor, so the pass
         # multiplies by the whole geometric series sum v^e N^-es
         for n in range(q, prec + 1, q):
             lower = c[n // q]
-            if not lower.is_zero():
-                c[n] = c[n] + v * lower
+            if lower != zero:
+                c[n] = add(c[n], mul(v, lower))
     return c
 
 
@@ -188,6 +191,7 @@ def twist(f: QExpansion, mu: DirichletChar) -> QExpansion:
     """Coefficientwise product mu(n) * c_n."""
     coeffs = [f.coeffs[0]] + [None] * f.prec
     z = f.zero_coeff()
+    mul = operator.mul if f.ring == "int" else f.ring.mul
     cache: dict[int, object] = {}
     for n in range(1, f.prec + 1):
         v = mu.value(n)
@@ -197,7 +201,7 @@ def twist(f: QExpansion, mu: DirichletChar) -> QExpansion:
         key = (v.m, v.e)
         if key not in cache:
             cache[key] = _char_value_in_ring(f.ring, v)
-        coeffs[n] = cache[key] * f.coeffs[n]
+        coeffs[n] = mul(cache[key], f.coeffs[n])
     return QExpansion(f.ring, coeffs, f.weight, f.level, f.character)
 
 
@@ -227,8 +231,6 @@ def sturm_bound(k: int, N: int, mode: str = "standard") -> int:
 def coeff_strings(f: QExpansion) -> list[str]:
     """Canonical string form of c_1..c_prec: decimal integers, finite-field
     codes, or normal-form polynomial strings."""
-    if f.ring == "int":
+    if f.ring == "int" or isinstance(f.ring, FiniteField):
         return [str(c) for c in f.coeffs[1:]]
-    if isinstance(f.ring, FiniteField):
-        return [str(c.code()) for c in f.coeffs[1:]]
     return [c.as_string() for c in f.coeffs[1:]]

@@ -28,6 +28,12 @@ class LocalCase(enum.Enum):
     INERT_LEVEL2 = "inert-level2"
     RAMIFIED_LEVEL2 = "ramified-level2"
 
+    @property
+    def ell_relation(self) -> str:
+        """The relation a ramified case forces between ell and the weight k
+        (see `ramification_case`): "2k-1", "2k-3", or "none" off ramification."""
+        return {"ramified-level1": "2k-1", "ramified-level2": "2k-3"}.get(self.value, "none")
+
 
 def _check_hypotheses(ell: int, k: int) -> None:
     if not is_prime(ell) or ell < 5:
@@ -310,12 +316,7 @@ class DihedralDatum:
         _check_hypotheses(self.ell, self.k)
         check_fundamental(self.D)
         kind = primes_above(self.D, self.ell).kind
-        expected = {
-            "split": (LocalCase.SPLIT_TAME,),
-            "inert": (LocalCase.INERT_LEVEL2,),
-            "ramified": (LocalCase.RAMIFIED_LEVEL1, LocalCase.RAMIFIED_LEVEL2),
-        }[kind]
-        if self.case not in expected:
+        if self.case != ramification_case(self.ell, kind, self.k):
             raise ValueError("local case inconsistent with the splitting of ell")
         if self.cond_away.norm() % self.ell == 0:
             raise ValueError("away-part of the conductor must be coprime to ell")
@@ -351,8 +352,6 @@ def predict_invariants(datum: DihedralDatum, nebentypus_desc=None) -> SerrePredi
     MDK = datum.cond_away.norm() * datum.ell**delta_ord * abs(datum.D)
     if MDK != N_prime:
         raise AssertionError("level table mismatch: MDK != N'")
-    if not ramified:
-        rel = "none"
-    else:
-        rel = "2k-1" if datum.ell == 2 * datum.k - 1 else "2k-3"
-    return SerrePrediction(N_rho, N_prime, MDK, datum.k, nebentypus_desc, rel)
+    return SerrePrediction(
+        N_rho, N_prime, MDK, datum.k, nebentypus_desc, datum.case.ell_relation
+    )

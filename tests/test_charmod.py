@@ -105,10 +105,10 @@ def test_residue_group_order_capped_before_enumeration(monkeypatch):
 
 def test_teichmuller_frozen_examples():
     F23 = finite_field(23, 1)
-    assert teichmuller_lift(F23.one()).m == 1
-    t = teichmuller_lift(F23.scalar(22))
+    assert teichmuller_lift(F23, F23.one()).m == 1
+    t = teichmuller_lift(F23, F23.scalar(22))
     assert (t.m, t.e) == (2, 1)
-    t2 = teichmuller_lift(F23.scalar(2))
+    t2 = teichmuller_lift(F23, F23.scalar(2))
     assert t2.m == 11  # 2 has order 11 in F_23
     assert t2.reduce_into(F23) == F23.scalar(2)
 
@@ -116,17 +116,17 @@ def test_teichmuller_frozen_examples():
 def test_teichmuller_rejects_zero():
     F23 = finite_field(23, 1)
     with pytest.raises(ValueError):
-        teichmuller_lift(F23.zero())
+        teichmuller_lift(F23, F23.zero())
 
 
 @pytest.mark.parametrize("ell,r", [(23, 1), (7, 2)])
 def test_teichmuller_injective_homomorphism(ell, r):
     F = finite_field(ell, r)
-    nonzero = [x for x in F.elements() if not x.is_zero()]
-    lifts = {x: teichmuller_lift(x) for x in nonzero}
+    nonzero = [x for x in range(F.q) if x != F.zero()]
+    lifts = {x: teichmuller_lift(F, x) for x in nonzero}
     assert len(set(lifts.values())) == len(nonzero)  # injective
     for x, y in itertools.product(nonzero, nonzero):
-        assert lifts[x] * lifts[y] == teichmuller_lift(x * y)
+        assert lifts[x] * lifts[y] == teichmuller_lift(F, F.mul(x, y))
     for x in nonzero:
         assert lifts[x].reduce_into(F) == x  # round trip
 
@@ -332,9 +332,9 @@ def test_build_reductions_delta_maps(delta_char):
     maps = build_reductions(delta_char, 23)
     assert len(maps) == 3
     # omega reduces to the double root of its minimal polynomial mod 23
-    assert all(m.x_img.code() == 12 for m in maps)
+    assert all(m.x_img == 12 for m in maps)
     # t-images are the three cube roots of cbar; exactly one lies in F_23
-    in_prime_field = [m for m in maps if m.t_imgs[0].code() < 23]
+    in_prime_field = [m for m in maps if m.t_imgs[0] < 23]
     assert len(in_prime_field) == 1
 
 
@@ -347,7 +347,8 @@ def test_delta_sum_of_conjugate_reductions_is_22(delta_char):
     maps = build_reductions(delta_char, 23)
     p2a, p2b = ideals_of_norm(-23, 2)
     p3a, p3b = ideals_of_norm(-23, 3)
-    v2 = [m.reduce(evaluate(delta_char, p2a)) + m.reduce(evaluate(delta_char, p2b)) for m in maps]
+    v2 = [m.field.add(m.reduce(evaluate(delta_char, p2a)), m.reduce(evaluate(delta_char, p2b)))
+          for m in maps]
     v3 = [m.reduce(evaluate(delta_char, p3a) + evaluate(delta_char, p3b)) for m in maps]
     F = maps[0].field
     assert any(a == F.scalar(22) and b == F.scalar(22) for a, b in zip(v2, v3))
@@ -356,9 +357,9 @@ def test_delta_sum_of_conjugate_reductions_is_22(delta_char):
 def test_build_reductions_order22_ring():
     chi = build_hecke_char(-23, 12, P23, [1])
     maps = build_reductions(chi, 23)
-    zetas = {m.z_img.code() for m in maps}
+    zetas = {m.z_img for m in maps}
     assert len(zetas) == 10  # primitive 22nd roots mod 23
-    assert all(m.z_img.field.element_order(m.z_img) == 22 for m in maps)
+    assert all(m.field.element_order(m.z_img) == 22 for m in maps)
 
 
 # name -> (D, k, conductor, finite part, ell) of characters whose maps are checked
@@ -384,7 +385,7 @@ def test_build_reductions_satisfy_the_exact_relations(name):
     for m in maps:
         for j, (h, c) in enumerate(zip(R.orders, R.cs)):
             cj = R.elem({(a, b) + (0,) * R.s: v for (a, b), v in c.items()})
-            assert m.t_imgs[j] ** h == m.reduce(cj) != m.field.zero()
+            assert m.field.pow(m.t_imgs[j], h) == m.reduce(cj) != m.field.zero()
 
 
 def test_build_reductions_rejects_bad_ell(delta_char):
@@ -404,8 +405,8 @@ def test_reduce_is_ring_homomorphism(delta_char):
     assert m.reduce(one) == m.field.one()
     xs = [evaluate(chi, a) for a in ideals_of_norm(-23, 6)]
     for x, y in itertools.product(xs, xs):
-        assert m.reduce(x * y) == m.reduce(x) * m.reduce(y)
-        assert m.reduce(x + y) == m.reduce(x) + m.reduce(y)
+        assert m.reduce(x * y) == m.field.mul(m.reduce(x), m.reduce(y))
+        assert m.reduce(x + y) == m.field.add(m.reduce(x), m.reduce(y))
 
 
 def test_reduce_evaluate_multiplicative_into_units(delta_char):
@@ -420,8 +421,8 @@ def test_reduce_evaluate_multiplicative_into_units(delta_char):
     ]
     for a, b in itertools.product(pool[:10], pool[:10]):
         prod = m.reduce(evaluate(chi, ideal_multiply(a, b)))
-        assert prod == m.reduce(evaluate(chi, a)) * m.reduce(evaluate(chi, b))
-        assert not prod.is_zero()
+        assert prod == m.field.mul(m.reduce(evaluate(chi, a)), m.reduce(evaluate(chi, b)))
+        assert prod != m.field.zero()
 
 
 def test_value_ring_normal_forms():

@@ -46,7 +46,7 @@ def test_reduce_expansion_zero_and_structure(delta_char):
     maps = build_reductions(delta_char, 23)
     th = theta_series(delta_char, 10)
     red = reduce_expansion(th, maps[1])
-    assert red.coeffs[5].is_zero()  # inert prime
+    assert red.coeffs[5] == maps[1].field.zero()  # inert prime
     assert red.coeffs[1] == maps[1].field.one()
 
 
@@ -78,9 +78,9 @@ def test_compare_embeds_prime_field():
     assert compare(f, g, 3).verdict
     # an extension element (code >= 23) differs from every prime-field element
     h = QExpansion(F2, [F2.zero(), F2.scalar(1), F2.generator(), F2.scalar(3)], 2, 1)
-    assert F2.generator().code() >= 23
+    assert F2.generator() >= 23
     rep = compare(h, f, 3)
-    assert rep.mismatches == ((2, F2.generator().code(), 2),)
+    assert rep.mismatches == ((2, F2.generator(), 2),)
     with pytest.raises(ValueError):
         compare(f, _ff_series(finite_field(7, 1), [1, 2, 3]), 3)
     F49, F2401 = finite_field(7, 2), finite_field(7, 4)
@@ -216,7 +216,7 @@ def test_delta_split_inert_tau_congruences(delta_run):
             continue
         if kronecker(-23, p) == -1:
             assert tau[p] % 23 == 0
-            assert red.coeffs[p].is_zero()
+            assert red.coeffs[p] == F.zero()
         else:
             assert red.coeffs[p] == F.scalar(tau[p] % 23)
 
@@ -265,7 +265,7 @@ def test_curve_scenario_inert_primes_vanish(curve_run):
             continue
         if kronecker(-71, p) == -1:
             assert curve_ap(E65533, p) % 7 == 0
-            assert red.coeffs[p].is_zero()
+            assert red.coeffs[p] == rmap.field.zero()
 
 
 def test_scenario_hypothesis_errors():

@@ -29,6 +29,10 @@ MALFORMED = {
     "bound_not_a_number": {
         **CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}, "bound": [50],
     },
+    # JSON numbers that are not integers, and true, which Python reads as 1
+    "weight_float": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23}, "weight": 12.7},
+    "bound_true": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23}, "bound": True},
+    "finite_part_bool": {**DELTA, "char": {**EXPLICIT, "finite_part": [True]}},
 }
 
 
@@ -42,6 +46,21 @@ def test_malformed_scenario_exits_2(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("disc", [5, -12])
+def test_discriminant_checked_before_the_conductor(disc, tmp_path, capsys):
+    # (n, b) = (23, 23) is no ideal of either discriminant, but the
+    # discriminant is what is wrong, so the one line names it
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**DELTA, "disc": disc, "char": "search",
+                                "cond": {"n": 23, "b": 23}}))
+    code = cli.main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "discriminant" in lines[0]
 
 
 # F_ell (split ell) or F_{ell^2} (inert ell) above the field-size cap

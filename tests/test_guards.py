@@ -55,6 +55,15 @@ PINNED = {
      "b8fef8458fe73d2da54d53b2d8d1caea4267adeb94d4b488e66bd10e00fd3eb4"),
     "tau-30": (["tau", "--prec", "30"], 0,
      "145ac048d6191bf01f83ffe563224f963b85dc1776b3da64176b1449206bcff7"),
+    "predict-23-ramified-2k-1": (
+        ["predict", "--disc", "-23", "--ell", "23", "--weight", "12", "--cond-norm", "1"], 0,
+        "8d0e07744f8114b0f9b57809a57138135ef74b07cde79c87b3ed9fcadf9740f0"),
+    "predict-71-split": (
+        ["predict", "--disc", "-71", "--ell", "7", "--weight", "2", "--cond-norm", "5041"], 0,
+        "41620ed255be2a14b73cd53db893b567e0ca595a0028b54875bea820e31d7980"),
+    "predict-23-ramified-2k-3": (
+        ["predict", "--disc", "-23", "--ell", "23", "--weight", "13", "--cond-norm", "1"], 0,
+        "d6b6dbfb75b9242e54097b36efc17e92ecd1d4905019ff6735f0ecfb2918f1c9"),
 }
 
 

@@ -102,6 +102,15 @@ def test_dihedral_datum_validations():
         DihedralDatum(23, -23, 12, P23, LocalCase.RAMIFIED_LEVEL1)
 
 
+def test_datum_case_is_the_one_ell_and_weight_force():
+    # ell = 23 = 2k - 3 at k = 13: only the level-2 case, which reads "2k-3"
+    with pytest.raises(ValueError):
+        DihedralDatum(23, -23, 13, unit_ideal(-23), LocalCase.RAMIFIED_LEVEL1)
+    d = DihedralDatum(23, -23, 13, unit_ideal(-23), LocalCase.RAMIFIED_LEVEL2)
+    assert predict_invariants(d).ell_relation == "2k-3"
+    assert [c.ell_relation for c in LocalCase] == ["none", "2k-1", "none", "2k-3"]
+
+
 # -- Dirichlet characters --------------------------------------------------------
 
 def test_nebentypus_delta_example(delta_char):
@@ -194,7 +203,7 @@ def test_charpoly_data_split_and_inert(delta_char):
     tr, det = charpoly_data(2, delta_char, eps, 12)
     maps = build_reductions(delta_char, 23)
     # tau(2) = -24 is 22 mod 23 under the matching reductions
-    assert sorted(m.reduce(tr).code() for m in maps) == [2, 22, 22]
+    assert sorted(m.reduce(tr) for m in maps) == [2, 22, 22]
     assert all(m.reduce(det) == m.field.scalar(pow(2, 11, 23)) for m in maps)
     tr5, det5 = charpoly_data(5, delta_char, eps, 12)  # 5 is inert
     assert tr5.is_zero()
