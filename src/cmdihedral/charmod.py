@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import count, product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -173,9 +174,6 @@ class TeichRep:
     def __mul__(self, other: "TeichRep") -> "TeichRep":
         M = lcm(self.m, other.m)
         return TeichRep.make(M, self.e * (M // self.m) + other.e * (M // other.m))
-
-    def __pow__(self, k: int) -> "TeichRep":
-        return TeichRep.make(self.m, self.e * (k % self.m))
 
     def is_one(self) -> bool:
         return self.m == 1
@@ -395,9 +393,6 @@ class VrElem:
 
     def __eq__(self, other):
         return isinstance(other, VrElem) and self.ring is other.ring and self.d == other.d
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.d.items())))
 
     def is_zero(self) -> bool:
         return not self.d
@@ -758,66 +753,43 @@ class ReductionMap:
 def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     """All homomorphisms of chi's value ring into the smallest common F_{ell^r}.
 
-    The field is the splitting field of the relation system, so images of the
-    formal roots t_j may land in a proper extension even when one root exists
-    lower down; the enumeration is ordered by element codes.
+    r runs over the multiples of r1 = lcm([F_ell(w_D):F_ell], ord_w ell) and
+    stops at the first F_{ell^r} in which every relation constant c_j has all
+    h'_j of its h_j-th roots, h'_j the prime-to-ell part of h_j.  So images of
+    the formal roots t_j may land in a proper extension even when one root
+    exists lower down; the maps are ordered by element codes.
     """
     if not is_prime(ell) or ell < 3:
         raise ValueError("reduction characteristic must be an odd prime")
     D, w, orders = chi.D, chi.w, class_group(chi.D).orders
     if w % ell == 0:
         raise ValueError("ell divides the root-of-unity order of the ring")
-    r_x = 1 if kronecker(D, ell) >= 0 else 2
-    d_z = multiplicative_order(ell % w, w) if w > 1 else 1
-    r1 = lcm(r_x, d_z)
-
+    r1 = lcm(1 if kronecker(D, ell) >= 0 else 2, multiplicative_order(ell % w, w))
     minpoly = [omega_norm(D), -disc_eps(D), 1]
     hprimes = [prime_to_part(h, ell) for h in orders]
 
-    s = 1
-    while True:
-        r = r1 * s
+    for r in count(r1, r1):
         F = finite_field(ell, r)
-        # r_x | r, so the minimal polynomial of w_D splits in F
-        x_roots = F.poly_roots(minpoly)
-        if w > 1:
-            g = F.generator()
-            z_imgs = sorted(
-                F.pow(g, j * ((F.q - 1) // w)) for j in range(1, w + 1) if gcd(j, w) == 1
-            )
-        else:
-            z_imgs = [1]
+        # [F_ell(w_D):F_ell] divides r, so the minimal polynomial of w_D splits in F
+        g = F.generator()
+        z_imgs = sorted(
+            F.pow(g, j * ((F.q - 1) // w)) for j in range(1, w + 1) if gcd(j, w) == 1
+        )
         maps = []
-        complete = True
-        for x0 in x_roots:
-            for z0 in z_imgs:
-                t_choices = []
-                for z, beta, h, hp in zip(chi.class_zetas, chi.class_betas, orders, hprimes):
-                    cbar = F.mul(F.pow(z0, z), F.pow(_image(F, x0, beta), chi.k - 1))
-                    if not cbar:
-                        raise ValueError(
-                            "no valid assignment: relation constant reduces to zero"
-                        )
-                    roots = F.nth_roots(cbar, h)
-                    if len(roots) < hp:
-                        complete = False
-                        break
-                    t_choices.append(roots)
-                if not complete:
-                    break
-                combos = [()]
-                for roots in t_choices:
-                    combos = [c + (t,) for c in combos for t in roots]
-                for combo in combos:
-                    maps.append(ReductionMap(chi, F, x0, z0, combo))
-            if not complete:
+        for x0, z0 in product(F.poly_roots(minpoly), z_imgs):
+            cbars = [
+                F.mul(F.pow(z0, z), F.pow(_image(F, x0, beta), chi.k - 1))
+                for z, beta in zip(chi.class_zetas, chi.class_betas)
+            ]
+            if not all(cbars):
+                raise ValueError("no valid assignment: relation constant reduces to zero")
+            t_choices = [F.nth_roots(c, h) for c, h in zip(cbars, orders)]
+            if any(len(roots) < hp for roots, hp in zip(t_choices, hprimes)):
                 break
-        if complete:
-            if not maps:
-                raise ValueError("no valid assignment for the reduction maps")
+            maps += (ReductionMap(chi, F, x0, z0, ts) for ts in product(*t_choices))
+        else:
             maps.sort(key=lambda m: (m.x_img, m.z_img, m.t_imgs))
             return maps
-        s += 1
 
 
 def _reduce_coeff(F: FiniteField, coef) -> int:

@@ -15,10 +15,9 @@ import os
 import sys
 
 from .congruence import Scenario, builtin_scenario, run_scenario, search_matching_char
-from .qfield import class_group
+from .qfield import check_fundamental, class_group, primes_above
 from .qseries import coeff_strings, delta_qexp_recursion
 from .serrepred import SerrePrediction, predicted_level, ramification_case
-from .qfield import primes_above, check_fundamental
 
 
 def _emit(obj) -> None:

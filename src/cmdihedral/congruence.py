@@ -456,32 +456,20 @@ def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
     # every reduction lands in an extension of this field: check its size first
     finite_field(s.ell, 2 if sp.kind == "inert" else 1)
     case = ramification_case(s.ell, sp.kind, s.weight)
+    expected = delta_conductor_at_ell(case)
     cond = s.cond
     if cond is None:
         if s.target != "tau":
             raise ValueError("curve scenarios must specify the character conductor")
-        cond = unit_ideal(s.disc)
-        d_ord = delta_conductor_at_ell(case)
-        if d_ord:
-            P = sp.primes[0]
-            cond = P
+        cond = sp.primes[0] if expected else unit_ideal(s.disc)
     check_conductor_norm(cond)
-    # split the conductor into away/at-ell parts and validate
-    away_norm = cond.norm()
-    at_ell = 0
-    while away_norm % s.ell == 0:
-        away_norm //= s.ell
-        at_ell += 1
-    expected = delta_conductor_at_ell(case)
+    at_ell = factorint(cond.norm()).get(s.ell, 0)
     if at_ell != expected:
         raise ValueError(
             f"conductor exponent at ell is {at_ell}, case table expects {expected}"
         )
-    if at_ell == 0:
-        away = cond
-    else:
-        # strip the prime above ell (residue degree 1 in the ramified cases)
-        away = ideal_divide_prime(cond, sp.primes[0])
+    # strip the prime above ell (residue degree 1 in the ramified cases)
+    away = ideal_divide_prime(cond, sp.primes[0]) if at_ell else cond
     datum = DihedralDatum(s.ell, s.disc, s.weight, away, case)
     return datum, cond
 
@@ -621,5 +609,5 @@ def run_scenario(s: Scenario) -> RunResult:
         rmap, report = first = next(reports)
         if not report.verdict:
             rmap, report = next(((m, r) for m, r in reports if r.verdict), first)
-    neb = None if chi is None else nebentypus(chi)[0].descriptor()
+    neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

@@ -67,9 +67,6 @@ class QuadInt:
     a: int
     b: int
 
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        return QuadInt(self.D, self.a + other.a, self.b + other.b)
-
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.D, self.a - other.a, self.b - other.b)
 

@@ -112,29 +112,22 @@ def delta_qexp(prec: int) -> QExpansion:
         raise ValueError("precision cap exceeded")
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    m = prec  # need E up to degree prec - 1 after the leading q
-    euler = [0] * m
-    if m:
-        euler[0] = 1
-        for n in range(1, m):
-            # multiply by (1 - q^n)
-            for i in range(m - 1, n - 1, -1):
-                euler[i] -= euler[i - n]
+    # E up to degree prec - 1, after the leading q
+    euler = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        # multiply by (1 - q^n)
+        for i in range(prec - 1, n - 1, -1):
+            euler[i] -= euler[i - n]
     sparse = [(i, c) for i, c in enumerate(euler) if c]
-    f = [0] * m
-    if m:
-        f[0] = 1
-        for _ in range(24):
-            nf = [0] * m
-            for i, c in sparse:
-                for j in range(m - i):
-                    if f[j]:
-                        nf[i + j] += c * f[j]
-            f = nf
-    coeffs = [0] * (prec + 1)
-    for i in range(m):
-        coeffs[i + 1] = f[i]
-    return QExpansion("int", coeffs, 12, 1)
+    f = [1] + [0] * (prec - 1)
+    for _ in range(24):
+        nf = [0] * prec
+        for i, c in sparse:
+            for j in range(prec - i):
+                if f[j]:
+                    nf[i + j] += c * f[j]
+        f = nf
+    return QExpansion("int", [0] + f, 12, 1)
 
 
 def delta_qexp_recursion(prec: int) -> QExpansion:
@@ -145,24 +138,18 @@ def delta_qexp_recursion(prec: int) -> QExpansion:
         raise ValueError("precision cap exceeded")
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    m = prec
-    pent = [(g, s) for g, s in _pentagonal_exponents(m) if g > 0]
-    s = [0] * m
-    if m:
-        s[0] = 1
-        for n in range(1, m):
-            acc = 0
-            for g, sg in pent:
-                if g > n:
-                    break
-                acc += sg * (n - 25 * g) * s[n - g]
-            if acc % n:
-                raise AssertionError("recursion produced a non-integer")
-            s[n] = -acc // n
-    coeffs = [0] * (prec + 1)
-    for i in range(m):
-        coeffs[i + 1] = s[i]
-    return QExpansion("int", coeffs, 12, 1)
+    pent = [(g, s) for g, s in _pentagonal_exponents(prec) if g > 0]
+    s = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        acc = 0
+        for g, sg in pent:
+            if g > n:
+                break
+            acc += sg * (n - 25 * g) * s[n - g]
+        if acc % n:
+            raise AssertionError("recursion produced a non-integer")
+        s[n] = -acc // n
+    return QExpansion("int", [0] + s, 12, 1)
 
 
 def drop_multiples(f: QExpansion, p: int) -> QExpansion:

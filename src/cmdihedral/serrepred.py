@@ -153,9 +153,6 @@ class DirichletChar:
             and self.exps == other.exps
         )
 
-    def __hash__(self):
-        return hash((self.modulus, self.order, self.exps))
-
     def extend(self, modulus: int) -> "DirichletChar":
         if modulus % self.modulus:
             raise ValueError("can only extend to a multiple of the modulus")
@@ -196,13 +193,6 @@ class DirichletChar:
                 return d
         return self.modulus
 
-    def descriptor(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "order": self.order,
-            "conductor": self.conductor(),
-        }
-
 
 @lru_cache(maxsize=None)
 def _unit_group(modulus: int):
@@ -226,9 +216,7 @@ def nebentypus(chi: HeckeChar) -> tuple[DirichletChar, DirichletChar]:
         else:
             exps.append(chi.finite_exponent(QuadInt(chi.D, m, 0)))
     eta = DirichletChar(M, max(w, 1), exps)
-    eps = DirichletChar.kronecker_char(chi.D, M * abs(chi.D)) * eta.extend(
-        M * abs(chi.D)
-    )
+    eps = DirichletChar.kronecker_char(chi.D, M * abs(chi.D)) * eta
     return eps, eta
 
 
@@ -328,7 +316,7 @@ class SerrePrediction:
     N_prime: int
     MDK: int
     weight: int
-    nebentypus: dict | None
+    nebentypus_conductor: int | None
     ell_relation: str  # "2k-1" | "2k-3" | "none"
 
     def to_json(self) -> dict:
@@ -338,13 +326,11 @@ class SerrePrediction:
             "MDK": self.MDK,
             "weight": self.weight,
             "ell_relation": self.ell_relation,
-            "nebentypus_conductor": (
-                None if self.nebentypus is None else self.nebentypus["conductor"]
-            ),
+            "nebentypus_conductor": self.nebentypus_conductor,
         }
 
 
-def predict_invariants(datum: DihedralDatum, nebentypus_desc=None) -> SerrePrediction:
+def predict_invariants(datum: DihedralDatum, nebentypus_conductor=None) -> SerrePrediction:
     ramified = kronecker(datum.D, datum.ell) == 0
     N_rho = taguchi_level(datum.D, datum.cond_away, datum.ell)
     N_prime = predicted_level(N_rho, datum.ell, ramified)
@@ -353,5 +339,5 @@ def predict_invariants(datum: DihedralDatum, nebentypus_desc=None) -> SerrePredi
     if MDK != N_prime:
         raise AssertionError("level table mismatch: MDK != N'")
     return SerrePrediction(
-        N_rho, N_prime, MDK, datum.k, nebentypus_desc, datum.case.ell_relation
+        N_rho, N_prime, MDK, datum.k, nebentypus_conductor, datum.case.ell_relation
     )

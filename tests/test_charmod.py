@@ -388,6 +388,42 @@ def test_build_reductions_satisfy_the_exact_relations(name):
             assert m.field.pow(m.t_imgs[j], h) == m.reduce(cj) != m.field.zero()
 
 
+# name -> (D, k, conductor, finite part, class part, ell, sha256 of the maps'
+# (ell, r, describe()) list): the characters the tests build, the four other
+# finite parts that the curve65533 search compares (35 is curve71_deep's), and
+# delta23 with a non-canonical class part, whose c_1 gains zeta_2 = -1
+MAP_PINS = {
+    "delta23": (-23, 12, P23, [11], "canonical", 23,
+                "c69911498db3c7dcac07688b925f14af3c509fc090e92264e3257697f3e8cbf3"),
+    "delta23_class1": (-23, 12, P23, [11], [1], 23,
+                       "2d37a49d4964e554e496108834f375d6d2cd7c854d7f036291fba66ddb7a912a"),
+    "order22": (-23, 12, P23, [1], "canonical", 23,
+                "82bd4457a690cd851df00eac1f42cf743e5993ab15dca84c618c8999a7c8e2f2"),
+    "curve71_deep": (-71, 2, P71, [35], "canonical", 7,
+                     "8e63478b20768133b05f72a3922c1e009e1fdeeed3d1b9e98b8c58c297d838ae"),
+    "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], "canonical", 7,
+                   "507e55cf526748e9f3f655d390ef43af584ea7bef9c38f5a035b639cc7984646"),
+    "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], "canonical", 13,
+                   "77f10479722c5c38f6bc84d6f017652a73d40528db405178616ce1fec3f126fd"),
+    "curve65533-7": (-71, 2, P71, [7], "canonical", 7,
+                     "ded57e351121f2f7cdfdad63a07e670cfc0eef685120e7dd97caa63b7b5e0cc2"),
+    "curve65533-21": (-71, 2, P71, [21], "canonical", 7,
+                      "1933f5e2ab87830b502cd5ae9142663ab62be2a0c889ee8f60f2852b638b35bb"),
+    "curve65533-49": (-71, 2, P71, [49], "canonical", 7,
+                      "650d0a9b78225b6c58749a466c937f0d954f5d270dc86c356bc2aa2009e46285"),
+    "curve65533-63": (-71, 2, P71, [63], "canonical", 7,
+                      "af2ec9e74d190313ef554ba4130e46f109f150f74efd31d971e43bd30b899ae5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_PINS))
+def test_build_reductions_pinned(name):
+    D, k, cond, fp, class_part, ell, digest = MAP_PINS[name]
+    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
+    out = [(m.field.ell, m.field.r, m.describe()) for m in build_reductions(chi, ell)]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
+
+
 def test_build_reductions_rejects_bad_ell(delta_char):
     chi22 = build_hecke_char(-23, 12, P23, [1])  # w = 22
     with pytest.raises(ValueError):
@@ -397,16 +433,18 @@ def test_build_reductions_rejects_bad_ell(delta_char):
 
 
 def test_reduce_is_ring_homomorphism(delta_char):
+    # under maps[0] (m(t) = 1) all four ideals of norm 6 reduce to 1; the
+    # other two maps send them to 195 and 356 as well
     chi = delta_char
-    maps = build_reductions(chi, 23)
-    m = maps[0]
-    R = chi.ring
-    one = R.one()
-    assert m.reduce(one) == m.field.one()
     xs = [evaluate(chi, a) for a in ideals_of_norm(-23, 6)]
-    for x, y in itertools.product(xs, xs):
-        assert m.reduce(x * y) == m.field.mul(m.reduce(x), m.reduce(y))
-        assert m.reduce(x + y) == m.field.add(m.reduce(x), m.reduce(y))
+    images = set()
+    for m in build_reductions(chi, 23):
+        assert m.reduce(chi.ring.one()) == m.field.one()
+        images |= {m.reduce(x) for x in xs}
+        for x, y in itertools.product(xs, xs):
+            assert m.reduce(x * y) == m.field.mul(m.reduce(x), m.reduce(y))
+            assert m.reduce(x + y) == m.field.add(m.reduce(x), m.reduce(y))
+    assert images == {1, 195, 356}
 
 
 def test_reduce_evaluate_multiplicative_into_units(delta_char):

@@ -1,6 +1,7 @@
 """Reductions, comparison reports, curve point counts, scenario runs."""
 
 import json
+import os
 from math import isqrt
 
 import pytest
@@ -26,6 +27,7 @@ from cmdihedral.qfield import kronecker
 from cmdihedral.qseries import QExpansion, delta_qexp, drop_multiples, theta_series
 from cmdihedral.arith import primes_upto
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E65533 = EllipticCurve(0, -1, 1, -18507, -989382)
 
 
@@ -242,6 +244,33 @@ def test_delta_scenario_perturbed_empty():
     matches, diagnostics = search_matching_char(s)
     assert matches == []
     assert diagnostics
+
+
+@pytest.mark.parametrize("cap,value,reason", [
+    ("SEARCH_MAP_CAP", 2, "reduction fan-out above cap"),
+    ("SEARCH_ORDER_CAP", 1, "finite-part order above cap"),
+])
+def test_delta_search_skips_candidates_over_cap(cap, value, reason, monkeypatch):
+    # the delta23 candidates that build have w = 2 or 22 and at least 3 maps
+    monkeypatch.setattr(congruence, cap, value)
+    matches, diagnostics = search_matching_char(builtin_scenario("delta23"))
+    assert matches == []
+    skipped = {d["skipped"] for d in diagnostics}
+    assert reason in skipped
+    assert skipped <= {reason, "unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = -1+0w"}
+
+
+def test_curve_perturbation_joins_the_comparison():
+    # 4 is no prime, so the curve comparison (427 primes at bound 3000) gains
+    # the index: theta has a_4 = 5 there, the target 0 + 1
+    path = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
+    with open(path) as fh:
+        obj = json.load(fh)
+    result = run_scenario(Scenario.from_json({**obj, "perturb": 4}))
+    report = result.report.to_json()
+    assert not result.report.verdict
+    assert report["count"] == 428
+    assert report["mismatches"] == [[4, 5, 1]]
 
 
 def test_curve_scenario(curve_run):

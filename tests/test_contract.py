@@ -163,6 +163,42 @@ def test_perturbation_beyond_paper_bound_exits_2(tmp_path, capsys):
 CURVE71 = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}}
 CURVE71_EXPLICIT = {**CURVE71, "char": {"conductor": {"n": 71, "b": 71}, "finite_part": [35]}}
 
+
+# refusals of the conductor split at ell, and of a predict conductor norm that
+# ell divides: name -> (argv, scenario or None, the one error line)
+REFUSALS = {
+    "curve_without_cond": (
+        ["verify", "--scenario"],
+        {k: v for k, v in CURVE71.items() if k != "cond"},
+        "error: curve scenarios must specify the character conductor",
+    ),
+    "delta23_cond_away_from_ell": (
+        ["verify", "--scenario"],
+        {**DELTA, "char": "search", "cond": {"n": 1, "b": 1}},
+        "error: conductor exponent at ell is 0, case table expects 1",
+    ),
+    "predict_cond_norm_divisible_by_ell": (
+        ["predict", "--disc", "-23", "--ell", "23", "--weight", "12", "--cond-norm", "23"],
+        None,
+        "error: conductor norm must be positive and coprime to ell",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_exits_2_with_its_message(name, tmp_path, capsys):
+    argv, scenario, message = REFUSALS[name]
+    if scenario is not None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        argv = argv + [str(path)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
 # comparison bounds above the cap of 10^5: explicit ones on either side of
 # 100002, the last bound below the first prime above 10^5, and the Sturm bound
 # 109296 of a tau target at level 23^2 * 197
