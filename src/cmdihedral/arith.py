@@ -1,9 +1,11 @@
 """Shared integer arithmetic helpers (primality, factoring, square roots,
-finite abelian group structure)."""
+finite abelian group structure), and the one `power` and `exact_order` that
+every finite group of the package (ideals, curve points, polynomials,
+residues, classes) takes its powers and element orders from."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -128,10 +130,7 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, r = s, pow(least_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1
         while t2 != 1:
@@ -143,19 +142,42 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p, by Euler's criterion."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
+
+
+def power(x, e: int, mul, one):
+    """x^e (e >= 0) under mul with identity one, by square-and-multiply with no
+    squaring after the last bit."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
+
+
+def exact_order(x, n: int, mul, one, subgroup=None) -> int:
+    """The least d | n with x^d in subgroup, given that x^n is, by stripping primes from n: the
+    order of x modulo subgroup, a container of group elements that defaults to {one}."""
+    subgroup = {one} if subgroup is None else subgroup
+    for p in factorint(n):
+        while n % p == 0 and power(x, n // p, mul, one) in subgroup:
+            n //= p
+    return n
+
+
 def multiplicative_order(a: int, n: int) -> int:
-    if n == 1:
-        return 1
     if gcd(a, n) != 1:
         raise ValueError("element not invertible")
-    phi = 1
-    for p, e in factorint(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    o = phi
-    for p in factorint(phi):
-        while o % p == 0 and pow(a, o // p, n) == 1:
-            o //= p
-    return o
+    phi = prod((p - 1) * p ** (e - 1) for p, e in factorint(n).items())
+    return exact_order(a % n, phi, lambda x, y: x * y % n, 1)
 
 
 def abelian_structure(elements, mul, identity):
@@ -169,24 +191,7 @@ def abelian_structure(elements, mul, identity):
     lifts with the same order, so the generators span an internal direct sum.
     """
     n = len(elements)
-
-    def power(x, k):
-        acc = identity
-        while k:
-            if k & 1:
-                acc = mul(acc, x)
-            x = mul(x, x)
-            k >>= 1
-        return acc
-
-    fac = factorint(n) if n > 1 else {}
-    orders_of = {}
-    for x in elements:
-        o = n
-        for p in fac:
-            while o % p == 0 and power(x, o // p) == identity:
-                o //= p
-        orders_of[x] = o
+    orders_of = {x: exact_order(x, n, mul, identity) for x in elements}
 
     gens, orders = [], []
     span = {identity: ()}
@@ -196,15 +201,9 @@ def abelian_structure(elements, mul, identity):
             if x in span:
                 continue
             ox = orders_of[x]
-            if ox <= qmax:
-                continue
-            q = None
-            for d in divisors(ox):
-                if power(x, d) in span:
-                    q = d
-                    break
-            if q > qmax and q == ox:
-                qmax, pick = q, x
+            # {e : x^e in span} is a subgroup of Z: x lifts purely iff it is ox Z
+            if ox > qmax and exact_order(x, ox, mul, identity, span) == ox:
+                qmax, pick = ox, x
         if pick is None:
             raise AssertionError("no pure lift found; group oracle inconsistent")
         gens.append(pick)

@@ -47,6 +47,7 @@ from .arith import (
     factorint,
     is_prime,
     multiplicative_order,
+    power,
     prime_to_part,
     primes_upto,
 )
@@ -424,13 +425,7 @@ class VrElem:
     def __pow__(self, e: int) -> "VrElem":
         if e < 0:
             raise ValueError("negative powers are not defined in the value ring")
-        acc, base = self.ring.one(), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self, e, VrElem.__mul__, self.ring.one())
 
     def as_string(self) -> str:
         """Canonical normal-form string, terms sorted by exponent tuple."""

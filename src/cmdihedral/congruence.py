@@ -11,7 +11,8 @@ Hasse interval, leaves one a_p, in O(p^{1/4}) group operations per point.
 Mestre's theorem guarantees that for p > 229, which is why the crossover is
 never below 229; measured per prime, the two routes tie just below 229 and
 the search is faster above, so the crossover sits at 229.  Every comparison
-bound is capped at BOUND_CAP before any target or candidate is built."""
+bound is capped at PREC_CAP, the precision cap of the Delta expansion, before
+any target or candidate is built."""
 
 from __future__ import annotations
 
@@ -19,7 +20,15 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import isqrt
 
-from .arith import factorint, is_prime, primes_upto, sqrt_mod_prime
+from .arith import (
+    exact_order,
+    factorint,
+    is_prime,
+    least_nonresidue,
+    power,
+    primes_upto,
+    sqrt_mod_prime,
+)
 from .charmod import (
     RESIDUE_GROUP_CAP,
     HeckeChar,
@@ -41,6 +50,7 @@ from .qfield import (
     unit_ideal,
 )
 from .qseries import (
+    PREC_CAP,
     QExpansion,
     delta_qexp_recursion,
     drop_multiples,
@@ -59,8 +69,6 @@ from .serrepred import (
 SEARCH_ORDER_CAP = 500
 SEARCH_MAP_CAP = 100
 QUICK_PRUNE_BOUND = 20
-# the precision cap of delta_qexp_recursion, for every target
-BOUND_CAP = 10**5
 # a_p from the table of squares at and below, by baby-step giant-step above
 AP_BSGS_CROSSOVER = 229
 
@@ -133,9 +141,7 @@ def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
     between E and E', until one candidate is left.  For p > 229, Mestre's
     theorem makes that happen before both curves run out of points."""
     a4, a6 = _short_model(E, p)
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
+    d = least_nonresidue(p)
     curves = [(1, a4, _points(a4, a6, p)),
               (-1, a4 * d * d % p, _points(a4 * d * d, a6 * d**3, p))]
     r = isqrt(4 * p)
@@ -169,22 +175,23 @@ def _points(a4: int, a6: int, p: int):
 
 
 def _point_order(P, a4: int, p: int) -> int:
-    """Exact order of P: baby steps jP (j <= s) stand for +-jP, giant steps
-    of 2s+1 cross the Hasse interval [p+1-r, p+1+r] until cP = +-jP; the
-    order is the least divisor of the multiple c -+ j that kills P."""
+    """Exact order of P under the closure `_ec_adder(a4, p)`: baby steps jP (j <= s) stand
+    for +-jP, giant steps of 2s+1 cross the Hasse interval [p+1-r, p+1+r] until cP = +-jP;
+    the order is the least divisor of the multiple c -+ j that kills P."""
+    add = _ec_adder(a4, p)
     r = isqrt(4 * p)
     s = isqrt(r) + 1
     baby = {}
     R = None
     for j in range(1, s + 1):
-        R = _ec_add(R, P, a4, p)
+        R = add(R, P)
         if R is None:
             return j
         baby.setdefault(R[0], (j, R[1]))
     step = 2 * s + 1
-    G = _ec_mul(step, P, a4, p)
+    G = add(add(R, R), P)  # (2s+1)P from the last baby step R = sP
     c = p + 1 - r + s
-    R = _ec_mul(c, P, a4, p)
+    R = power(P, c, add, None)
     while c - s <= p + 1 + r:
         if R is None:
             m = c
@@ -194,44 +201,33 @@ def _point_order(P, a4: int, p: int) -> int:
             j, y = hit
             m = c - j if y == R[1] else c + j
             break
-        R = _ec_add(R, G, a4, p)
+        R = add(R, G)
         c += step
     else:
         raise AssertionError(f"no multiple of the point in the Hasse interval for p = {p}")
-    n = m
-    for q in factorint(m):
-        while n % q == 0 and _ec_mul(n // q, P, a4, p) is None:
-            n //= q
-    return n
+    return exact_order(P, m, add, None)
 
 
-def _ec_add(P, Q, a4: int, p: int):
-    """P + Q on y^2 = x^3 + a4 x + a6 in affine coordinates; None is the origin."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
+def _ec_adder(a4: int, p: int):
+    """P + Q on y^2 = x^3 + a4 x + a6 over F_p in affine coordinates, None the origin; a
+    closure of two points, because a partial or lambda around a 4-argument law costs more."""
+    def add(P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
 
-
-def _ec_mul(k: int, P, a4: int, p: int):
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, a4, p)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, a4, p)
-    return R
+    return add
 
 
 def curve_ap_naive(E: EllipticCurve, p: int) -> int:
@@ -514,8 +510,8 @@ def _scenario_bound(s: Scenario, cond: IdealRep) -> int:
         bound = s.bound
     else:
         bound = sturm_bound(s.weight, cond.norm() * abs(s.disc), s.bound_mode)
-    if bound > BOUND_CAP:
-        raise ValueError(f"comparison bound {bound} exceeds the cap of {BOUND_CAP}")
+    if bound > PREC_CAP:
+        raise ValueError(f"comparison bound {bound} exceeds the cap of {PREC_CAP}")
     return bound
 
 

@@ -1,13 +1,13 @@
 """Arithmetic in F_{ell^r} with a deterministic modulus and generator.
 
 The modulus is the first irreducible monic polynomial of degree r in the
-base-ell enumeration of coefficient vectors.  An element is its integer code
-sum(c_i * ell^i) over its coefficients (low degree first), so a prime-field
-element has the same code in every extension.  There is no element object:
-every `FiniteField` method takes and returns plain int codes, and field
-arithmetic is only ever a method call, because + - * ** on codes are integer
-arithmetic.  The methods are lookups in the log, antilog and Zech tables
-built once per field.
+base-ell enumeration of coefficient vectors, found by trial division.  An
+element is its integer code sum(c_i * ell^i) over its coefficients (low degree
+first), so a prime-field element has the same code in every extension.  There
+is no element object: every `FiniteField` method takes and returns plain int
+codes, and field arithmetic is only ever a method call, because + - * ** on
+codes are integer arithmetic.  The methods are lookups in the log, antilog and
+Zech tables built once per field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .arith import factorint, is_prime
+from .arith import factorint, is_prime, power
 
 # Largest field order ell^r with tables; larger fields are rejected up front.
 FIELD_SIZE_CAP = 10**7
@@ -57,39 +57,13 @@ def _poly_rem(a, mod, ell):
     return _poly_trim(a)
 
 
-def _poly_gcd(a, b, ell):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], ell - 2, ell)
-        monic = [c * inv % ell for c in b]
-        a, b = b, _poly_rem(a, monic, ell)
-    return a
-
-
-def _poly_powmod(a, e, mod, ell):
-    # a^e mod the monic polynomial mod
-    result, base = [1], _poly_rem(a, mod, ell)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, ell)
-        base = _poly_mulmod(base, base, mod, ell)
-        e >>= 1
-    return result
-
-
 def _is_irreducible(mod, ell, r):
-    xq = _poly_powmod([0, 1], ell**r, mod, ell)
-    if _poly_trim(list(xq)) != [0, 1]:
-        return False
-    for q in factorint(r):
-        diff = list(_poly_powmod([0, 1], ell ** (r // q), mod, ell))
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % ell
-        g = _poly_gcd(mod, diff, ell)
-        if len(g) != 1:
-            return False
-    return True
+    """Trial division of the monic mod by every monic polynomial of degree 1 .. r/2."""
+    return all(
+        _poly_rem(mod, _digits(code, ell, d) + [1], ell)
+        for d in range(1, r // 2 + 1)
+        for code in range(ell**d)
+    )
 
 
 class FiniteField:
@@ -109,7 +83,7 @@ class FiniteField:
         self.ell = ell
         self.r = r
         self.q = q = ell**r
-        self.modulus = self._find_modulus() if r > 1 else [0, 1]
+        self.modulus = self._find_modulus()
         self._m = q - 1
         self.exp = exp = self._powers(self._find_generator())
         self.log = log = [None] * q
@@ -122,21 +96,19 @@ class FiniteField:
 
     def _find_modulus(self):
         ell, r = self.ell, self.r
-        for code in range(ell**r):
-            mod = _digits(code, ell, r) + [1]
-            if _is_irreducible(mod, ell, r):
-                return mod
-        raise AssertionError("no irreducible polynomial found")
+        mods = (_digits(code, ell, r) + [1] for code in range(ell**r))
+        return next(mod for mod in mods if _is_irreducible(mod, ell, r))
 
     def _find_generator(self) -> list[int]:
         """Digits of the least code of multiplicative order q - 1."""
-        ell, r, m = self.ell, self.r, self.q - 1
+        ell, r, m, mod = self.ell, self.r, self.q - 1, self.modulus
         cofactors = [m // p for p in factorint(m)]
-        for code in range(1, self.q):
-            g = _digits(code, ell, r)
-            if all(_poly_powmod(g, c, self.modulus, ell) != [1] for c in cofactors):
-                return g
-        raise AssertionError("no generator found")
+
+        def mul(a, b):
+            return _poly_mulmod(a, b, mod, ell)
+
+        gs = (_digits(code, ell, r) for code in range(1, self.q))
+        return next(g for g in gs if all(power(g, c, mul, [1]) != [1] for c in cofactors))
 
     def _powers(self, g: list[int]) -> list[int]:
         """Codes of g^0 .. g^(q-2)."""

@@ -20,6 +20,7 @@ from .arith import (
     extended_gcd,
     factorint,
     is_prime,
+    power,
     sqrt_mod_prime,
 )
 
@@ -269,14 +270,7 @@ def ideal_multiply(a: IdealRep, b: IdealRep) -> IdealRep:
 def ideal_pow(a: IdealRep, e: int) -> IdealRep:
     if e < 0:
         raise ValueError("negative ideal power")
-    acc = unit_ideal(a.D)
-    base = a
-    while e:
-        if e & 1:
-            acc = ideal_multiply(acc, base)
-        base = ideal_multiply(base, base)
-        e >>= 1
-    return acc
+    return power(a, e, ideal_multiply, unit_ideal(a.D))
 
 
 def quadint_in_ideal(alpha: QuadInt, a: IdealRep) -> bool:

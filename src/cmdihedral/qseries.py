@@ -14,6 +14,9 @@ from .qfield import ideals_coprime, ideals_of_norm, primes_above
 from .arith import factorint, primes_upto
 from .serrepred import DirichletChar
 
+# Largest precision of a Delta expansion; every comparison bound is capped at it.
+PREC_CAP = 10**5
+
 
 @dataclass
 class QExpansion:
@@ -108,7 +111,7 @@ def _pentagonal_exponents(prec: int):
 
 def delta_qexp(prec: int) -> QExpansion:
     """tau(1..prec) via the literal truncated product q * prod (1 - q^n)^24."""
-    if prec > 10**5:
+    if prec > PREC_CAP:
         raise ValueError("precision cap exceeded")
     if prec < 1:
         raise ValueError("precision must be >= 1")
@@ -134,7 +137,7 @@ def delta_qexp_recursion(prec: int) -> QExpansion:
     """Coefficients of q * prod(1-q^n)^24 from the pentagonal-number
     recursion n*s_n = -sum_k (-1)^k (n - 25 g_k) s_{n-g_k}.  The tau target
     uses this route; the literal product `delta_qexp` is its test oracle."""
-    if prec > 10**5:
+    if prec > PREC_CAP:
         raise ValueError("precision cap exceeded")
     if prec < 1:
         raise ValueError("precision must be >= 1")

@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from cmdihedral.arith import factorint
 from cmdihedral.charmod import (
     RESIDUE_GROUP_CAP,
+    TeichRep,
     ValueRing,
     build_hecke_char,
     build_reductions,
@@ -474,3 +476,47 @@ def test_value_ring_normal_forms():
     # power arithmetic stays in normal form with degree < 2
     y = (x + R.one()) ** 11
     assert all(k[0] < 2 for k in y.d)
+
+
+def _teich_reps(w):
+    """Every zeta_M^e with M <= 2w, stored at its exact order."""
+    return [TeichRep.make(M, e) for M in range(1, 2 * w + 1) for e in range(M)]
+
+
+def _accepted_roots(R, w):
+    out = []
+    for t in _teich_reps(w):
+        try:
+            out.append((t, R.root_of_unity(t)))
+        except ValueError:
+            pass
+    return out
+
+
+def test_root_of_unity_has_the_order_of_its_teichmuller_rep():
+    count = 0
+    for w in (1, 2, 3, 5, 6):
+        R = ValueRing(-23, w, (), ())
+        accepted = _accepted_roots(R, w)
+        # zeta_m lives in Z[zeta_w] for m | w and m = 2, and for m | 2w when w is odd
+        lives = [t for t in _teich_reps(w)
+                 if w % t.m == 0 or t.m == 2 or (w % 2 and 2 * w % t.m == 0)]
+        assert [t for t, _ in accepted] == lives
+        for t, x in accepted:
+            assert x ** t.m == R.one()
+            assert all(x ** (t.m // p) != R.one() for p in factorint(t.m))
+            count += 1
+    assert count == 81
+
+
+def test_root_of_unity_is_multiplicative():
+    for w in (1, 2, 3, 5, 6):
+        R = ValueRing(-23, w, (), ())
+        roots = dict(_accepted_roots(R, w))
+        for (s, x), (t, y) in itertools.product(roots.items(), repeat=2):
+            assert roots[s * t] == x * y
+
+
+def test_root_of_unity_refuses_zeta_4_at_w_3():
+    with pytest.raises(ValueError, match="zeta_4 does not live"):
+        ValueRing(-23, 3, (), ()).root_of_unity(TeichRep(4, 1))

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cmdihedral import congruence
 from cmdihedral.charmod import build_reductions
+from cmdihedral.cli import main
 from cmdihedral.congruence import (
     AP_BSGS_CROSSOVER,
     EllipticCurve,
@@ -258,6 +259,22 @@ def test_delta_search_skips_candidates_over_cap(cap, value, reason, monkeypatch)
     skipped = {d["skipped"] for d in diagnostics}
     assert reason in skipped
     assert skipped <= {reason, "unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = -1+0w"}
+
+
+def test_delta_search_reports_maps_that_fail_past_the_quick_bound(tmp_path, capsys):
+    # a_100 perturbed: finite part [11] passes the quick prune at n <= 20
+    # under the maps t = 195 and t = 356, then fails at 100
+    obj = {"disc": -23, "weight": 12, "ell": 23, "char": "search",
+           "cond": {"n": 23, "b": 23}, "target": "tau", "perturb": 100}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    assert main(["search", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().out == "[]\n"
+    matches, diagnostics = search_matching_char(Scenario.from_json(obj))
+    assert matches == [] and len(diagnostics) == 23
+    failed = [(d["finite_part"], d["map"]["t"]) for d in diagnostics if "failed_at" in d]
+    assert failed == [([11], [195]), ([11], [356])]
+    assert all(d["failed_at"] == 100 for d in diagnostics if "failed_at" in d)
 
 
 def test_curve_perturbation_joins_the_comparison():

@@ -7,8 +7,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmdihedral.arith import factorint
-from cmdihedral.ffield import finite_field
+from cmdihedral.arith import divisors, factorint
+from cmdihedral.ffield import _digits, _is_irreducible, finite_field
 
 FIELDS = [(2, 3), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (23, 2)]
 
@@ -156,3 +156,30 @@ def test_poly_roots_match_brute_force(ell, r):
 def test_poly_roots_rejects_other_degrees(ell, r, coeffs):
     with pytest.raises(ValueError):
         finite_field(ell, r).poly_roots(coeffs)
+
+
+# the modulus of each field: the first irreducible monic polynomial of degree r
+# in the base-ell enumeration of its low coefficients
+MODULI = {
+    (2, 3): [1, 1, 0, 1], (3, 1): [0, 1], (3, 2): [1, 0, 1], (5, 3): [1, 1, 0, 1],
+    (7, 1): [0, 1], (7, 2): [1, 0, 1], (7, 4): [1, 1, 0, 0, 1], (11, 2): [1, 0, 1],
+    (23, 1): [0, 1], (23, 2): [1, 0, 1],
+}
+
+
+@pytest.mark.parametrize("ell,r", sorted(set(FIELDS) | set(ROOT_FIELDS)))
+def test_modulus_frozen(ell, r):
+    assert finite_field(ell, r).modulus == MODULI[ell, r]
+
+
+def mobius(n):
+    fac = factorint(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+
+@pytest.mark.parametrize("ell,r", [(2, r) for r in range(1, 7)] + [(3, r) for r in range(1, 5)]
+                         + [(5, r) for r in range(1, 4)] + [(7, 1), (7, 2)])
+def test_irreducible_count_is_gauss_count(ell, r):
+    gauss = sum(mobius(d) * ell ** (r // d) for d in divisors(r)) // r
+    accepted = sum(_is_irreducible(_digits(c, ell, r) + [1], ell, r) for c in range(ell**r))
+    assert accepted == gauss
