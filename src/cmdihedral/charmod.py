@@ -89,7 +89,7 @@ class ResidueGroup:
     _dlog: dict = field(compare=False, repr=False)  # unit residue key -> exponents
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
-        return _residue_key(self.modulus, alpha)
+        return _residue_key(self.modulus, alpha.a, alpha.b)
 
     def dlog(self, alpha: QuadInt) -> tuple[int, ...]:
         key = self.reduce(alpha)
@@ -107,12 +107,12 @@ class ResidueGroup:
         return prod(self.orders)
 
 
-def _residue_key(f: IdealRep, alpha: QuadInt) -> tuple[int, int]:
-    """Normal form (x, y) of alpha modulo f, with 0 <= x < c*n and 0 <= y < c."""
+def _residue_key(f: IdealRep, a: int, b: int) -> tuple[int, int]:
+    """Normal form (x, y) of a + b*w modulo f, with 0 <= x < c*n and 0 <= y < c."""
     c, n, mp = f.content, f.n, f.mprime()
-    y = alpha.b % c
-    k = (alpha.b - y) // c
-    x = (alpha.a - k * c * mp) % (c * n)
+    y = b % c
+    k = (b - y) // c
+    x = (a - k * c * mp) % (c * n)
     return (x, y)
 
 
@@ -146,9 +146,11 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     if residue_group_order(f) > RESIDUE_GROUP_CAP:
         raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
+    eps, q0 = disc_eps(D), omega_norm(D)
 
     def mul(u, v):
-        return _residue_key(f, QuadInt(D, u[0], u[1]) * QuadInt(D, v[0], v[1]))
+        (a, b), (c, d) = u, v
+        return _residue_key(f, a * c - q0 * b * d, a * d + b * c + eps * b * d)
 
     one = (1 % (f.content * f.n), 0)
     gens, orders, dlog = abelian_structure(keys, mul, one)

@@ -5,11 +5,11 @@ built-in verification runs.
 Frobenius traces a_p = p + 1 - #E(F_p) are exact.  For p <= AP_BSGS_CROSSOVER
 they are a character sum over a table of the squares mod p, O(p) per prime.
 Above it they come from the Shanks-Mestre method (Cohen, GTM 138, ch. 7;
-Schoof, J. Theor. Nombres Bordeaux 7, 1995): the order of a few points of E
-and of its quadratic twist, each found by baby-step giant-step across the
-Hasse interval, leaves one a_p, in O(p^{1/4}) group operations per point.
-Mestre's theorem guarantees that for p > 229, which is why the crossover is
-never below 229; measured per prime, the two routes tie just below 229 and
+Schoof, J. Theor. Nombres Bordeaux 7, 1995): the N in the Hasse interval with
+N*P = O, collected for a few points P of E and of its quadratic twist by one
+baby-step giant-step walk per point in O(p^{1/4}) group operations, leave one
+a_p.  Mestre's theorem guarantees that for p > 229, which is why the crossover
+is never below 229; measured per prime, the two routes tie just below 229 and
 the search is faster above, so the crossover sits at 229.  Every comparison
 bound is capped at PREC_CAP, the precision cap of the Delta expansion, before
 any target or candidate is built."""
@@ -21,7 +21,6 @@ from itertools import product
 from math import isqrt
 
 from .arith import (
-    exact_order,
     factorint,
     is_prime,
     least_nonresidue,
@@ -107,11 +106,12 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
 
     At and below AP_BSGS_CROSSOVER this is a quadratic character sum over x,
     read from a table of the squares mod p, in O(p).  Above it, the
-    Shanks-Mestre baby-step giant-step search on the short model and its
-    quadratic twist gives the exact a_p in O(p^{1/4}) group operations per
-    point.  The crossover is never below 229: Mestre's theorem, which makes
-    the search exact, holds for p > 229.  At 2 and 3, where the short model
-    does not exist, the table of squares always runs."""
+    Shanks-Mestre search on the short model and its quadratic twist collects
+    the multiples in the Hasse interval of a few points, by one baby-step
+    giant-step walk of O(p^{1/4}) group operations per point.  The crossover
+    is never below 229: Mestre's theorem, which makes the search exact, holds
+    for p > 229.  At 2 and 3, where the short model does not exist, the table
+    of squares always runs."""
     if not is_prime(p):
         raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
@@ -135,26 +135,25 @@ def _ap_by_squares(E: EllipticCurve, p: int) -> int:
 
 
 def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
-    """Each point P of E keeps the candidates a with ord(P) | #E = p + 1 - a,
-    each point of the twist E' by the least non-residue d those with
-    ord(P) | #E' = p + 1 + a.  Points are taken by increasing x, alternating
-    between E and E', until one candidate is left.  For p > 229, Mestre's
-    theorem makes that happen before both curves run out of points."""
+    """Each point P of E keeps the candidates a = p + 1 - N, each point of the
+    twist E' by the least non-residue d the candidates a = N - (p + 1), for the
+    N in the Hasse interval with N*P = O.  Points are taken by increasing x,
+    alternating between E and E', until one candidate is left.  For p > 229,
+    Mestre's theorem makes that happen before both curves run out of points."""
     a4, a6 = _short_model(E, p)
     d = least_nonresidue(p)
     curves = [(1, a4, _points(a4, a6, p)),
               (-1, a4 * d * d % p, _points(a4 * d * d, a6 * d**3, p))]
-    r = isqrt(4 * p)
-    candidates = set(range(-r, r + 1))
-    while len(candidates) != 1:
-        if not curves or not candidates:
+    candidates = None
+    while candidates is None or len(candidates) != 1:
+        if not curves or candidates == set():
             raise AssertionError(f"the points of E and its twist leave a_{p} open")
         sign, a, points = curves.pop(0)
         P = next(points, None)
         if P is not None:
             curves.append((sign, a, points))
-            n = _point_order(P, a, p)
-            candidates = {t for t in candidates if (p + 1 - sign * t) % n == 0}
+            ts = {sign * (p + 1 - N) for N in _hasse_multiples(P, a, p)}
+            candidates = ts if candidates is None else candidates & ts
     return candidates.pop()
 
 
@@ -174,38 +173,38 @@ def _points(a4: int, a6: int, p: int):
             yield x, y
 
 
-def _point_order(P, a4: int, p: int) -> int:
-    """Exact order of P under the closure `_ec_adder(a4, p)`: baby steps jP (j <= s) stand
-    for +-jP, giant steps of 2s+1 cross the Hasse interval [p+1-r, p+1+r] until cP = +-jP;
-    the order is the least divisor of the multiple c -+ j that kills P."""
+def _hasse_multiples(P, a4: int, p: int):
+    """Every N in the Hasse interval [p+1-r, p+1+r] with N*P = O under the closure
+    `_ec_adder(a4, p)`.  Baby steps jP (j <= s) stand for +-jP; if they reach O or
+    meet -iP, ord P <= 2s is known and its multiples are read off.  Otherwise giant
+    steps of 2s+1 cross the whole interval, and each window [c-s, c+s] holds at most
+    one multiple, found as cP = -+jP."""
     add = _ec_adder(a4, p)
     r = isqrt(4 * p)
+    lo, hi = p + 1 - r, p + 1 + r
     s = isqrt(r) + 1
     baby = {}
     R = None
     for j in range(1, s + 1):
         R = add(R, P)
-        if R is None:
-            return j
-        baby.setdefault(R[0], (j, R[1]))
-    step = 2 * s + 1
+        if R is None or R[0] in baby or R[1] == 0:
+            # jP is O, -iP for some i < j, or -jP: the order is j, i + j or 2j
+            n = j if R is None else j + baby.get(R[0], (j,))[0]
+            return range(-(-lo // n) * n, hi + 1, n)
+        baby[R[0]] = j, R[1]
     G = add(add(R, R), P)  # (2s+1)P from the last baby step R = sP
-    c = p + 1 - r + s
+    multiples = []
+    c = lo + s
     R = power(P, c, add, None)
-    while c - s <= p + 1 + r:
+    while c - s <= hi:
         if R is None:
-            m = c
-            break
-        hit = baby.get(R[0])
-        if hit is not None:
-            j, y = hit
-            m = c - j if y == R[1] else c + j
-            break
+            multiples.append(c)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            multiples.append(c - j if y == R[1] else c + j)
         R = add(R, G)
-        c += step
-    else:
-        raise AssertionError(f"no multiple of the point in the Hasse interval for p = {p}")
-    return exact_order(P, m, add, None)
+        c += 2 * s + 1
+    return [N for N in multiples if N <= hi]
 
 
 def _ec_adder(a4: int, p: int):

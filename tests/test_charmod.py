@@ -7,9 +7,11 @@ import json
 
 import pytest
 
-from cmdihedral.arith import factorint
+from cmdihedral.arith import abelian_structure, factorint
 from cmdihedral.charmod import (
     RESIDUE_GROUP_CAP,
+    _residue_key,
+    _unit_keys,
     TeichRep,
     ValueRing,
     build_hecke_char,
@@ -84,6 +86,25 @@ def test_residue_group_generators_generate():
                     acc = acc * g
             seen.add(rg.reduce(acc))
         assert len(seen) == rg.order
+
+
+# eps = 0 at D = -4 and 1 otherwise, q0 = 1, 1, 6, 18 at D = -4, -3, -23, -71;
+# (5) and (3) are inert, with content 5 and 3; p3^2 = (9, 7) is primitive
+@pytest.mark.parametrize("D, f", [
+    (-23, P23), (-23, IdealRep(-23, 1, 1, 5)), (-23, IdealRep(-23, 9, 7)),
+    (-71, P71), (-4, IdealRep(-4, 1, 0, 3)), (-3, IdealRep(-3, 7, 5)),
+])
+def test_residue_group_equals_the_quadint_route(D, f):
+    def mul(u, v):
+        alpha = QuadInt(D, *u) * QuadInt(D, *v)
+        return _residue_key(f, alpha.a, alpha.b)
+
+    keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
+    gens, orders, dlog = abelian_structure(keys, mul, (1 % (f.content * f.n), 0))
+    rg = residue_group(D, f)
+    assert rg.gens == tuple(QuadInt(D, x, y) for x, y in gens)
+    assert rg.orders == tuple(orders)
+    assert rg._dlog == dlog
 
 
 def test_residue_group_rejects_large_modulus():

@@ -5,7 +5,7 @@ import os
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmdihedral import congruence
 from cmdihedral.charmod import build_reductions
@@ -26,7 +26,7 @@ from cmdihedral.congruence import (
 from cmdihedral.ffield import finite_field
 from cmdihedral.qfield import kronecker
 from cmdihedral.qseries import QExpansion, delta_qexp, drop_multiples, theta_series
-from cmdihedral.arith import primes_upto
+from cmdihedral.arith import power, primes_upto
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E65533 = EllipticCurve(0, -1, 1, -18507, -989382)
@@ -141,19 +141,70 @@ def test_curve_ap_bsgs_equals_square_table_property(coeffs, p):
     assert congruence._ap_by_bsgs(E, p) == congruence._ap_by_squares(E, p)
 
 
+def _naive_order(P, add):
+    n, R = 1, P
+    while R is not None:
+        n, R = n + 1, add(R, P)
+    return n
+
+
+def _naive_hasse_multiples(P, a4, p):
+    """{N in the Hasse interval : N*P = O}, adding P to itself one N at a time."""
+    add, r = congruence._ec_adder(a4, p), isqrt(4 * p)
+    multiples, R = [], None
+    for N in range(1, p + 2 + r):
+        R = add(R, P)
+        if R is None and N >= p + 1 - r:
+            multiples.append(N)
+    return multiples
+
+
+# The walk on a point of y^2 = x^3 + a x + b, or, when d > 1 divides its order n,
+# on (n/d) times it, of order d.  For p <= 2000 the walk takes s <= 10 baby steps.
+# Pinned draws at p = 233, where s = 6: orders 3 <= s (a baby step reaches O),
+# 9 in (s, 2s) (an x repeats), 2 (y = 0) and 2s = 12 (sP has y = 0).
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([p for p in ABOVE_CROSSOVER if p <= 2000]),
+       st.integers(0, 1999), st.integers(0, 1999), st.integers(0, 1999), st.integers(0, 20))
+@example(233, 0, 1, 0, 3)
+@example(233, 0, 1, 1, 9)
+@example(233, 0, 1, 2, 2)
+@example(233, 1, 5, 2, 12)
+def test_hasse_multiples_are_the_naive_multiples(p, a, b, k, d):
+    a, b = a % p, b % p
+    assume((4 * a**3 + 27 * b * b) % p != 0)
+    points = list(congruence._points(a, b, p))
+    assume(points)
+    P = points[k % len(points)]
+    add = congruence._ec_adder(a, p)
+    n = _naive_order(P, add)
+    if d > 1 and n % d == 0:
+        P = power(P, n // d, add, None)
+        assert _naive_order(P, add) == d
+    assert list(congruence._hasse_multiples(P, a, p)) == _naive_hasse_multiples(P, a, p)
+
+
+def test_curve_ap_bsgs_at_every_good_prime_to_3000():
+    # the curve of curve65533 and curve71_deep, whose bad primes 13 and 71 lie below 229
+    primes = [p for p in primes_upto(3000) if p > AP_BSGS_CROSSOVER]
+    assert len(primes) == 380
+    assert [curve_ap(E65533, p) for p in primes] == [
+        congruence._ap_by_squares(E65533, p) for p in primes]
+
+
 def _bsgs_points(E, p, monkeypatch):
-    """a_p by the search, with (A of the curve, order) for every point it used."""
-    point_order, used = congruence._point_order, []
+    """a_p by the search, with (A of the curve, Hasse multiples) for every point it used."""
+    hasse_multiples, used = congruence._hasse_multiples, []
 
     def recorded(P, a4, q):
-        used.append((a4, point_order(P, a4, q)))
+        used.append((a4, list(hasse_multiples(P, a4, q))))
         return used[-1][1]
 
-    monkeypatch.setattr(congruence, "_point_order", recorded)
+    monkeypatch.setattr(congruence, "_hasse_multiples", recorded)
     return congruence._ap_by_bsgs(E, p), used
 
 
-def _hasse_multiples(n, p):
+def _multiples_of(n, p):
     r = isqrt(4 * p)
     return [m for m in range(p + 1 - r, p + 2 + r) if m % n == 0]
 
@@ -164,9 +215,9 @@ def test_curve_ap_bsgs_twist_decides(monkeypatch):
     p = 367
     ap, used = _bsgs_points(E65533, p, monkeypatch)
     assert ap == congruence._ap_by_squares(E65533, p)
-    (a4, n), (twist_a4, _) = used
+    (a4, multiples), (twist_a4, _) = used
     assert a4 == congruence._short_model(E65533, p)[0] != twist_a4
-    assert len(_hasse_multiples(n, p)) == 2
+    assert multiples == _multiples_of(44, p) and len(multiples) == 2
 
 
 def test_curve_ap_bsgs_first_point_of_small_order(monkeypatch):
@@ -174,7 +225,7 @@ def test_curve_ap_bsgs_first_point_of_small_order(monkeypatch):
     p = 277
     ap, used = _bsgs_points(E65533, p, monkeypatch)
     assert ap == congruence._ap_by_squares(E65533, p)
-    assert [n for _, n in used[:2]] == [2, 2] and len(used) > 2
+    assert [m for _, m in used[:2]] == [_multiples_of(2, p)] * 2 and len(used) > 2
 
 
 # the first prime above the crossover; 521 = 1 mod 8, so square roots run the

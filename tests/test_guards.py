@@ -244,6 +244,24 @@ def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys
         assert table_primes == [p for p in primes if p <= congruence.AP_BSGS_CROSSOVER]
 
 
+def test_frobenius_traces_take_at_most_the_walk_additions(tmp_path, capsys, monkeypatch):
+    adder, adds = congruence._ec_adder, [0]
+
+    def counted(a4, p):
+        add = adder(a4, p)
+
+        def counted_add(P, Q):
+            adds[0] += 1
+            return add(P, Q)
+
+        return counted_add
+
+    monkeypatch.setattr(congruence, "_ec_adder", counted)
+    _run_pinned("verify-curve71_deep", tmp_path, capsys)
+    # the 380 primes in (229, 3000]: one walk across the Hasse interval per point
+    assert adds[0] <= 13_908
+
+
 def _layertrace():
     path = os.path.join(ROOT, "perfbench", "layertrace.py")
     spec = importlib.util.spec_from_file_location("_layertrace_names", path)
