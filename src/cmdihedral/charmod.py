@@ -34,7 +34,6 @@ F_{ell^r} term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
@@ -80,13 +79,34 @@ from .qfield import (
 RESIDUE_GROUP_CAP = 10**4
 
 
-@dataclass(frozen=True)
 class ResidueGroup:
-    D: int
-    modulus: IdealRep
-    gens: tuple[QuadInt, ...]
-    orders: tuple[int, ...]
-    _dlog: dict = field(compare=False, repr=False)  # unit residue key -> exponents
+    """Generators of (O_K/f)^* and their orders; the discrete logs (unit
+    residue key -> exponents) take no part in equality, hashing or repr."""
+
+    __slots__ = ("D", "modulus", "gens", "orders", "_dlog")
+
+    def __init__(self, D: int, modulus: IdealRep, gens: tuple[QuadInt, ...],
+                 orders: tuple[int, ...], dlog: dict):
+        self.D = D
+        self.modulus = modulus
+        self.gens = gens
+        self.orders = orders
+        self._dlog = dlog
+
+    def _key(self) -> tuple:
+        return self.D, self.modulus, self.gens, self.orders
+
+    def __eq__(self, other):
+        if other.__class__ is not ResidueGroup:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ResidueGroup(D={self.D!r}, modulus={self.modulus!r}, gens={self.gens!r}, "
+                f"orders={self.orders!r})")
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
         return _residue_key(self.modulus, alpha.a, alpha.b)
@@ -161,12 +181,25 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
 # Teichmuller lifts
 
 
-@dataclass(frozen=True)
 class TeichRep:
     """The root of unity zeta_m^e, stored with m equal to its exact order."""
 
-    m: int
-    e: int
+    __slots__ = ("m", "e")
+
+    def __init__(self, m: int, e: int):
+        self.m = m
+        self.e = e
+
+    def __eq__(self, other):
+        if other.__class__ is not TeichRep:
+            return NotImplemented
+        return self.m == other.m and self.e == other.e
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.e))
+
+    def __repr__(self) -> str:
+        return f"TeichRep(m={self.m!r}, e={self.e!r})"
 
     @staticmethod
     def make(m: int, e: int) -> "TeichRep":
@@ -451,19 +484,51 @@ class VrElem:
 # Hecke characters
 
 
-@dataclass(frozen=True)
 class HeckeChar:
-    D: int
-    k: int
-    cond: IdealRep
-    rg: ResidueGroup
-    fp: tuple[int, ...]  # exponent on each residue-group generator
-    w: int
-    zeta_exps: tuple[int, ...]  # value of gen_i as zeta_w^zeta_exps[i]
-    class_ideals: tuple[IdealRep, ...]
-    class_betas: tuple[QuadInt, ...]
-    class_part: object  # "canonical" or tuple of zeta_w exponents
-    class_zetas: tuple[int, ...]  # z_j of the relation constant zeta_w^z_j * beta_j^(k-1)
+    """A Hecke character of infinity type (k-1, 0), held as the integers that
+    determine it:
+
+    - fp: the exponent on each residue-group generator;
+    - zeta_exps: the value of generator i as zeta_w^zeta_exps[i];
+    - class_part: "canonical" or a tuple of zeta_w exponents;
+    - class_zetas: z_j of the relation constant zeta_w^z_j * beta_j^(k-1).
+
+    Equality and hashing go over the eleven fields; the value ring cached
+    by `ring` takes no part."""
+
+    _FIELDS = ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
+               "class_betas", "class_part", "class_zetas")
+
+    def __init__(self, D: int, k: int, cond: IdealRep, rg: ResidueGroup,
+                 fp: tuple[int, ...], w: int, zeta_exps: tuple[int, ...],
+                 class_ideals: tuple[IdealRep, ...], class_betas: tuple[QuadInt, ...],
+                 class_part, class_zetas: tuple[int, ...]):
+        self.D = D
+        self.k = k
+        self.cond = cond
+        self.rg = rg
+        self.fp = fp
+        self.w = w
+        self.zeta_exps = zeta_exps
+        self.class_ideals = class_ideals
+        self.class_betas = class_betas
+        self.class_part = class_part
+        self.class_zetas = class_zetas
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not HeckeChar:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"HeckeChar({args})"
 
     @cached_property
     def ring(self) -> ValueRing:
@@ -714,8 +779,7 @@ def _image(F: FiniteField, x: int, alpha: QuadInt) -> int:
 # reductions to finite fields
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(NamedTuple):
     chi: HeckeChar
     field: FiniteField
     # codes in field of the images of w_D, zeta_w and t_1..t_s

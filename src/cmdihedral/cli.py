@@ -9,7 +9,6 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -89,7 +88,7 @@ def _load_scenario(args) -> Scenario:
             raise ValueError(f"cannot read scenario file: {exc}") from exc
         s = Scenario.from_json(obj)
     if getattr(args, "perturb", None) is not None:
-        s = dataclasses.replace(s, perturb=args.perturb)
+        s = s._replace(perturb=args.perturb)
     return s
 
 

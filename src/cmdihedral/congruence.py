@@ -16,9 +16,9 @@ any target or candidate is built."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import (
     factorint,
@@ -76,13 +76,34 @@ AP_BSGS_CROSSOVER = 229
 # elliptic curves
 
 
-@dataclass(frozen=True)
 class EllipticCurve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, refused when singular."""
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
+        self.a1 = a1
+        self.a2 = a2
+        self.a3 = a3
+        self.a4 = a4
+        self.a6 = a6
+        if self.discriminant() == 0:
+            raise ValueError("singular Weierstrass equation")
+
+    def _key(self) -> tuple:
+        return self.a1, self.a2, self.a3, self.a4, self.a6
+
+    def __eq__(self, other):
+        if other.__class__ is not EllipticCurve:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"EllipticCurve(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
+                f"a4={self.a4!r}, a6={self.a6!r})")
 
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -95,10 +116,6 @@ class EllipticCurve:
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def __post_init__(self):
-        if self.discriminant() == 0:
-            raise ValueError("singular Weierstrass equation")
 
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
@@ -266,8 +283,7 @@ def reduce_int_expansion(f: QExpansion, ell: int, field: FiniteField | None = No
     return QExpansion(F, coeffs, f.weight, f.level, f.character)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     ell: int
     reduction_map: dict | None
     bound: int
@@ -308,8 +324,7 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
 # scenarios
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     disc: int
     weight: int
     ell: int
@@ -322,17 +337,15 @@ class Scenario:
 
     @staticmethod
     def from_json(obj: dict) -> "Scenario":
-        try:
-            disc = _json_int(obj["disc"], "disc")
-            weight = _json_int(obj["weight"], "weight")
-            ell = _json_int(obj["ell"], "ell")
-            char = obj["char"]
-            target_spec = obj["target"]
-            bound_mode = obj.get("bound_mode", "standard")
-            bound = None if obj.get("bound") is None else _json_int(obj["bound"], "bound")
-            perturb = None if obj.get("perturb") is None else _json_int(obj["perturb"], "perturb")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed scenario: {exc}") from exc
+        _json_object(obj, "scenario", ("disc", "weight", "ell", "char", "target"))
+        disc = _json_int(obj["disc"], "disc")
+        weight = _json_int(obj["weight"], "weight")
+        ell = _json_int(obj["ell"], "ell")
+        char = obj["char"]
+        target_spec = obj["target"]
+        bound_mode = obj.get("bound_mode", "standard")
+        bound = None if obj.get("bound") is None else _json_int(obj["bound"], "bound")
+        perturb = None if obj.get("perturb") is None else _json_int(obj["perturb"], "perturb")
         # the conductor is an ideal of this discriminant: check it first
         check_fundamental(disc)
         if bound is not None and bound < 1:
@@ -366,14 +379,12 @@ class Scenario:
         elif "cond" in obj:
             cond_spec = obj["cond"]
         if cond_spec is not None:
-            try:
-                cond = IdealRep(
-                    disc, _json_int(cond_spec["n"], "conductor n"),
-                    _json_int(cond_spec["b"], "conductor b"),
-                    _json_int(cond_spec.get("c", 1), "conductor c"),
-                )
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"malformed conductor: {exc!r}") from exc
+            _json_object(cond_spec, "conductor", ("n", "b"))
+            cond = IdealRep(
+                disc, _json_int(cond_spec["n"], "conductor n"),
+                _json_int(cond_spec["b"], "conductor b"),
+                _json_int(cond_spec.get("c", 1), "conductor c"),
+            )
         return Scenario(disc, weight, ell, char, target, bound_mode, cond, bound, perturb)
 
     def to_json(self) -> dict:
@@ -397,6 +408,15 @@ class Scenario:
         if self.perturb is not None:
             out["perturb"] = self.perturb
         return out
+
+
+def _json_object(x, what: str, keys) -> None:
+    """Refuse, in one line, anything but a JSON object holding every key."""
+    if not isinstance(x, dict):
+        raise ValueError(f"malformed {what}: expected a JSON object, not {type(x).__name__}")
+    for key in keys:
+        if key not in x:
+            raise ValueError(f"malformed {what}: missing key {key!r}")
 
 
 def _is_json_int(x) -> bool:
@@ -437,8 +457,7 @@ def builtin_scenario(name: str) -> Scenario:
 # orchestration
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     prediction: SerrePrediction
     report: CongruenceReport
     character: HeckeChar | None
@@ -524,7 +543,7 @@ def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
         coeffs = euler_product(m.field, table_images(rows, chi.k, m), bound)
         theta = QExpansion(m.field, coeffs, chi.k, level, chi)
         rep = compare(theta, target, bound, indices)
-        yield m, replace(rep, reduction_map=m.describe())
+        yield m, rep._replace(reduction_map=m.describe())
 
 
 def search_matching_char(s: Scenario):

@@ -12,6 +12,7 @@ Zech tables built once per field.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd
 
@@ -111,14 +112,23 @@ class FiniteField:
         return next(g for g in gs if all(power(g, c, mul, [1]) != [1] for c in cofactors))
 
     def _powers(self, g: list[int]) -> list[int]:
-        """Codes of g^0 .. g^(q-2)."""
-        ell, mod = self.ell, self.modulus
-        scale = [ell**i for i in range(self.r)]
-        out, acc = [], [1]
+        """Codes of g^0 .. g^(q-2).  Each power is acc * g by Horner's rule over
+        the digits of g, highest first: res = x * res + g_j * acc on r-digit
+        lists, where x * res folds its top digit back by x^r = -(low digits of
+        the monic modulus).  g, of least code, has few digits."""
+        ell, r = self.ell, self.r
+        scale = [ell**i for i in range(r)]
+        low = [-c % ell for c in self.modulus[:r]]
+        lead, *rest = _poly_trim(list(g))[::-1]
+        out, acc = [], [1] + [0] * (r - 1)
         for _ in range(self.q - 1):
-            out.append(sum(c * s for c, s in zip(acc, scale)))
-            # g, of least code, has few digits: it is the outer (zero-skipping) loop
-            acc = _poly_mulmod(g, acc, mod, ell)
+            out.append(sum(map(operator.mul, acc, scale)))
+            res = acc if lead == 1 else [lead * a % ell for a in acc]
+            for gj in rest:
+                top = res[-1]
+                # zip stops at r digits: (0, *res) is res shifted up by one
+                res = [(s + top * m + gj * a) % ell for s, m, a in zip((0, *res), low, acc)]
+            acc = res
         return out
 
     # -- constructors ------------------------------------------------------

@@ -11,9 +11,9 @@ reduction of its lattice under the norm form, made canonical over the units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import (
     abelian_structure,
@@ -60,13 +60,26 @@ def omega_norm(D: int) -> int:
     return (eps - D) // 4
 
 
-@dataclass(frozen=True)
 class QuadInt:
     """a + b*w in the maximal order of Q(sqrt(D))."""
 
-    D: int
-    a: int
-    b: int
+    __slots__ = ("D", "a", "b")
+
+    def __init__(self, D: int, a: int, b: int):
+        self.D = D
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadInt:
+            return NotImplemented
+        return self.D == other.D and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.D, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"QuadInt(D={self.D!r}, a={self.a!r}, b={self.b!r})"
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.D, self.a - other.a, self.b - other.b)
@@ -104,13 +117,26 @@ def units(D: int) -> list[QuadInt]:
     return us + [-u for u in us]
 
 
-@dataclass(frozen=True)
 class QuadForm:
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        self.a = a
+        self.b = b
+        self.c = c
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadForm:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self) -> str:
+        return f"QuadForm(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -164,21 +190,32 @@ def _norm_b(b: int, n: int) -> int:
     return (b + n - 1) % (2 * n) - n + 1
 
 
-@dataclass(frozen=True)
 class IdealRep:
     """content * (Z*n + Z*(b + sqrt(D))/2), an integral ideal of norm content^2 * n."""
 
-    D: int
-    n: int
-    b: int
-    content: int = 1
+    __slots__ = ("D", "n", "b", "content")
 
-    def __post_init__(self):
-        if self.n <= 0 or self.content <= 0:
+    def __init__(self, D: int, n: int, b: int, content: int = 1):
+        if n <= 0 or content <= 0:
             raise ValueError("ideal parts must be positive")
-        if (self.b * self.b - self.D) % (4 * self.n):
+        if (b * b - D) % (4 * n):
             raise ValueError("b^2 != D mod 4n")
-        object.__setattr__(self, "b", _norm_b(self.b, self.n))
+        self.D = D
+        self.n = n
+        self.b = _norm_b(b, n)
+        self.content = content
+
+    def __eq__(self, other):
+        if other.__class__ is not IdealRep:
+            return NotImplemented
+        return (self.D == other.D and self.n == other.n and self.b == other.b
+                and self.content == other.content)
+
+    def __hash__(self) -> int:
+        return hash((self.D, self.n, self.b, self.content))
+
+    def __repr__(self) -> str:
+        return f"IdealRep(D={self.D!r}, n={self.n!r}, b={self.b!r}, content={self.content!r})"
 
     def norm(self) -> int:
         return self.content * self.content * self.n
@@ -322,8 +359,7 @@ def kronecker(D: int, n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     kind: str  # "split" | "inert" | "ramified"
     primes: tuple[IdealRep, ...]
 
@@ -424,13 +460,34 @@ def ideal_divide_prime(a: IdealRep, p: IdealRep) -> IdealRep:
     return out
 
 
-@dataclass(frozen=True)
 class ClassGroup:
-    D: int
-    reps: tuple[QuadForm, ...]
-    gens: tuple[QuadForm, ...]
-    orders: tuple[int, ...]
-    _dlog: dict = field(compare=False, repr=False)
+    """Reduced forms, cyclic generators and their orders; the discrete logs
+    (form -> exponents) take no part in equality, hashing or repr."""
+
+    __slots__ = ("D", "reps", "gens", "orders", "_dlog")
+
+    def __init__(self, D: int, reps: tuple[QuadForm, ...], gens: tuple[QuadForm, ...],
+                 orders: tuple[int, ...], dlog: dict):
+        self.D = D
+        self.reps = reps
+        self.gens = gens
+        self.orders = orders
+        self._dlog = dlog
+
+    def _key(self) -> tuple:
+        return self.D, self.reps, self.gens, self.orders
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassGroup:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ClassGroup(D={self.D!r}, reps={self.reps!r}, gens={self.gens!r}, "
+                f"orders={self.orders!r})")
 
     @property
     def h(self) -> int:

@@ -6,7 +6,6 @@ indices."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .charmod import HeckeChar, VrElem, evaluate
 from .ffield import FiniteField
@@ -18,17 +17,32 @@ from .serrepred import DirichletChar
 PREC_CAP = 10**5
 
 
-@dataclass
 class QExpansion:
     """Coefficients c_1..c_prec of a cuspidal q-series (c_0 = 0 throughout);
     ring is "int", a FiniteField (coefficients are its int codes), or a
-    ValueRing."""
+    ValueRing.  coeffs[n] holds c_n; coeffs[0] is unused (always zero)."""
 
-    ring: object
-    coeffs: list  # index n holds c_n; index 0 unused (always zero)
-    weight: int
-    level: int
-    character: object = None
+    __slots__ = ("ring", "coeffs", "weight", "level", "character")
+    __hash__ = None  # the coefficient list is mutable
+
+    def __init__(self, ring, coeffs: list, weight: int, level: int, character=None):
+        self.ring = ring
+        self.coeffs = coeffs
+        self.weight = weight
+        self.level = level
+        self.character = character
+
+    def _key(self) -> tuple:
+        return self.ring, self.coeffs, self.weight, self.level, self.character
+
+    def __eq__(self, other):
+        if other.__class__ is not QExpansion:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (f"QExpansion(ring={self.ring!r}, coeffs={self.coeffs!r}, weight={self.weight!r}, "
+                f"level={self.level!r}, character={self.character!r})")
 
     @property
     def prec(self) -> int:

@@ -5,9 +5,9 @@ character and twisted level."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import abelian_structure, factorint, is_prime, prime_to_part
 from .charmod import HeckeChar, TeichRep, evaluate
@@ -292,26 +292,43 @@ def charpoly_data(q: int, chi: HeckeChar, eps: DirichletChar, k: int):
 # datum and prediction
 
 
-@dataclass(frozen=True)
 class DihedralDatum:
-    ell: int
-    D: int
-    k: int
-    cond_away: IdealRep  # prime-to-ell part of the conductor of the character
-    case: LocalCase
+    """ell, D, the weight k, the prime-to-ell part cond_away of the conductor
+    of the character, and the local case at ell, checked against each other."""
 
-    def __post_init__(self):
-        _check_hypotheses(self.ell, self.k)
-        check_fundamental(self.D)
-        kind = primes_above(self.D, self.ell).kind
-        if self.case != ramification_case(self.ell, kind, self.k):
+    __slots__ = ("ell", "D", "k", "cond_away", "case")
+
+    def __init__(self, ell: int, D: int, k: int, cond_away: IdealRep, case: LocalCase):
+        _check_hypotheses(ell, k)
+        check_fundamental(D)
+        kind = primes_above(D, ell).kind
+        if case != ramification_case(ell, kind, k):
             raise ValueError("local case inconsistent with the splitting of ell")
-        if self.cond_away.norm() % self.ell == 0:
+        if cond_away.norm() % ell == 0:
             raise ValueError("away-part of the conductor must be coprime to ell")
+        self.ell = ell
+        self.D = D
+        self.k = k
+        self.cond_away = cond_away
+        self.case = case
+
+    def _key(self) -> tuple:
+        return self.ell, self.D, self.k, self.cond_away, self.case
+
+    def __eq__(self, other):
+        if other.__class__ is not DihedralDatum:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"DihedralDatum(ell={self.ell!r}, D={self.D!r}, k={self.k!r}, "
+                f"cond_away={self.cond_away!r}, case={self.case!r})")
 
 
-@dataclass(frozen=True)
-class SerrePrediction:
+class SerrePrediction(NamedTuple):
     N_rho: int
     N_prime: int
     MDK: int

@@ -182,6 +182,28 @@ REFUSALS = {
         None,
         "error: conductor norm must be positive and coprime to ell",
     ),
+    # the scenario or its conductor is not a JSON object, or lacks a key
+    "scenario_not_an_object": (
+        ["verify", "--scenario"], [], "error: malformed scenario: expected a JSON object, not list",
+    ),
+    "scenario_without_keys": (
+        ["search", "--scenario"], {}, "error: malformed scenario: missing key 'disc'",
+    ),
+    "scenario_without_target": (
+        ["verify", "--scenario"],
+        {k: v for k, v in CURVE71.items() if k != "target"},
+        "error: malformed scenario: missing key 'target'",
+    ),
+    "cond_without_n": (
+        ["verify", "--scenario"],
+        {**DELTA, "char": "search", "cond": {"b": 23}},
+        "error: malformed conductor: missing key 'n'",
+    ),
+    "explicit_conductor_not_an_object": (
+        ["verify", "--scenario"],
+        {**CURVE71, "char": {"conductor": [71, 71], "finite_part": [35]}},
+        "error: malformed conductor: expected a JSON object, not list",
+    ),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmdihedral.arith import divisors, factorint
-from cmdihedral.ffield import _digits, _is_irreducible, finite_field
+from cmdihedral.ffield import _digits, _is_irreducible, _poly_mulmod, finite_field
 
 FIELDS = [(2, 3), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (23, 2)]
 
@@ -170,6 +170,18 @@ MODULI = {
 @pytest.mark.parametrize("ell,r", sorted(set(FIELDS) | set(ROOT_FIELDS)))
 def test_modulus_frozen(ell, r):
     assert finite_field(ell, r).modulus == MODULI[ell, r]
+
+
+@pytest.mark.parametrize("ell,r", sorted(set(FIELDS) | set(ROOT_FIELDS)))
+def test_antilog_table_is_repeated_mulmod(ell, r):
+    # the Horner table against one general product-and-remainder per element
+    F = finite_field(ell, r)
+    g, acc, expected = digits(F, F.generator()), [1], []
+    for _ in range(F.q - 1):
+        expected.append(code(F, acc))
+        acc = _poly_mulmod(g, acc, F.modulus, ell)
+    assert F.exp == expected
+    assert acc == [1]
 
 
 def mobius(n):

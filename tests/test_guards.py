@@ -1,12 +1,15 @@
 """Guards against silent drift: pinned stdout bytes of the verification
-commands, the production route through the cached prime tables, and the
-function names the per-layer tracer of `perfbench/` wraps."""
+commands, the production route through the cached prime tables, the
+function names the per-layer tracer of `perfbench/` wraps, and the modules
+a cold import of the command line loads."""
 
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -281,3 +284,18 @@ def test_traced_names_resolve():
                     assert attr in vars(getattr(module, cls_name)), f"{layer}.{name}"
                 else:
                     assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+# `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
+# together about a quarter of a cold start. `typing` is not checked, because
+# a site `.pth` file may import it before any program code runs.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cold_import_loads_no_heavy_module():
+    code = (f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
+            "import cmdihedral.cli; "
+            f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
