@@ -1,11 +1,39 @@
 """Shared integer arithmetic helpers (primality, factoring, square roots,
-finite abelian group structure), and the one `power` and `exact_order` that
+finite abelian group structure), the one `power` and `exact_order` that
 every finite group of the package (ideals, curve points, polynomials,
-residues, classes) takes its powers and element orders from."""
+residues, classes) takes its powers and element orders from, and `Record`,
+the base that every value type takes equality, hashing and repr from."""
 
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
+from operator import attrgetter
+
+
+class Record:
+    """A value given by the fields named in `_FIELDS` (by default the class's
+    `__slots__`, at least two): equal exactly to an instance of the same class
+    with equal fields, hashed as the tuple of its fields, and shown as
+    `Class(field=value, ...)`.  Subclasses write their own `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._FIELDS = cls.__dict__.get("_FIELDS", cls.__slots__)
+        cls._key = attrgetter(*cls._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__name__}({args})"
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -41,6 +41,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .arith import (
+    Record,
     abelian_structure,
     divisors,
     factorint,
@@ -79,11 +80,12 @@ from .qfield import (
 RESIDUE_GROUP_CAP = 10**4
 
 
-class ResidueGroup:
+class ResidueGroup(Record):
     """Generators of (O_K/f)^* and their orders; the discrete logs (unit
     residue key -> exponents) take no part in equality, hashing or repr."""
 
     __slots__ = ("D", "modulus", "gens", "orders", "_dlog")
+    _FIELDS = ("D", "modulus", "gens", "orders")
 
     def __init__(self, D: int, modulus: IdealRep, gens: tuple[QuadInt, ...],
                  orders: tuple[int, ...], dlog: dict):
@@ -92,21 +94,6 @@ class ResidueGroup:
         self.gens = gens
         self.orders = orders
         self._dlog = dlog
-
-    def _key(self) -> tuple:
-        return self.D, self.modulus, self.gens, self.orders
-
-    def __eq__(self, other):
-        if other.__class__ is not ResidueGroup:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ResidueGroup(D={self.D!r}, modulus={self.modulus!r}, gens={self.gens!r}, "
-                f"orders={self.orders!r})")
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
         return _residue_key(self.modulus, alpha.a, alpha.b)
@@ -181,7 +168,7 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
 # Teichmuller lifts
 
 
-class TeichRep:
+class TeichRep(Record):
     """The root of unity zeta_m^e, stored with m equal to its exact order."""
 
     __slots__ = ("m", "e")
@@ -189,17 +176,6 @@ class TeichRep:
     def __init__(self, m: int, e: int):
         self.m = m
         self.e = e
-
-    def __eq__(self, other):
-        if other.__class__ is not TeichRep:
-            return NotImplemented
-        return self.m == other.m and self.e == other.e
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.e))
-
-    def __repr__(self) -> str:
-        return f"TeichRep(m={self.m!r}, e={self.e!r})"
 
     @staticmethod
     def make(m: int, e: int) -> "TeichRep":
@@ -484,7 +460,7 @@ class VrElem:
 # Hecke characters
 
 
-class HeckeChar:
+class HeckeChar(Record):
     """A Hecke character of infinity type (k-1, 0), held as the integers that
     determine it:
 
@@ -514,21 +490,6 @@ class HeckeChar:
         self.class_betas = class_betas
         self.class_part = class_part
         self.class_zetas = class_zetas
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not HeckeChar:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"HeckeChar({args})"
 
     @cached_property
     def ring(self) -> ValueRing:

@@ -58,10 +58,10 @@ def cmd_classgroup(args) -> int:
 def cmd_predict(args) -> int:
     D, ell, k, N_rho = args.disc, args.ell, args.weight, args.cond_norm
     check_fundamental(D)
-    if N_rho < 1 or N_rho % ell == 0:
-        raise ValueError("conductor norm must be positive and coprime to ell")
     kind = primes_above(D, ell).kind
     case = ramification_case(ell, kind, k)
+    if N_rho < 1 or N_rho % ell == 0:
+        raise ValueError("conductor norm must be positive and coprime to ell")
     N_prime = predicted_level(N_rho, ell, kind == "ramified")
     _emit(SerrePrediction(N_rho, N_prime, N_prime, k, None, case.ell_relation).to_json())
     _note(f"predicted level {N_prime} ({kind} at {ell}, case {case.value})")

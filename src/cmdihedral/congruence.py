@@ -21,6 +21,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .arith import (
+    Record,
     factorint,
     is_prime,
     least_nonresidue,
@@ -76,7 +77,7 @@ AP_BSGS_CROSSOVER = 229
 # elliptic curves
 
 
-class EllipticCurve:
+class EllipticCurve(Record):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, refused when singular."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6")
@@ -89,21 +90,6 @@ class EllipticCurve:
         self.a6 = a6
         if self.discriminant() == 0:
             raise ValueError("singular Weierstrass equation")
-
-    def _key(self) -> tuple:
-        return self.a1, self.a2, self.a3, self.a4, self.a6
-
-    def __eq__(self, other):
-        if other.__class__ is not EllipticCurve:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"EllipticCurve(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r}, "
-                f"a4={self.a4!r}, a6={self.a6!r})")
 
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6

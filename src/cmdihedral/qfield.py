@@ -16,6 +16,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import (
+    Record,
     abelian_structure,
     extended_gcd,
     factorint,
@@ -31,9 +32,11 @@ from .arith import (
 DISC_CAP = 10**7
 
 
+@lru_cache(maxsize=None)
 def check_fundamental(D: int) -> None:
     """Reject anything but a negative fundamental discriminant of |D| at most
-    DISC_CAP, before anything factors |D|."""
+    DISC_CAP, before anything factors |D|.  A pass is cached per D, so a prime
+    table factors |D| once; a refusal raises every time."""
     if D >= 0:
         raise ValueError("discriminant must be negative")
     if -D > DISC_CAP:
@@ -60,7 +63,7 @@ def omega_norm(D: int) -> int:
     return (eps - D) // 4
 
 
-class QuadInt:
+class QuadInt(Record):
     """a + b*w in the maximal order of Q(sqrt(D))."""
 
     __slots__ = ("D", "a", "b")
@@ -69,17 +72,6 @@ class QuadInt:
         self.D = D
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not QuadInt:
-            return NotImplemented
-        return self.D == other.D and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.D, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"QuadInt(D={self.D!r}, a={self.a!r}, b={self.b!r})"
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.D, self.a - other.a, self.b - other.b)
@@ -117,7 +109,7 @@ def units(D: int) -> list[QuadInt]:
     return us + [-u for u in us]
 
 
-class QuadForm:
+class QuadForm(Record):
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
     __slots__ = ("a", "b", "c")
@@ -126,17 +118,6 @@ class QuadForm:
         self.a = a
         self.b = b
         self.c = c
-
-    def __eq__(self, other):
-        if other.__class__ is not QuadForm:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
-
-    def __repr__(self) -> str:
-        return f"QuadForm(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -190,7 +171,7 @@ def _norm_b(b: int, n: int) -> int:
     return (b + n - 1) % (2 * n) - n + 1
 
 
-class IdealRep:
+class IdealRep(Record):
     """content * (Z*n + Z*(b + sqrt(D))/2), an integral ideal of norm content^2 * n."""
 
     __slots__ = ("D", "n", "b", "content")
@@ -204,18 +185,6 @@ class IdealRep:
         self.n = n
         self.b = _norm_b(b, n)
         self.content = content
-
-    def __eq__(self, other):
-        if other.__class__ is not IdealRep:
-            return NotImplemented
-        return (self.D == other.D and self.n == other.n and self.b == other.b
-                and self.content == other.content)
-
-    def __hash__(self) -> int:
-        return hash((self.D, self.n, self.b, self.content))
-
-    def __repr__(self) -> str:
-        return f"IdealRep(D={self.D!r}, n={self.n!r}, b={self.b!r}, content={self.content!r})"
 
     def norm(self) -> int:
         return self.content * self.content * self.n
@@ -460,11 +429,12 @@ def ideal_divide_prime(a: IdealRep, p: IdealRep) -> IdealRep:
     return out
 
 
-class ClassGroup:
+class ClassGroup(Record):
     """Reduced forms, cyclic generators and their orders; the discrete logs
     (form -> exponents) take no part in equality, hashing or repr."""
 
     __slots__ = ("D", "reps", "gens", "orders", "_dlog")
+    _FIELDS = ("D", "reps", "gens", "orders")
 
     def __init__(self, D: int, reps: tuple[QuadForm, ...], gens: tuple[QuadForm, ...],
                  orders: tuple[int, ...], dlog: dict):
@@ -473,21 +443,6 @@ class ClassGroup:
         self.gens = gens
         self.orders = orders
         self._dlog = dlog
-
-    def _key(self) -> tuple:
-        return self.D, self.reps, self.gens, self.orders
-
-    def __eq__(self, other):
-        if other.__class__ is not ClassGroup:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ClassGroup(D={self.D!r}, reps={self.reps!r}, gens={self.gens!r}, "
-                f"orders={self.orders!r})")
 
     @property
     def h(self) -> int:

@@ -10,14 +10,14 @@ import operator
 from .charmod import HeckeChar, VrElem, evaluate
 from .ffield import FiniteField
 from .qfield import ideals_coprime, ideals_of_norm, primes_above
-from .arith import factorint, primes_upto
+from .arith import Record, factorint, primes_upto
 from .serrepred import DirichletChar
 
 # Largest precision of a Delta expansion; every comparison bound is capped at it.
 PREC_CAP = 10**5
 
 
-class QExpansion:
+class QExpansion(Record):
     """Coefficients c_1..c_prec of a cuspidal q-series (c_0 = 0 throughout);
     ring is "int", a FiniteField (coefficients are its int codes), or a
     ValueRing.  coeffs[n] holds c_n; coeffs[0] is unused (always zero)."""
@@ -31,18 +31,6 @@ class QExpansion:
         self.weight = weight
         self.level = level
         self.character = character
-
-    def _key(self) -> tuple:
-        return self.ring, self.coeffs, self.weight, self.level, self.character
-
-    def __eq__(self, other):
-        if other.__class__ is not QExpansion:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (f"QExpansion(ring={self.ring!r}, coeffs={self.coeffs!r}, weight={self.weight!r}, "
-                f"level={self.level!r}, character={self.character!r})")
 
     @property
     def prec(self) -> int:

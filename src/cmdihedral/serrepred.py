@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import abelian_structure, factorint, is_prime, prime_to_part
+from .arith import Record, abelian_structure, factorint, is_prime, prime_to_part
 from .charmod import HeckeChar, TeichRep, evaluate
 from .qfield import (
     IdealRep,
@@ -292,7 +292,7 @@ def charpoly_data(q: int, chi: HeckeChar, eps: DirichletChar, k: int):
 # datum and prediction
 
 
-class DihedralDatum:
+class DihedralDatum(Record):
     """ell, D, the weight k, the prime-to-ell part cond_away of the conductor
     of the character, and the local case at ell, checked against each other."""
 
@@ -311,21 +311,6 @@ class DihedralDatum:
         self.k = k
         self.cond_away = cond_away
         self.case = case
-
-    def _key(self) -> tuple:
-        return self.ell, self.D, self.k, self.cond_away, self.case
-
-    def __eq__(self, other):
-        if other.__class__ is not DihedralDatum:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"DihedralDatum(ell={self.ell!r}, D={self.D!r}, k={self.k!r}, "
-                f"cond_away={self.cond_away!r}, case={self.case!r})")
 
 
 class SerrePrediction(NamedTuple):

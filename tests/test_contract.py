@@ -164,8 +164,9 @@ CURVE71 = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}}
 CURVE71_EXPLICIT = {**CURVE71, "char": {"conductor": {"n": 71, "b": 71}, "finite_part": [35]}}
 
 
-# refusals of the conductor split at ell, and of a predict conductor norm that
-# ell divides: name -> (argv, scenario or None, the one error line)
+# refusals of the conductor split at ell, of a predict conductor norm that
+# ell divides, and of a predict ell of 0, which is checked before anything
+# reduces modulo ell: name -> (argv, scenario or None, the one error line)
 REFUSALS = {
     "curve_without_cond": (
         ["verify", "--scenario"],
@@ -181,6 +182,11 @@ REFUSALS = {
         ["predict", "--disc", "-23", "--ell", "23", "--weight", "12", "--cond-norm", "23"],
         None,
         "error: conductor norm must be positive and coprime to ell",
+    ),
+    "predict_ell_zero": (
+        ["predict", "--disc", "-23", "--ell", "0", "--weight", "12", "--cond-norm", "1"],
+        None,
+        "error: 0 is not prime",
     ),
     # the scenario or its conductor is not a JSON object, or lacks a key
     "scenario_not_an_object": (

@@ -1,8 +1,11 @@
 """Guards against silent drift: pinned stdout bytes of the verification
 commands, the production route through the cached prime tables, the
-function names the per-layer tracer of `perfbench/` wraps, and the modules
-a cold import of the command line loads."""
+function names the per-layer tracer of `perfbench/` wraps, the modules
+a cold import of the command line loads, and the one place the value types
+take equality, hashing and repr from."""
 
+import ast
+import glob
 import hashlib
 import importlib
 import importlib.util
@@ -14,10 +17,10 @@ from functools import lru_cache
 
 import pytest
 
-from cmdihedral import charmod, congruence, qseries, serrepred
+from cmdihedral import charmod, congruence, qfield, qseries, serrepred
 from cmdihedral.arith import primes_upto
 from cmdihedral.cli import main
-from cmdihedral.qfield import IdealRep, class_group, kronecker
+from cmdihedral.qfield import IdealRep, check_fundamental, class_group, kronecker, primes_above
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEEP = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
@@ -299,3 +302,45 @@ def test_cold_import_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_prime_sweep_factors_the_discriminant_once(monkeypatch):
+    # 430 primes up to 3000, each a cache miss of primes_above
+    calls, factorint = [], qfield.factorint
+
+    def counting_factorint(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(qfield, "factorint", counting_factorint)
+    check_fundamental.cache_clear()
+    primes_above.cache_clear()
+    D = -9999988
+    for p in primes_upto(3000):
+        primes_above(D, p)
+    assert calls == [2499997]
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        check_fundamental(-9999999)
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        check_fundamental(-9999999)
+    assert calls == [2499997, 9999999, 9999999]  # a refusal is not cached
+
+
+# Equality, hashing and repr of the value types come from one base in `arith`;
+# VrElem and DirichletChar keep their own equality only.
+OWN_DUNDERS = {"Record": {"__eq__", "__hash__", "__repr__"},
+               "VrElem": {"__eq__"}, "DirichletChar": {"__eq__"}}
+
+
+def test_value_dunders_are_written_once():
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in ("__eq__", "__hash__", "__repr__")
+                        and node.name not in OWN_DUNDERS.get(cls.name, ())):
+                    found.append(f"{os.path.basename(path)}: {cls.name}.{node.name}")
+    assert found == []

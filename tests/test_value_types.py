@@ -1,13 +1,21 @@
-"""The hand-written value types QuadInt, QuadForm, IdealRep and TeichRep:
-equality holds exactly for the same class with the same fields, hashing
-agrees with it, the repr is the field listing, arithmetic is not tuple
-arithmetic, and IdealRep refuses bad input with its messages and normalises b."""
+"""The value types, which take equality, hashing and repr from `arith.Record`:
+equality holds exactly for the same class with the same fields, the hash is
+that of the field tuple, and the repr is the field listing.  For QuadInt,
+QuadForm, IdealRep and TeichRep, arithmetic is not tuple arithmetic, and
+IdealRep refuses bad input with its messages and normalises b.  ClassGroup
+and ResidueGroup leave their discrete-log tables out of all three, HeckeChar
+leaves out its cached value ring, and QExpansion is unhashable."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmdihedral.charmod import TeichRep
-from cmdihedral.qfield import IdealRep, QuadForm, QuadInt, ideals_of_norm
+from cmdihedral.charmod import HeckeChar, ResidueGroup, TeichRep, build_hecke_char, residue_group
+from cmdihedral.congruence import EllipticCurve
+from cmdihedral.ffield import FiniteField
+from cmdihedral.qfield import (ClassGroup, IdealRep, QuadForm, QuadInt, class_group,
+                               ideals_of_norm, primes_above, unit_ideal)
+from cmdihedral.qseries import QExpansion
+from cmdihedral.serrepred import DihedralDatum, DirichletChar, ramification_case
 
 DISCS = [-3, -4, -7, -8, -23, -71]
 ints = st.integers(-50, 50)
@@ -110,3 +118,127 @@ def test_idealrep_normalises_b_into_half_open_window(a, k):
 def test_idealrep_refuses_bad_input(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         IdealRep(*args)
+
+
+# The other value types, each built from fields mixed across real instances
+# (or, for the two whose constructors check their input, from valid ones), so
+# that two draws share some fields and differ in others.
+
+RECORD_FIELDS = {
+    ClassGroup: ("D", "reps", "gens", "orders"),
+    ResidueGroup: ("D", "modulus", "gens", "orders"),
+    HeckeChar: ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
+                "class_betas", "class_part", "class_zetas"),
+    EllipticCurve: ("a1", "a2", "a3", "a4", "a6"),
+    DihedralDatum: ("ell", "D", "k", "cond_away", "case"),
+    QExpansion: ("ring", "coeffs", "weight", "level", "character"),
+}
+P23, P71 = IdealRep(-23, 23, 23), IdealRep(-71, 71, 71)
+REAL = {
+    ClassGroup: [class_group(D) for D in DISCS],
+    ResidueGroup: [residue_group(D, f) for D, f in [
+        (-23, unit_ideal(-23)), (-23, P23), (-71, P71), (-7, IdealRep(-7, 2, 1)),
+        (-4, IdealRep(-4, 5, 4)), (-3, IdealRep(-3, 1, 1, 2))]],
+    HeckeChar: [build_hecke_char(-23, 12, P23, [11]), build_hecke_char(-23, 12, P23, [1]),
+                build_hecke_char(-23, 12, P23, [3]), build_hecke_char(-71, 2, P71, [35])],
+    QExpansion: [QExpansion("int", [0, 1, -24, 252], 12, 1),
+                 QExpansion("int", [0, 1, -24], 12, 1),
+                 QExpansion(FiniteField(7, 1), [0, 1, 3], 2, 71),
+                 QExpansion("int", [0, 1, -24, 252], 2, 71, DirichletChar.trivial(3))],
+}
+
+
+def _dlogs():
+    return st.sampled_from([{}, {"x": (1,)}, {QuadForm(1, 1, 6): (0,)}])
+
+
+def _mixed(cls):
+    pools = [st.sampled_from([getattr(x, name) for x in REAL[cls]])
+             for name in RECORD_FIELDS[cls]]
+    if cls in (ClassGroup, ResidueGroup):
+        return st.tuples(*pools, _dlogs()).map(lambda args: cls(*args))
+    return st.tuples(*pools).map(lambda args: cls(*args))
+
+
+def _curve(coeffs):
+    try:
+        return EllipticCurve(*coeffs)
+    except ValueError:
+        return None
+
+
+def _datums():
+    out = []
+    for ell in (5, 7, 11, 23):
+        for D in DISCS:
+            for k in range(2, ell):
+                for away in (unit_ideal(D), *ideals_of_norm(D, 2), *ideals_of_norm(D, 3)):
+                    try:
+                        case = ramification_case(ell, primes_above(D, ell).kind, k)
+                        out.append(DihedralDatum(ell, D, k, away, case))
+                    except ValueError:
+                        pass
+    return out
+
+
+records = st.one_of(
+    *[_mixed(cls) for cls in REAL],
+    st.tuples(*[st.integers(-2, 2)] * 5).map(_curve).filter(lambda E: E is not None),
+    st.sampled_from(_datums()),
+)
+
+
+def record_fields(x) -> tuple:
+    return tuple(getattr(x, name) for name in RECORD_FIELDS[type(x)])
+
+
+def rebuilt(x):
+    extra = (dict(x._dlog),) if type(x) in (ClassGroup, ResidueGroup) else ()
+    return type(x)(*record_fields(x), *extra)
+
+
+@settings(max_examples=400, deadline=None)
+@given(records, records)
+def test_records_equal_exactly_for_same_class_and_fields(x, y):
+    same = type(x) is type(y) and record_fields(x) == record_fields(y)
+    assert (x == y) is same
+    assert (x != y) is not same
+    assert x != record_fields(x) and record_fields(x) != x
+    copy = rebuilt(x)
+    assert copy is not x and copy == x
+    if type(x) is QExpansion:
+        return
+    assert hash(x) == hash(record_fields(x)) == hash(copy)
+    if same:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records)
+def test_record_repr_lists_the_fields(x):
+    cls = type(x)
+    args = ", ".join(f"{name}={getattr(x, name)!r}" for name in RECORD_FIELDS[cls])
+    assert repr(x) == f"{cls.__name__}({args})"
+
+
+@pytest.mark.parametrize("cls", [ClassGroup, ResidueGroup])
+def test_dlog_takes_no_part_in_equality_hash_or_repr(cls):
+    for x in REAL[cls]:
+        other = cls(*record_fields(x), {"not": "a dlog"})
+        assert other == x and hash(other) == hash(x) and repr(other) == repr(x)
+        assert "_dlog" not in repr(x)
+        twin = {ClassGroup: ResidueGroup, ResidueGroup: ClassGroup}[cls]
+        assert twin(*record_fields(x), x._dlog) != x
+
+
+def test_hecke_char_ring_takes_no_part():
+    for chi in REAL[HeckeChar]:
+        copy = rebuilt(chi)
+        chi.ring
+        assert copy == chi and hash(copy) == hash(chi) and repr(copy) == repr(chi)
+
+
+def test_qexpansion_is_unhashable():
+    for f in REAL[QExpansion]:
+        with pytest.raises(TypeError):
+            hash(f)
