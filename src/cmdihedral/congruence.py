@@ -450,7 +450,10 @@ class RunResult(NamedTuple):
     reduction: ReductionMap | None
 
 
-def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
+def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int]:
+    """(datum, conductor, comparison bound), checked in one order for every
+    command: datum, bound cap, perturbation index.  Every series is expanded
+    to the bound, so it is capped before any target or candidate is built."""
     check_fundamental(s.disc)
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
@@ -471,11 +474,19 @@ def _scenario_datum(s: Scenario) -> tuple[DihedralDatum, IdealRep]:
     # strip the prime above ell (residue degree 1 in the ramified cases)
     away = ideal_divide_prime(cond, sp.primes[0]) if at_ell else cond
     datum = DihedralDatum(s.ell, s.disc, s.weight, away, case)
-    return datum, cond
+    bound = s.bound
+    if bound is None:
+        bound = sturm_bound(s.weight, cond.norm() * abs(s.disc), s.bound_mode)
+    if bound > PREC_CAP:
+        raise ValueError(f"comparison bound {bound} exceeds the cap of {PREC_CAP}")
+    if s.perturb is not None and not 1 <= s.perturb <= bound:
+        raise ValueError("perturbation index out of range")
+    return datum, cond, bound
 
 
 def _target_expansion(s: Scenario, bound: int):
-    """(expansion over F_ell to the comparison bound, comparison indices or None)."""
+    """(expansion over F_ell to the comparison bound, comparison indices or None);
+    a curve target with no good prime p <= bound other than ell is refused."""
     F = finite_field(s.ell, 1)
     if s.target == "tau":
         tgt = reduce_int_expansion(
@@ -485,38 +496,19 @@ def _target_expansion(s: Scenario, bound: int):
     else:
         E = s.target
         disc_E = E.discriminant()
+        idx = [p for p in primes_upto(bound) if p != s.ell and disc_E % p]
+        if not idx:
+            raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
         coeffs = [0] * (bound + 1)
-        idx = []
-        for p in primes_upto(bound):
-            if p == s.ell or disc_E % p == 0:
-                continue
+        for p in idx:
             coeffs[p] = F.scalar(curve_ap(E, p))
-            idx.append(p)
         tgt = QExpansion(F, coeffs, s.weight, None)
-    if s.perturb is not None:
-        n = s.perturb
-        if not (1 <= n <= bound):
-            raise ValueError("perturbation index out of range")
-        coeffs = list(tgt.coeffs)
-        coeffs[n] = F.add(coeffs[n], 1)
-        tgt = QExpansion(F, coeffs, tgt.weight, tgt.level, tgt.character)
-        if idx is not None and n not in idx:
-            idx.append(n)
-            idx.sort()
+    n = s.perturb
+    if n is not None:
+        tgt.coeffs[n] = F.add(tgt.coeffs[n], 1)
+        if idx is not None:
+            idx = sorted({*idx, n})
     return tgt, idx
-
-
-def _scenario_bound(s: Scenario, cond: IdealRep) -> int:
-    """The comparison bound, sized by the conductor cond of `_scenario_datum`;
-    every series is expanded to it, so it is capped before any target or
-    candidate is built."""
-    if s.bound is not None:
-        bound = s.bound
-    else:
-        bound = sturm_bound(s.weight, cond.norm() * abs(s.disc), s.bound_mode)
-    if bound > PREC_CAP:
-        raise ValueError(f"comparison bound {bound} exceeds the cap of {PREC_CAP}")
-    return bound
 
 
 def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
@@ -532,18 +524,14 @@ def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
         yield m, rep._replace(reduction_map=m.describe())
 
 
-def search_matching_char(s: Scenario):
-    """Enumerate finite parts and reduction maps; return every matching
-    (character, reduction map, report) triple plus skip diagnostics."""
-    datum, cond = _scenario_datum(s)
+def _search_matches(s: Scenario, cond: IdealRep, bound: int, diagnostics: list):
+    """Lazily yield each matching (character, reduction map, report) in candidate
+    order, and append to diagnostics why each other candidate was skipped."""
     # one candidate per element of the character group of (O_K/cond)^*
     if residue_group_order(cond) > RESIDUE_GROUP_CAP:
         raise ValueError("finite-part candidate space exceeds the search cap")
-    bound = _scenario_bound(s, cond)
     target, indices = _target_expansion(s, bound)
     rg = residue_group(s.disc, cond)
-    matches = []
-    diagnostics = []
     quick = min(QUICK_PRUNE_BOUND, bound)
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
@@ -572,28 +560,31 @@ def search_matching_char(s: Scenario):
             continue
         for m, rep in _map_reports(chi, surviving, target, bound, indices):
             if rep.verdict:
-                matches.append((chi, m, rep))
+                yield chi, m, rep
             else:
                 diagnostics.append(
                     {**label, "map": rep.reduction_map, "failed_at": rep.mismatches[0][0]}
                 )
-    return matches, diagnostics
+
+
+def search_matching_char(s: Scenario):
+    """Every matching (character, reduction map, report) triple of the search,
+    in candidate order, plus the skip diagnostics of the other candidates."""
+    _, cond, bound = _scenario_setup(s)
+    diagnostics = []
+    return list(_search_matches(s, cond, bound, diagnostics)), diagnostics
 
 
 def run_scenario(s: Scenario) -> RunResult:
     """Serre prediction plus the verification report for the scenario.
 
-    A search keeps its first match.  An explicit character is compared under
-    every reduction map up to the first match, else reports the first map."""
-    datum, cond = _scenario_datum(s)
-    bound = _scenario_bound(s, cond)
+    A search stops at its first match, the first entry of `search_matching_char`,
+    else reports an empty false comparison.  An explicit character is compared
+    under every reduction map up to the first match, else reports the first map."""
+    datum, cond, bound = _scenario_setup(s)
     if s.char == "search":
-        matches, _ = search_matching_char(s)
-        if matches:
-            chi, rmap, report = matches[0]
-        else:
-            chi, rmap = None, None
-            report = CongruenceReport(s.ell, None, bound, 0, (), False)
+        empty = CongruenceReport(s.ell, None, bound, 0, (), False)
+        chi, rmap, report = next(_search_matches(s, cond, bound, []), (None, None, empty))
     else:
         chi = build_hecke_char(
             s.disc,

@@ -228,35 +228,80 @@ def test_refusal_exits_2_with_its_message(name, tmp_path, capsys):
 
 
 # comparison bounds above the cap of 10^5: explicit ones on either side of
-# 100002, the last bound below the first prime above 10^5, and the Sturm bound
-# 109296 of a tau target at level 23^2 * 197
+# 100002, the last bound below the first prime above 10^5, the Sturm bound
+# 109296 of a tau target at level 23^2 * 197, and the Sturm bound 480120 of a
+# search whose (O_K/f)^* is also above its cap, which is checked after the bound
 OVER_BOUND_CAP = {
     "curve-explicit-100001": ({**CURVE71_EXPLICIT, "bound": 100001}, 100001),
     "curve-explicit-100003": ({**CURVE71_EXPLICIT, "bound": 100003}, 100003),
     "curve-search-100001": ({**CURVE71, "bound": 100001}, 100001),
     "curve-search-100003": ({**CURVE71, "bound": 100003}, 100003),
     "tau-sturm": ({**DELTA, "char": "search", "cond": {"n": 4531, "b": 3427}}, 109296),
+    "curve-search-sturm": ({k: v for k, v in CONDUCTOR_40009.items() if k != "bound"}, 480120),
 }
 
 
-@pytest.mark.parametrize("command", ["verify", "search"])
-@pytest.mark.parametrize("name", sorted(OVER_BOUND_CAP))
-def test_bound_over_cap_exits_2_before_any_work(name, command, tmp_path, capsys, monkeypatch):
+def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("work started above the bound cap")
+        raise AssertionError("work started before the scenario was refused")
 
-    for fn in ("congruence.curve_ap", "congruence.build_hecke_char", "charmod.prime_table"):
+    for fn in ("congruence.curve_ap", "congruence.build_hecke_char", "congruence.residue_group",
+               "charmod.prime_table"):
         monkeypatch.setattr(f"cmdihedral.{fn}", no_work)
-    scenario, bound = OVER_BOUND_CAP[name]
+
+
+def _refusal(command, scenario, tmp_path, capsys):
+    """The stderr lines of a command that must exit 2 with empty stdout."""
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
     code = cli.main([command, "--scenario", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == [
+    return captured.err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(OVER_BOUND_CAP))
+def test_bound_over_cap_exits_2_before_any_work(name, command, tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    scenario, bound = OVER_BOUND_CAP[name]
+    assert _refusal(command, scenario, tmp_path, capsys) == [
         f"error: comparison bound {bound} exceeds the cap of 100000"
     ]
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("char", ["search", "explicit"])
+@pytest.mark.parametrize("perturb", [0, 100001])
+def test_perturbation_out_of_range_exits_2_before_any_work(perturb, char, command, tmp_path,
+                                                           capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    scenario = {**(CURVE71 if char == "search" else CURVE71_EXPLICIT),
+                "bound": 100000, "perturb": perturb}
+    assert _refusal(command, scenario, tmp_path, capsys) == [
+        "error: perturbation index out of range"
+    ]
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_curve_bound_without_good_prime_exits_2(command, tmp_path, capsys, monkeypatch):
+    # below 2 there is no prime to compare, so no verdict can be given
+    _forbid_work(monkeypatch)
+    assert _refusal(command, {**CURVE71, "bound": 1}, tmp_path, capsys) == [
+        "error: comparison bound 1 leaves no good prime to compare"
+    ]
+
+
+def test_curve_bound_2_compares_p_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**CURVE71, "bound": 2}))
+    assert cli.main(["verify", "--scenario", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["count"], report["verdict"]) == (1, True)
+    assert cli.main(["search", "--scenario", str(path)]) == 0
+    matches = json.loads(capsys.readouterr().out)
+    assert matches and all(m["report"]["count"] == 1 for m in matches)
 
 
 # a split prime of norm 100000000000133 ~ 10^14 in Q(sqrt(-71)): trial division

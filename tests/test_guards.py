@@ -1,8 +1,9 @@
 """Guards against silent drift: pinned stdout bytes of the verification
 commands, the production route through the cached prime tables, the
 function names the per-layer tracer of `perfbench/` wraps, the modules
-a cold import of the command line loads, and the one place the value types
-take equality, hashing and repr from."""
+a cold import of the command line loads, the one place the value types
+take equality, hashing and repr from, and the single set-up and candidate
+pass of each verification command."""
 
 import ast
 import glob
@@ -344,3 +345,38 @@ def test_value_dunders_are_written_once():
                         and node.name not in OWN_DUNDERS.get(cls.name, ())):
                     found.append(f"{os.path.basename(path)}: {cls.name}.{node.name}")
     assert found == []
+
+
+# name -> (candidates that `verify` builds up to its first match, that `search`
+# builds): the first match is finite part 11 of 22 on delta23, 35 of 70 on
+# curve65533
+CANDIDATES_BUILT = {"delta23": (12, 22), "curve65533": (36, 70)}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(CANDIDATES_BUILT))
+def test_each_command_sets_up_once_and_verify_stops_at_its_match(name, command, tmp_path,
+                                                                 capsys, monkeypatch):
+    calls = {"_scenario_setup": 0, "build_hecke_char": 0}
+
+    def counting(fn, inner):
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            return inner(*args, **kwargs)
+
+        return counted
+
+    for fn in calls:
+        monkeypatch.setattr(congruence, fn, counting(fn, getattr(congruence, fn)))
+    _run_pinned(f"{command}-{name}", tmp_path, capsys)
+    built = CANDIDATES_BUILT[name][command == "search"]
+    assert calls == {"_scenario_setup": 1, "build_hecke_char": built}
+
+
+@pytest.mark.parametrize("name", ["delta23", "curve65533", "{paper}"])
+def test_verify_reports_the_first_search_match(name):
+    s = (congruence.Scenario.from_json(SCENARIOS[name]) if name in SCENARIOS
+         else congruence.builtin_scenario(name))
+    result = congruence.run_scenario(s)
+    matches, _ = congruence.search_matching_char(s)
+    assert (result.character, result.reduction, result.report) == matches[0]
