@@ -12,9 +12,12 @@ cached per conductor, class extension and bound, holds for each prime P off
 the conductor the exponents f_j that make P * prod b_j^{f_j} = (beta_P)
 principal, beta_P, and dlog_f(beta_P).  `table_exponents(chi, bound)` reads
 the table of chi's own conductor, class extension and bound and adds only the
-zeta_w exponent s_P of eps_f(beta_P).  A row costs one ideal multiplication
-per nonzero f_j, by a power b_j^{f_j} cached per class extension
-(`_class_power`), and one lattice reduction for beta_P.  A reduction map m
+zeta_w exponent s_P of eps_f(beta_P).  A row costs one form reduction that
+carries the basis of P (`reduce_ideal`), writing P = (alpha / a) * A_C for the
+reduced ideal A_C = (a, b) of its class C, and beta_P = alpha * gamma_C / a;
+the generator gamma_C of A_C * prod b_j^f_j takes one ideal multiplication by
+a power cached per class extension (`_class_power`) and one lattice reduction,
+once per class of the table.  A reduction map m
 holds the int codes of m(w_D), m(zeta_w) and m(t_j) in its field, and reads
 log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
 off the field's log tables (`table_images`).  Every image in a finite field
@@ -34,7 +37,6 @@ F_{ell^r} term by term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
@@ -55,6 +57,7 @@ from .ffield import FiniteField, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
+    canonical_associate,
     class_group,
     disc_eps,
     factor_ideal,
@@ -68,6 +71,7 @@ from .qfield import (
     primes_above,
     principal_generator,
     quadint_in_ideal,
+    reduce_ideal,
     units,
 )
 
@@ -352,6 +356,8 @@ class ValueRing:
         return self.from_fraction(1)
 
     def from_fraction(self, c) -> "VrElem":
+        from fractions import Fraction  # oracle only: kept out of a cold start
+
         c = Fraction(c)
         if c.denominator == 1:
             c = c.numerator
@@ -560,7 +566,7 @@ def _class_extension(D: int, avoid: frozenset[int]) -> tuple[tuple, tuple]:
 @lru_cache(maxsize=None)
 def _class_power(b: IdealRep, f: int) -> IdealRep:
     """b^f for a class-extension ideal b and 0 < f < h_j: at most h_j - 1
-    powers per generator, shared by every prime of every table."""
+    powers per generator, shared by every class of every table."""
     return ideal_pow(b, f)
 
 
@@ -655,6 +661,8 @@ def evaluate(chi: HeckeChar, a: IdealRep) -> VrElem:
         raise ValueError("mismatched discriminants")
     if not ideals_coprime(a, chi.cond):
         raise ValueError("ideal is not coprime to the conductor")
+    from fractions import Fraction  # oracle only: kept out of a cold start
+
     fs, beta = _principal_part(a, chi.class_ideals)
     R, km1 = chi.ring, chi.k - 1
     out = chi.finite_value(beta) * R.from_quadint(beta) ** km1
@@ -688,11 +696,23 @@ def prime_table(D: int, cond: IdealRep, class_ideals: tuple[IdealRep, ...],
     conductor, class extension and bound, so the characters of one search
     share each table."""
     rg = residue_group(D, cond)
+    classes = {}  # reduced (a, b) of a class C -> (f, gamma_C)
     rows = []
     for p in primes_upto(bound):
         for P in primes_above(D, p).primes:
             if P.norm() <= bound and ideals_coprime(P, cond):
-                fs, beta = _principal_part(P, class_ideals)
+                # P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of
+                # its class, so beta_P = alpha * gamma_C / a for a generator
+                # gamma_C of A_C * prod b_j^f_j
+                form, alpha = reduce_ideal(P)
+                a, key = form.a, (form.a, form.b)
+                if key not in classes:
+                    classes[key] = _principal_part(IdealRep(D, *key), class_ideals)
+                fs, gamma = classes[key]
+                num = alpha * gamma
+                if num.a % a or num.b % a:
+                    raise AssertionError("class reduction gave no element of O_K")
+                beta = canonical_associate(QuadInt(D, num.a // a, num.b // a))
                 rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
     return tuple(rows)
 

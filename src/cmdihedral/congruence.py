@@ -499,7 +499,8 @@ def _target_expansion(s: Scenario, bound: int):
         idx = [p for p in primes_upto(bound) if p != s.ell and disc_E % p]
         if not idx:
             raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
-        coeffs = [0] * (bound + 1)
+        # c_1 = 1 is a_1 of a newform; index 1 is compared only when perturbed
+        coeffs = [0, F.one()] + [0] * (bound - 1)
         for p in idx:
             coeffs[p] = F.scalar(curve_ap(E, p))
         tgt = QExpansion(F, coeffs, s.weight, None)

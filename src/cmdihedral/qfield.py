@@ -4,8 +4,10 @@ Integers are written a + b*w where w = (eps + sqrt(D))/2 and eps = D mod 2,
 so w has trace eps and norm (eps - D)/4.  Integral ideals are kept in
 two-generator Hermite form content * (Z*n + Z*(b + sqrt(D))/2) with
 b^2 = D (mod 4n); classes are computed by passing to binary quadratic forms
-and reducing.  A principal ideal's generator comes from Lagrange-Gauss
-reduction of its lattice under the norm form, made canonical over the units.
+and reducing; the reduction can carry the ideal's basis along, which writes
+the ideal as a multiple of the reduced ideal of its class.  A principal
+ideal's generator comes from Lagrange-Gauss reduction of its lattice under the
+norm form, made canonical over the units.
 |D| is capped at DISC_CAP = 10^7.
 """
 
@@ -131,19 +133,28 @@ class QuadForm(Record):
         return True
 
     def reduced(self) -> "QuadForm":
-        a, b, c = self.a, self.b, self.c
-        if a <= 0:
-            raise ValueError("form is not positive definite")
-        while True:
-            if not (-a < b <= a):
-                r = (a - b) // (2 * a)
-                b, c = b + 2 * r * a, a * r * r + b * r + c
-            if a > c:
-                a, b, c = c, -b, a
-                continue
-            if a == c and b < 0:
-                b = -b
-            return QuadForm(a, b, c)
+        a, b, c, _, _ = _reduce(self.a, self.b, self.c, 1, 0, 0, 1)
+        return QuadForm(a, b, c)
+
+
+def _reduce(a: int, b: int, c: int, ux: int, uy: int, vx: int, vy: int):
+    """Reduce the positive definite form (a, b, c) by SL_2(Z) steps, carrying
+    a basis (u, v) = (ux + uy*w, vx + vy*w) of a lattice whose norm form it is
+    (Cohen, GTM 138, 5.4.2): the translation b -> b + 2ra takes v to v + r*u,
+    and the swap (a, b, c) -> (c, -b, a) takes (u, v) to (v, -u), also for the
+    last step (a, b, a) -> (a, -b, a) when b < 0.  Returns (a, b, c, ux, uy)."""
+    if a <= 0:
+        raise ValueError("form is not positive definite")
+    while True:
+        if not (-a < b <= a):
+            r = (a - b) // (2 * a)
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+            vx, vy = vx + r * ux, vy + r * uy
+        if a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            ux, uy, vx, vy = vx, vy, -ux, -uy
+            continue
+        return a, b, c, ux, uy
 
 
 @lru_cache(maxsize=None)
@@ -481,15 +492,41 @@ def ideal_class(a: IdealRep, cg: ClassGroup | None = None) -> int:
     return cg.index_of(a.as_form())
 
 
+def reduce_ideal(a: IdealRep) -> tuple[QuadForm, QuadInt]:
+    """(F, alpha) for the reduced form F = (A, B, C) of a's class: alpha is
+    the first vector of the basis of a that reduces a's norm form to F, so
+    that a = (alpha / A) * (Z*A + Z*(B + sqrt(D))/2)."""
+    f, (u, v) = a.as_form(), a.basis()
+    A, B, C, x, y = _reduce(f.a, f.b, f.c, u.a, u.b, v.a, v.b)
+    return QuadForm(A, B, C), QuadInt(a.D, x, y)
+
+
+def canonical_associate(alpha: QuadInt) -> QuadInt:
+    """Of the unit multiples of alpha (2 of them, 4 for D = -4, 6 for D = -3),
+    the least x + y*w by (|y|, y < 0, x)."""
+    D, x, y = alpha.D, alpha.a, alpha.b
+    mults = [(x, y)]
+    if D in (-3, -4):
+        # the products with the powers of w, a root of unity of order 6 or 4
+        eps, q0 = disc_eps(D), omega_norm(D)
+        for _ in range(5 if D == -3 else 3):
+            x, y = mults[-1]
+            mults.append((-q0 * y, x + eps * y))
+    else:
+        mults.append((-x, -y))
+    x, y = min(mults, key=lambda m: (abs(m[1]), m[1] < 0, m[0]))
+    return QuadInt(D, x, y)
+
+
 def principal_generator(a: IdealRep) -> QuadInt | None:
     """A generator when a is principal, else None.
 
     Every nonzero element of a has norm a multiple of N(a), with equality
     exactly for the generators, so a is principal iff a shortest vector of its
     lattice under the norm form has norm N(a).  Lagrange-Gauss reduction
-    (Cohen, GTM 138, 1.3.4) on the pairs (x, y) = x + y*w finds one.  Of its
-    unit multiples the least by (|y|, y < 0, x) is returned, so the generator
-    does not depend on the path the reduction took."""
+    (Cohen, GTM 138, 1.3.4) on the pairs (x, y) = x + y*w finds one, and its
+    `canonical_associate` is returned, so the generator does not depend on
+    the path the reduction took."""
     D, N = a.D, a.norm()
     eps, q0 = disc_eps(D), omega_norm(D)
 
@@ -513,14 +550,4 @@ def principal_generator(a: IdealRep) -> QuadInt | None:
         ux, uy, nu, vx, vy, nv = vx, vy, nv, ux, uy, nu
     if nu != N:
         return None
-    # the unit multiples of u: -u, or for D = -3, -4 the products with the
-    # powers of w, a root of unity of order 6 or 4 there
-    mults = [(ux, uy)]
-    if D in (-3, -4):
-        for _ in range(5 if D == -3 else 3):
-            x, y = mults[-1]
-            mults.append((-q0 * y, x + eps * y))
-    else:
-        mults.append((-ux, -uy))
-    x, y = min(mults, key=lambda m: (abs(m[1]), m[1] < 0, m[0]))
-    return QuadInt(D, x, y)
+    return canonical_associate(QuadInt(D, ux, uy))

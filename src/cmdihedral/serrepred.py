@@ -206,7 +206,7 @@ def _unit_group(modulus: int):
 
 def nebentypus(chi: HeckeChar) -> tuple[DirichletChar, DirichletChar]:
     """(eps, eta): eta(m) = delta_H(m O_K)/m^(k-1) as a character mod
-    Norm(cond), and eps = (D|.) * eta mod Norm(cond)*|D|."""
+    Norm(cond), and eps = (D|.) * eta mod lcm(Norm(cond), |D|)."""
     M = chi.cond.norm()
     w = chi.w
     exps = []
@@ -216,7 +216,7 @@ def nebentypus(chi: HeckeChar) -> tuple[DirichletChar, DirichletChar]:
         else:
             exps.append(chi.finite_exponent(QuadInt(chi.D, m, 0)))
     eta = DirichletChar(M, max(w, 1), exps)
-    eps = DirichletChar.kronecker_char(chi.D, M * abs(chi.D)) * eta
+    eps = DirichletChar.kronecker_char(chi.D, lcm(M, abs(chi.D))) * eta
     return eps, eta
 
 

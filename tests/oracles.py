@@ -2,8 +2,17 @@
 
 from math import gcd, isqrt, lcm
 
-from cmdihedral.charmod import ResidueGroup, ValueRing
-from cmdihedral.qfield import IdealRep, QuadInt, disc_eps, quadint_in_ideal, units
+from cmdihedral.arith import primes_upto
+from cmdihedral.charmod import PrimeRow, ResidueGroup, ValueRing, _principal_part, residue_group
+from cmdihedral.qfield import (
+    IdealRep,
+    QuadInt,
+    disc_eps,
+    ideals_coprime,
+    primes_above,
+    quadint_in_ideal,
+    units,
+)
 
 
 def principal_generator_by_search(a: IdealRep) -> QuadInt | None:
@@ -42,3 +51,16 @@ def unit_inconsistency_in_ring(D: int, k: int, rg: ResidueGroup, fp) -> QuadInt 
         if R.zeta_pow(e) * R.from_quadint(u) ** (k - 1) != R.one():
             return u
     return None
+
+
+def prime_table_per_prime(D: int, cond: IdealRep, class_ideals, bound: int) -> tuple:
+    """The rows of `charmod.prime_table`, each from its own ideal product
+    P * prod b_j^f_j and a lattice reduction for its generator."""
+    rg = residue_group(D, cond)
+    rows = []
+    for p in primes_upto(bound):
+        for P in primes_above(D, p).primes:
+            if P.norm() <= bound and ideals_coprime(P, cond):
+                fs, beta = _principal_part(P, class_ideals)
+                rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
+    return tuple(rows)

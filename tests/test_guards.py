@@ -50,6 +50,9 @@ PINNED = {
      "0638b33459b63e1af3370052958a2d480dbd85754b037d3dc09a92d96320657e"),
     "verify-curve65533-perturb2": (["verify", "--builtin", "curve65533", "--perturb", "2"], 1,
      "a6fdbd8b1850cc954188ff9b382f1be6d9d12b363afa8005845794c1dc000c42"),
+    # a curve target has c_1 = 1, so the perturbed c_1 = 2 matches no theta series
+    "verify-curve65533-perturb1": (["verify", "--builtin", "curve65533", "--perturb", "1"], 1,
+     "a6fdbd8b1850cc954188ff9b382f1be6d9d12b363afa8005845794c1dc000c42"),
     "search-delta23": (["search", "--builtin", "delta23"], 0,
      "cfaac58fcd51d8d6a42b0ddb74efebb3161e595f6d658a9628928a9dad5e94ae"),
     "search-curve65533": (["search", "--builtin", "curve65533"], 0,
@@ -171,9 +174,10 @@ def test_production_builds_no_value_ring(name, tmp_path, capsys, monkeypatch):
     _run_pinned(name, tmp_path, capsys)
 
 
-def test_prime_table_costs_one_multiply_and_one_generator_per_row(monkeypatch):
-    # the curve71_deep table: a row multiplies P by one cached class power
-    # b^f (0 < f < h = 7) and reduces one lattice for its generator
+def test_prime_table_costs_one_multiply_and_one_generator_per_class(monkeypatch):
+    # the curve71_deep table: each of the h = 7 classes multiplies its reduced
+    # ideal by one cached class power b^f (0 < f < 7) and reduces one lattice
+    # for its generator; a row only reduces the form of P
     with open(DEEP) as fh:
         deep = json.load(fh)
     D, cond = deep["disc"], IdealRep(deep["disc"], 71, 71)
@@ -193,9 +197,10 @@ def test_prime_table_costs_one_multiply_and_one_generator_per_row(monkeypatch):
     charmod._class_power.cache_clear()
     rows = charmod.prime_table.__wrapped__(D, cond, chi.class_ideals, deep["bound"])
     assert len(rows) == 433
-    assert calls["ideal_pow"] <= sum(class_group(D).orders) == 7
-    assert calls["ideal_multiply"] <= len(rows)
-    assert calls["principal_generator"] == len(rows)
+    h = class_group(D).h
+    assert calls["ideal_pow"] <= sum(class_group(D).orders) == h == 7
+    assert calls["ideal_multiply"] <= h
+    assert calls["principal_generator"] <= h
 
 
 # name -> scenario of a search in which every candidate fails at q^2
@@ -291,9 +296,11 @@ def test_traced_names_resolve():
 
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
-# together about a quarter of a cold start. `typing` is not checked, because
-# a site `.pth` file may import it before any program code runs.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# together about a quarter of a cold start; `fractions` imports `decimal`,
+# which only the exact value ring of the oracles needs. `typing` is not
+# checked, because a site `.pth` file may import it before any program code
+# runs.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
 
 
 def test_cold_import_loads_no_heavy_module():

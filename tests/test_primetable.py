@@ -1,20 +1,26 @@
 """The prime tables and the log-space route against the exact value ring: on
 every row and under every reduction map, the value read off the field's log
-tables equals the reduction of chi(P) computed by `evaluate`."""
+tables equals the reduction of chi(P) computed by `evaluate`; and every row
+of a table equals the row of the per-prime route in `tests/oracles.py`."""
 
 from functools import lru_cache
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cmdihedral.arith import factorint
 from cmdihedral.charmod import (
+    _class_extension,
     build_hecke_char,
     build_reductions,
     prime_table,
     table_exponents,
     table_images,
 )
-from cmdihedral.qfield import IdealRep
+from cmdihedral.qfield import IdealRep, ideals_of_norm
 from cmdihedral.qseries import prime_values
+from oracles import prime_table_per_prime
 
 P71 = IdealRep(-71, 71, 71)
 
@@ -93,3 +99,46 @@ def test_candidates_share_one_class_extension():
     for chi in rest:
         assert chi.class_ideals is first.class_ideals
         assert chi.class_betas is first.class_betas
+
+
+@pytest.mark.parametrize("D,k,cond,fp,ell,bound,class_part", cases())
+def test_rows_equal_the_per_prime_route(D, k, cond, fp, ell, bound, class_part):
+    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
+    rows = prime_table.__wrapped__(D, cond, chi.class_ideals, bound)
+    assert rows == prime_table_per_prime(D, cond, chi.class_ideals, bound)
+
+
+# D = -3 and -4 have 6 and 4 units; D = -84 has the reduced form (5, 4, 5),
+# which a reduction reaches through the last step (5, -4, 5) -> (5, 4, 5)
+TABLE_DISCS = (-3, -4, -20, -23, -71, -84)
+
+
+@st.composite
+def table_keys(draw):
+    """(D, conductor, class extension, bound): a conductor of norm <= 50 and
+    the class extension by ideals of norm prime to it."""
+    D = draw(st.sampled_from(TABLE_DISCS))
+    n = draw(st.sampled_from([n for n in range(1, 51) if ideals_of_norm(D, n)]))
+    cond = draw(st.sampled_from(ideals_of_norm(D, n)))
+    class_ideals, _ = _class_extension(D, frozenset(factorint(n)))
+    return D, cond, class_ideals, draw(st.integers(min_value=1, max_value=2000))
+
+
+def _check_table(D, cond, class_ideals, bound):
+    rows = prime_table.__wrapped__(D, cond, class_ideals, bound)
+    assert rows == prime_table_per_prime(D, cond, class_ideals, bound)
+    for row in rows:
+        bnorms = (b.norm() ** f for b, f in zip(class_ideals, row.fs))
+        assert row.beta.norm() == row.norm * prod(bnorms)
+
+
+@pytest.mark.parametrize("D", TABLE_DISCS)
+def test_rows_equal_the_per_prime_route_at_each_disc(D):
+    class_ideals, _ = _class_extension(D, frozenset())
+    _check_table(D, ideals_of_norm(D, 1)[0], class_ideals, 2000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_keys())
+def test_rows_equal_the_per_prime_route_on_random_tables(key):
+    _check_table(*key)

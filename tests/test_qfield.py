@@ -25,6 +25,7 @@ from cmdihedral.qfield import (
     primes_above,
     principal_generator,
     principal_ideal,
+    reduce_ideal,
     reduced_forms,
     unit_ideal,
     units,
@@ -305,6 +306,19 @@ def _ideals_upto(D, bound):
 def test_principal_generator_equals_the_norm_form_search(a, c):
     b = IdealRep(a.D, a.n, a.b, a.content * c)
     assert principal_generator(b) == principal_generator_by_search(b)
+
+
+@pytest.mark.parametrize("D", PG_DISCS)
+def test_reduce_ideal_writes_the_ideal_over_its_reduced_class_ideal(D):
+    # a = (alpha / A) * (A, B) for the reduced form (A, B, C) of a's class,
+    # that is A * a = alpha * (A, B) as ideals, also with a content
+    for a in _ideals_upto(D, 300):
+        for c in (1, 2):
+            b = IdealRep(D, a.n, a.b, a.content * c)
+            form, alpha = reduce_ideal(b)
+            assert form == b.as_form().reduced() and form in reduced_forms(D)
+            lhs = ideal_multiply(principal_ideal(QuadInt(D, form.a, 0)), b)
+            assert lhs == ideal_multiply(principal_ideal(alpha), IdealRep(D, form.a, form.b))
 
 
 def test_units():

@@ -1,6 +1,6 @@
 """Ramification cases, level formulas, nebentypus, M', twisting."""
 
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +21,7 @@ from cmdihedral.serrepred import (
     twist_char,
     twisted_level,
 )
+from test_primetable import cases as primetable_cases
 
 P23 = IdealRep(-23, 23, 23)
 P71 = IdealRep(-71, 71, 71)
@@ -117,7 +118,7 @@ def test_nebentypus_delta_example(delta_char):
     eps, eta = nebentypus(delta_char)
     assert eta == DirichletChar.kronecker_char(-23, 23)
     assert eta.conductor() == 23
-    assert eps.modulus == 529
+    assert eps.modulus == 23
     assert eps.is_trivial()
     assert eps.conductor() == 1
     mu = twist_char(eps, 23)
@@ -130,6 +131,25 @@ def test_nebentypus_trivial_conductor_char():
     eps, eta = nebentypus(chi)
     assert eta.is_trivial()
     assert eps == DirichletChar.kronecker_char(-4, 4)
+
+
+def nebentypus_chars():
+    """The characters of this file and of `tests/test_primetable.py`."""
+    yield pytest.param(-23, 12, P23, [11], "canonical", (23,), id="delta23")
+    yield pytest.param(-4, 5, unit_ideal(-4), [], "canonical", (), id="D-4_unit")
+    for case in primetable_cases():
+        D, k, cond, fp, ell, _, class_part = case.values
+        yield pytest.param(D, k, cond, fp, class_part, (ell,), id=f"primetable-{case.id}")
+
+
+@pytest.mark.parametrize("D,k,cond,fp,class_part,avoid", nebentypus_chars())
+def test_nebentypus_lives_on_the_lcm_of_its_factors(D, k, cond, fp, class_part, avoid):
+    # eps = (D|.) * eta on lcm(N(f), |D|) is the product on N(f) * |D| restricted
+    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=avoid)
+    eps, eta = nebentypus(chi)
+    M = cond.norm()
+    assert eps.modulus == lcm(M, abs(D))
+    assert eps.extend(M * abs(D)) == DirichletChar.kronecker_char(D, M * abs(D)) * eta
 
 
 @pytest.mark.parametrize("D", [-3, -4, -7, -8, -20, -23, -71, -84])
