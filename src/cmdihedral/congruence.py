@@ -4,15 +4,18 @@ built-in verification runs.
 
 Frobenius traces a_p = p + 1 - #E(F_p) are exact.  For p <= AP_BSGS_CROSSOVER
 they are a character sum over a table of the squares mod p, O(p) per prime.
-Above it they come from the Shanks-Mestre method (Cohen, GTM 138, ch. 7;
-Schoof, J. Theor. Nombres Bordeaux 7, 1995): the N in the Hasse interval with
-N*P = O, collected for a few points P of E and of its quadratic twist by one
-baby-step giant-step walk per point in O(p^{1/4}) group operations, leave one
-a_p.  Mestre's theorem guarantees that for p > 229, which is why the crossover
-is never below 229; measured per prime, the two routes tie just below 229 and
-the search is faster above, so the crossover sits at 229.  Every comparison
-bound is capped at PREC_CAP, the precision cap of the Delta expansion, before
-any target or candidate is built."""
+Above it they come from the Shanks-Mestre method (Cohen, GTM 138, ch. 7 and
+Section 7.4.2; Schoof, J. Theor. Nombres Bordeaux 7, 1995): the N in the Hasse
+interval with N*P = O, collected for a few points P of E and of its quadratic
+twist by one baby-step giant-step walk per point in O(p^{1/4}) group
+operations, leave one a_p.  The points need no square root: at each x, a
+scaling of the short model by v = x^3 + A x + B puts (v x, v^2) on a curve
+that is E or its twist as v is a square or not.  Mestre's theorem guarantees
+one a_p for p > 229, which is why the crossover is never below 229; measured
+per prime, the two routes tie just below 229 and the search is faster above,
+so the crossover sits at 229.  Every comparison bound is capped at PREC_CAP,
+the precision cap of the Delta expansion, before any target or candidate is
+built."""
 
 from __future__ import annotations
 
@@ -24,10 +27,8 @@ from .arith import (
     Record,
     factorint,
     is_prime,
-    least_nonresidue,
     power,
     primes_upto,
-    sqrt_mod_prime,
 )
 from .charmod import (
     RESIDUE_GROUP_CAP,
@@ -78,9 +79,12 @@ AP_BSGS_CROSSOVER = 229
 
 
 class EllipticCurve(Record):
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, refused when singular."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, refused when singular.
+    The invariants c4, c6 and the discriminant are computed once, here; they
+    take no part in equality, hashing or repr."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "c4", "c6", "_disc")
+    _FIELDS = ("a1", "a2", "a3", "a4", "a6")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         self.a1 = a1
@@ -88,7 +92,11 @@ class EllipticCurve(Record):
         self.a3 = a3
         self.a4 = a4
         self.a6 = a6
-        if self.discriminant() == 0:
+        b2, b4, b6, b8 = self.b_invariants()
+        self.c4 = b2 * b2 - 24 * b4
+        self.c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+        self._disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if self._disc == 0:
             raise ValueError("singular Weierstrass equation")
 
     def b_invariants(self):
@@ -100,8 +108,7 @@ class EllipticCurve(Record):
         return b2, b4, b6, b8
 
     def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
 
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
@@ -109,12 +116,12 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
 
     At and below AP_BSGS_CROSSOVER this is a quadratic character sum over x,
     read from a table of the squares mod p, in O(p).  Above it, the
-    Shanks-Mestre search on the short model and its quadratic twist collects
-    the multiples in the Hasse interval of a few points, by one baby-step
-    giant-step walk of O(p^{1/4}) group operations per point.  The crossover
-    is never below 229: Mestre's theorem, which makes the search exact, holds
-    for p > 229.  At 2 and 3, where the short model does not exist, the table
-    of squares always runs."""
+    Shanks-Mestre search collects the multiples in the Hasse interval of a few
+    points of the short model and of its quadratic twist, one point per x with
+    no square root taken, by one baby-step giant-step walk of O(p^{1/4}) group
+    operations per point.  The crossover is never below 229: Mestre's theorem,
+    which makes the search exact, holds for p > 229.  At 2 and 3, where the
+    short model does not exist, the table of squares always runs."""
     if not is_prime(p):
         raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
@@ -138,50 +145,42 @@ def _ap_by_squares(E: EllipticCurve, p: int) -> int:
 
 
 def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
-    """Each point P of E keeps the candidates a = p + 1 - N, each point of the
-    twist E' by the least non-residue d the candidates a = N - (p + 1), for the
-    N in the Hasse interval with N*P = O.  Points are taken by increasing x,
-    alternating between E and E', until one candidate is left.  For p > 229,
-    Mestre's theorem makes that happen before both curves run out of points."""
-    a4, a6 = _short_model(E, p)
-    d = least_nonresidue(p)
-    curves = [(1, a4, _points(a4, a6, p)),
-              (-1, a4 * d * d % p, _points(a4 * d * d, a6 * d**3, p))]
+    """For x = 0, 1, 2, ... with v = x^3 + A x + B != 0 on the short model
+    (A, B), the point (v x, v^2) lies on y^2 = x^3 + A v^2 x + B v^3, which is
+    E when (v/p) = 1 and its quadratic twist when (v/p) = -1, so it has
+    p + 1 - (v/p) a_p points.  Each such point keeps the candidates
+    a = (v/p)(p + 1 - N) for the N in the Hasse interval with N*P = O, until
+    one candidate is left.  Every x gives a point of E or of the twist, and for
+    p > 229 Mestre's theorem makes that happen before the x run out."""
+    A, B = _short_model(E, p)
+    half = (p - 1) // 2
     candidates = None
-    while candidates is None or len(candidates) != 1:
-        if not curves or candidates == set():
-            raise AssertionError(f"the points of E and its twist leave a_{p} open")
-        sign, a, points = curves.pop(0)
-        P = next(points, None)
-        if P is not None:
-            curves.append((sign, a, points))
-            ts = {sign * (p + 1 - N) for N in _hasse_multiples(P, a, p)}
+    for x in range(p):
+        v = ((x * x + A) * x + B) % p
+        if v:
+            sign = 1 if pow(v, half, p) == 1 else -1
+            P = v * x % p, v * v % p
+            ts = {sign * (p + 1 - N) for N in _hasse_multiples(P, A * v * v % p, p)}
             candidates = ts if candidates is None else candidates & ts
-    return candidates.pop()
+            if len(candidates) == 1:
+                return candidates.pop()
+            if not candidates:
+                break
+    raise AssertionError(f"the points of E and its twist leave a_{p} open")
 
 
 def _short_model(E: EllipticCurve, p: int) -> tuple[int, int]:
     """(A, B) with y^2 = x^3 + A x + B isomorphic to E over F_p, p > 3."""
-    b2, b4, b6, _ = E.b_invariants()
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-    return -27 * c4 % p, -54 * c6 % p
-
-
-def _points(a4: int, a6: int, p: int):
-    """One affine point of y^2 = x^3 + a4 x + a6 per x with a root, by increasing x."""
-    for x in range(p):
-        y = sqrt_mod_prime((x * x + a4) * x + a6, p)
-        if y is not None:
-            yield x, y
+    return -27 * E.c4 % p, -54 * E.c6 % p
 
 
 def _hasse_multiples(P, a4: int, p: int):
-    """Every N in the Hasse interval [p+1-r, p+1+r] with N*P = O under the closure
-    `_ec_adder(a4, p)`.  Baby steps jP (j <= s) stand for +-jP; if they reach O or
-    meet -iP, ord P <= 2s is known and its multiples are read off.  Otherwise giant
-    steps of 2s+1 cross the whole interval, and each window [c-s, c+s] holds at most
-    one multiple, found as cP = -+jP."""
+    """Every N in the Hasse interval [lo, hi] = [p+1-r, p+1+r] with N*P = O under
+    the closure `_ec_adder(a4, p)`.  Baby steps jP (j <= s) stand for +-jP; if they
+    reach O or meet -iP, ord P <= 2s is known and its multiples are read off.
+    Otherwise giant steps G = wP, w = 2s+1, run over the multiples c = mw from the
+    one with lo in [c-s, c+s] until the windows [c-s, c+s] cover hi; each window
+    holds at most one multiple, found as cP = -+jP."""
     add = _ec_adder(a4, p)
     r = isqrt(4 * p)
     lo, hi = p + 1 - r, p + 1 + r
@@ -195,10 +194,12 @@ def _hasse_multiples(P, a4: int, p: int):
             n = j if R is None else j + baby.get(R[0], (j,))[0]
             return range(-(-lo // n) * n, hi + 1, n)
         baby[R[0]] = j, R[1]
-    G = add(add(R, R), P)  # (2s+1)P from the last baby step R = sP
+    w = 2 * s + 1
+    G = add(add(R, R), P)  # wP from the last baby step R = sP
+    m = (lo + s) // w
+    c = m * w
+    R = power(G, m, add, None)
     multiples = []
-    c = lo + s
-    R = power(P, c, add, None)
     while c - s <= hi:
         if R is None:
             multiples.append(c)
@@ -206,8 +207,8 @@ def _hasse_multiples(P, a4: int, p: int):
             j, y = baby[R[0]]
             multiples.append(c - j if y == R[1] else c + j)
         R = add(R, G)
-        c += 2 * s + 1
-    return [N for N in multiples if N <= hi]
+        c += w
+    return [N for N in multiples if lo <= N <= hi]
 
 
 def _ec_adder(a4: int, p: int):

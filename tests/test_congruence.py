@@ -159,29 +159,62 @@ def _naive_hasse_multiples(P, a4, p):
     return multiples
 
 
-# The walk on a point of y^2 = x^3 + a x + b, or, when d > 1 divides its order n,
-# on (n/d) times it, of order d.  For p <= 2000 the walk takes s <= 10 baby steps.
-# Pinned draws at p = 233, where s = 6: orders 3 <= s (a baby step reaches O),
-# 9 in (s, 2s) (an x repeats), 2 (y = 0) and 2s = 12 (sP has y = 0).
+def _scaled_point(a, b, x, p):
+    """(v x, v^2) and A v^2 for v = x^3 + a x + b: the point of the scaled model
+    y^2 = x^3 + a v^2 x + b v^3 that the search takes at x."""
+    v = ((x * x + a) * x + b) % p
+    return (v * x % p, v * v % p), a * v * v % p
+
+
+# The walk on a scaled point, or, when d > 1 divides its order n, on (n/d) times
+# it, of order d.  For p <= 2000 the walk takes s <= 10 baby steps.  Pinned draws
+# at p = 233, where s = 6: orders 3 <= s (a baby step reaches O), 9 in (s, 2s)
+# (an x repeats), 2 (y = 0) and 2s = 12 (sP has y = 0).
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([p for p in ABOVE_CROSSOVER if p <= 2000]),
        st.integers(0, 1999), st.integers(0, 1999), st.integers(0, 1999), st.integers(0, 20))
 @example(233, 0, 1, 0, 3)
 @example(233, 0, 1, 1, 9)
 @example(233, 0, 1, 2, 2)
-@example(233, 1, 5, 2, 12)
+@example(233, 1, 5, 0, 12)
 def test_hasse_multiples_are_the_naive_multiples(p, a, b, k, d):
     a, b = a % p, b % p
     assume((4 * a**3 + 27 * b * b) % p != 0)
-    points = list(congruence._points(a, b, p))
-    assume(points)
-    P = points[k % len(points)]
-    add = congruence._ec_adder(a, p)
+    xs = [x for x in range(p) if ((x * x + a) * x + b) % p]
+    assume(xs)
+    P, a4 = _scaled_point(a, b, xs[k % len(xs)], p)
+    add = congruence._ec_adder(a4, p)
     n = _naive_order(P, add)
     if d > 1 and n % d == 0:
         P = power(P, n // d, add, None)
         assert _naive_order(P, add) == d
-    assert list(congruence._hasse_multiples(P, a, p)) == _naive_hasse_multiples(P, a, p)
+    assert list(congruence._hasse_multiples(P, a4, p)) == _naive_hasse_multiples(P, a4, p)
+
+
+# For v = x^3 + A x + B != 0, (v x, v^2) lies on y^2 = x^3 + A v^2 x + B v^3, a
+# curve with p + 1 - (v/p) a_p points: E when v is a square, its twist when not.
+# Every x is checked on the model; the point count, naive and O(p^2) per model,
+# at the least x of each sign and at one drawn x.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6),
+       st.sampled_from([p for p in ABOVE_CROSSOVER if p < 300]), st.integers(0, 10**6))
+def test_scaled_points_lie_on_e_or_its_twist(A, B, p, k):
+    A, B = A % p, B % p
+    assume((4 * A**3 + 27 * B * B) % p != 0)
+    ap = congruence._ap_by_squares(EllipticCurve(0, 0, 0, A, B), p)
+    signs = {}
+    for x in range(p):
+        v = ((x * x + A) * x + B) % p
+        if v:
+            (X, Y), a4 = _scaled_point(A, B, x, p)
+            assert (Y * Y - (X**3 + a4 * X + B * v**3)) % p == 0
+            signs[x] = kronecker(v, p)
+    xs = sorted(signs)
+    checked = {min(x for x in xs if signs[x] == sign) for sign in set(signs.values())}
+    for x in checked | {xs[k % len(xs)]}:
+        v = ((x * x + A) * x + B) % p
+        model = EllipticCurve(0, 0, 0, A * v * v % p, B * v**3 % p)
+        assert congruence._count_points_naive(model, p) == p + 1 - signs[x] * ap
 
 
 def test_curve_ap_bsgs_at_every_good_prime_to_3000():
@@ -193,12 +226,13 @@ def test_curve_ap_bsgs_at_every_good_prime_to_3000():
 
 
 def _bsgs_points(E, p, monkeypatch):
-    """a_p by the search, with (A of the curve, Hasse multiples) for every point it used."""
+    """a_p by the search, with (point, A of its model, Hasse multiples) for every
+    point it used."""
     hasse_multiples, used = congruence._hasse_multiples, []
 
     def recorded(P, a4, q):
-        used.append((a4, list(hasse_multiples(P, a4, q))))
-        return used[-1][1]
+        used.append((P, a4, list(hasse_multiples(P, a4, q))))
+        return used[-1][2]
 
     monkeypatch.setattr(congruence, "_hasse_multiples", recorded)
     return congruence._ap_by_bsgs(E, p), used
@@ -209,27 +243,47 @@ def _multiples_of(n, p):
     return [m for m in range(p + 1 - r, p + 2 + r) if m % n == 0]
 
 
+def _walk_signs(E, p, used):
+    """(v/p) of each point the search used, after checking that the i-th point is
+    the scaled point at x = xs[i], the i-th x with v != 0."""
+    A, B = congruence._short_model(E, p)
+    xs = [x for x in range(p) if ((x * x + A) * x + B) % p]
+    for x, (P, a4, _) in zip(xs, used):
+        assert (P, a4) == _scaled_point(A, B, x, p)
+    return [kronecker(((x * x + A) * x + B) % p, p) for x in xs[:len(used)]]
+
+
 def test_curve_ap_bsgs_twist_decides(monkeypatch):
-    # the first point of E has order 44, with two multiples in the Hasse
-    # interval; the first point of the twist leaves one candidate
-    p = 367
-    ap, used = _bsgs_points(E65533, p, monkeypatch)
-    assert ap == congruence._ap_by_squares(E65533, p)
-    (a4, multiples), (twist_a4, _) = used
-    assert a4 == congruence._short_model(E65533, p)[0] != twist_a4
-    assert multiples == _multiples_of(44, p) and len(multiples) == 2
+    # p = 1201: the point at x = 0 lies on E and has two multiples in the Hasse
+    # interval; the point at x = 1 lies on the twist and leaves one candidate.
+    # p = 331, the other way round: the twist's point at x = 0 leaves three
+    # multiples, and E's point at x = 1 decides.
+    for p, signs, first in ((1201, [1, -1], 2), (331, [-1, 1], 3)):
+        ap, used = _bsgs_points(E65533, p, monkeypatch)
+        assert ap == congruence._ap_by_squares(E65533, p)
+        assert _walk_signs(E65533, p, used) == signs
+        assert len(used[0][2]) == first and len(used[1][2]) == 1
+        assert [signs[1] * (p + 1 - N) for N in used[1][2]] == [ap]
 
 
 def test_curve_ap_bsgs_first_point_of_small_order(monkeypatch):
-    # (0, 0) has order 2 on E and on its twist at p = 277
-    p = 277
+    # p = 499, where s = 7: the point at x = 0 has order 11 <= 2s, so its eight
+    # multiples come from the baby steps, and it leaves eight candidates
+    p = 499
     ap, used = _bsgs_points(E65533, p, monkeypatch)
     assert ap == congruence._ap_by_squares(E65533, p)
-    assert [m for _, m in used[:2]] == [_multiples_of(2, p)] * 2 and len(used) > 2
+    assert _walk_signs(E65533, p, used) == [1, 1]
+    assert used[0][2] == _multiples_of(11, p) and len(used[0][2]) == 8
+    # p = 277: B = 0 on the short model, so x = 0 gives the point (0, 0) of
+    # order 2, which has no scaled point; the walk starts at x = 1
+    p = 277
+    assert congruence._short_model(E65533, p)[1] == 0
+    ap, used = _bsgs_points(E65533, p, monkeypatch)
+    assert ap == congruence._ap_by_squares(E65533, p)
+    assert used[0][:2] == _scaled_point(*congruence._short_model(E65533, p), 1, p)
 
 
-# the first prime above the crossover; 521 = 1 mod 8, so square roots run the
-# Tonelli-Shanks loop; 99991, a prime near the bound cap
+# the first prime above the crossover, 521, and 99991, a prime near the bound cap
 @pytest.mark.parametrize("p", [ABOVE_CROSSOVER[0], 521, 99991])
 def test_curve_ap_bsgs_pinned_primes(p):
     assert curve_ap(E65533, p) == congruence._ap_by_squares(E65533, p)
