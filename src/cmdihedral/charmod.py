@@ -57,6 +57,7 @@ from .ffield import FiniteField, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
+    _primes_above,
     canonical_associate,
     class_group,
     disc_eps,
@@ -68,7 +69,6 @@ from .qfield import (
     ideals_of_norm,
     kronecker,
     omega_norm,
-    primes_above,
     principal_generator,
     quadint_in_ideal,
     reduce_ideal,
@@ -699,7 +699,7 @@ def prime_table(D: int, cond: IdealRep, class_ideals: tuple[IdealRep, ...],
     classes = {}  # reduced (a, b) of a class C -> (f, gamma_C)
     rows = []
     for p in primes_upto(bound):
-        for P in primes_above(D, p).primes:
+        for P in _primes_above(D, p).primes:
             if P.norm() <= bound and ideals_coprime(P, cond):
                 # P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of
                 # its class, so beta_P = alpha * gamma_C / a for a generator

@@ -126,6 +126,11 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
         raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
         raise ValueError(f"bad reduction at {p}")
+    return _curve_ap(E, p)
+
+
+def _curve_ap(E: EllipticCurve, p: int) -> int:
+    """curve_ap without its checks, for primes already sieved and known good."""
     if p <= AP_BSGS_CROSSOVER:
         return _ap_by_squares(E, p)
     return _ap_by_bsgs(E, p)
@@ -503,7 +508,7 @@ def _target_expansion(s: Scenario, bound: int):
         # c_1 = 1 is a_1 of a newform; index 1 is compared only when perturbed
         coeffs = [0, F.one()] + [0] * (bound - 1)
         for p in idx:
-            coeffs[p] = F.scalar(curve_ap(E, p))
+            coeffs[p] = F.scalar(_curve_ap(E, p))
         tgt = QExpansion(F, coeffs, s.weight, None)
     n = s.perturb
     if n is not None:

@@ -7,12 +7,14 @@ first), so a prime-field element has the same code in every extension.  There
 is no element object: every `FiniteField` method takes and returns plain int
 codes, and field arithmetic is only ever a method call, because + - * ** on
 codes are integer arithmetic.  The methods are lookups in the log, antilog and
-Zech tables built once per field.
+Zech tables built once per field.  The generator g is the least code of order
+q - 1, and the antilog table applies the F_ell-linear map x -> g * x to codes
+through two tables over the low and high halves of a code's digits, so no
+element costs a polynomial product (`FiniteField._powers`).
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from math import gcd
 
@@ -108,27 +110,61 @@ class FiniteField:
         def mul(a, b):
             return _poly_mulmod(a, b, mod, ell)
 
-        gs = (_digits(code, ell, r) for code in range(1, self.q))
+        # below ell lies F_ell^x, of order ell - 1 < q - 1 when r > 1
+        gs = (_digits(code, ell, r) for code in range(ell if r > 1 else 1, self.q))
         return next(g for g in gs if all(power(g, c, mul, [1]) != [1] for c in cofactors))
 
     def _powers(self, g: list[int]) -> list[int]:
-        """Codes of g^0 .. g^(q-2).  Each power is acc * g by Horner's rule over
-        the digits of g, highest first: res = x * res + g_j * acc on r-digit
-        lists, where x * res folds its top digit back by x^r = -(low digits of
-        the monic modulus).  g, of least code, has few digits."""
+        """Codes of g^0 .. g^(q-2), by the F_ell-linear map x -> g * x on codes.
+
+        The images g * x^i, i < r, are the only polynomial products.  A code
+        splits into its k = r // 2 low digits and its r - k high digits, and
+        two tables hold the images of all codes of one half, with digit i in
+        a b-bit lane at bit b * i, b = (2 ell - 2).bit_length().  The lanes of
+        low[code % ell^k] + high[code // ell^k] are the digits of g * code
+        before reduction mod ell; each is at most 2 ell - 2, so none spills
+        into the next.  Four read-back tables, one per chunk of
+        c = ceil(r / 4) lanes, take a chunk of that sum to its share
+        sum(lane_i mod ell * ell^i) of the canonical code.  A read-back table
+        has (2 ell - 1) * 2^(b (c - 1)) entries, since its top lane is at most
+        2 ell - 2: at most 3 * 2^10 for every field of more than 4 digits
+        under FIELD_SIZE_CAP, and 2 ell - 1 for the others.  The half tables
+        have ell^k and ell^(r - k) entries, so at r = 1 the high one is the
+        whole map."""
         ell, r = self.ell, self.r
-        scale = [ell**i for i in range(r)]
-        low = [-c % ell for c in self.modulus[:r]]
-        lead, *rest = _poly_trim(list(g))[::-1]
-        out, acc = [], [1] + [0] * (r - 1)
-        for _ in range(self.q - 1):
-            out.append(sum(map(operator.mul, acc, scale)))
-            res = acc if lead == 1 else [lead * a % ell for a in acc]
-            for gj in rest:
-                top = res[-1]
-                # zip stops at r digits: (0, *res) is res shifted up by one
-                res = [(s + top * m + gj * a) % ell for s, m, a in zip((0, *res), low, acc)]
-            acc = res
+        b = (2 * ell - 2).bit_length()
+        images = [(_poly_mulmod(g, [0] * i + [1], self.modulus, ell) + [0] * r)[:r]
+                  for i in range(r)]
+
+        def lanes(ims):
+            # lane form of sum v_j * ims[j] over every digit vector v, in code order
+            table = [0] * ell ** len(ims)
+            for i in range(r):
+                col = [0]
+                for e in ims:
+                    col = [(a + v * e[i]) % ell for v in range(ell) for a in col]
+                table = [t + (d << b * i) for t, d in zip(table, col)]
+            return table
+
+        def read_back(first, stop):
+            table = [0]
+            for i in range(first, stop):
+                w = ell**i
+                top = 1 << b if i < stop - 1 else 2 * ell - 1
+                table = [v % ell * w + t for v in range(top) for t in table]
+            return table
+
+        m = ell ** (r // 2)
+        low, high = lanes(images[: r // 2]), lanes(images[r // 2 :])
+        c = -(-r // 4)
+        s1, s2, s3 = b * c, 2 * b * c, 3 * b * c
+        mask = (1 << s1) - 1
+        t0, t1, t2, t3 = (read_back(j * c, min(j * c + c, r)) for j in range(4))
+        out, x = [0] * (self.q - 1), 1
+        for k in range(self.q - 1):
+            out[k] = x
+            s = low[x % m] + high[x // m]
+            x = t0[s & mask] + t1[s >> s1 & mask] + t2[s >> s2 & mask] + t3[s >> s3]
         return out
 
     # -- constructors ------------------------------------------------------

@@ -349,6 +349,12 @@ def primes_above(D: int, p: int) -> Splitting:
     check_fundamental(D)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _primes_above(D, p)
+
+
+def _primes_above(D: int, p: int) -> Splitting:
+    """primes_above without its checks or cache, for a fundamental D and a
+    sieved prime p."""
     k = kronecker(D, p)
     if k == -1:
         return Splitting("inert", (IdealRep(D, 1, disc_eps(D), p),))

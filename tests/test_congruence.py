@@ -24,7 +24,7 @@ from cmdihedral.congruence import (
     search_matching_char,
 )
 from cmdihedral.ffield import finite_field
-from cmdihedral.qfield import kronecker
+from cmdihedral.qfield import kronecker, primes_above
 from cmdihedral.qseries import QExpansion, delta_qexp, drop_multiples, theta_series
 from cmdihedral.arith import power, primes_upto
 
@@ -102,6 +102,16 @@ def test_curve_discriminant_and_bad_primes():
             curve_ap(E65533, p)
     with pytest.raises(ValueError):
         EllipticCurve(0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 9, 561, 2047])
+def test_public_entry_points_refuse_a_composite_p(n):
+    # the prime table and the curve target skip these checks on sieved primes;
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2
+    with pytest.raises(ValueError, match="must be a prime"):
+        curve_ap(E65533, n)
+    with pytest.raises(ValueError, match="is not prime"):
+        primes_above(-71, n)
 
 
 def test_curve_ap_two_methods_agree_and_hasse():

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmdihedral import ffield
 from cmdihedral.arith import divisors, factorint
 from cmdihedral.ffield import _digits, _is_irreducible, _poly_mulmod, finite_field
 
@@ -117,7 +118,9 @@ def test_nth_roots_match_brute_force(fc, which):
     assert F.nth_roots(c, n) == expected
 
 
-@pytest.mark.parametrize("ell,r,gen", [(23, 1, 5), (23, 2, 25), (7, 2, 9), (7, 4, 12)])
+@pytest.mark.parametrize("ell,r,gen", [(23, 1, 5), (23, 2, 25), (7, 2, 9), (7, 4, 12),
+                                       (2, 1, 1), (2, 5, 2), (2, 9, 7), (3, 5, 3), (11, 3, 11),
+                                       (2, 12, 3), (3, 8, 38)])
 def test_generator_codes_frozen(ell, r, gen):
     assert finite_field(ell, r).generator() == gen
 
@@ -164,17 +167,25 @@ MODULI = {
     (2, 3): [1, 1, 0, 1], (3, 1): [0, 1], (3, 2): [1, 0, 1], (5, 3): [1, 1, 0, 1],
     (7, 1): [0, 1], (7, 2): [1, 0, 1], (7, 4): [1, 1, 0, 0, 1], (11, 2): [1, 0, 1],
     (23, 1): [0, 1], (23, 2): [1, 0, 1],
+    (2, 1): [0, 1], (2, 5): [1, 0, 1, 0, 0, 1], (2, 9): [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
+    (3, 5): [1, 2, 0, 0, 0, 1], (11, 3): [4, 1, 0, 1],
+    (2, 12): [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1], (3, 8): [2, 0, 1, 0, 0, 0, 0, 0, 1],
 }
 
+# shapes no workload builds: ell = 2 (lanes of 2 bits), r = 1 (an empty low
+# half), odd r (unequal halves) and r > 4 (several lanes per read-back chunk)
+TABLE_FIELDS = sorted(set(FIELDS) | set(ROOT_FIELDS)
+                      | {(2, 1), (2, 5), (2, 9), (3, 5), (11, 3), (2, 12), (3, 8)})
 
-@pytest.mark.parametrize("ell,r", sorted(set(FIELDS) | set(ROOT_FIELDS)))
+
+@pytest.mark.parametrize("ell,r", TABLE_FIELDS)
 def test_modulus_frozen(ell, r):
     assert finite_field(ell, r).modulus == MODULI[ell, r]
 
 
-@pytest.mark.parametrize("ell,r", sorted(set(FIELDS) | set(ROOT_FIELDS)))
+@pytest.mark.parametrize("ell,r", TABLE_FIELDS)
 def test_antilog_table_is_repeated_mulmod(ell, r):
-    # the Horner table against one general product-and-remainder per element
+    # the tables against one general product-and-remainder per element
     F = finite_field(ell, r)
     g, acc, expected = digits(F, F.generator()), [1], []
     for _ in range(F.q - 1):
@@ -182,6 +193,24 @@ def test_antilog_table_is_repeated_mulmod(ell, r):
         acc = _poly_mulmod(g, acc, F.modulus, ell)
     assert F.exp == expected
     assert acc == [1]
+    log = {n: k for k, n in enumerate(expected)}
+    assert F.log == [log.get(n) for n in range(F.q)]
+    one = digits(F, 1)
+    assert F.zech == [log.get(code(F, o_add(F, digits(F, n), one))) for n in expected]
+
+
+@pytest.mark.parametrize("ell,r", [(2, 9), (3, 5), (7, 4), (11, 3), (3, 8)])
+def test_powers_take_one_product_per_digit(ell, r, monkeypatch):
+    # only the images g * x^i are polynomial products; no element costs one
+    F, calls = finite_field(ell, r), []
+
+    def counted(*args):
+        calls.append(args)
+        return _poly_mulmod(*args)
+
+    monkeypatch.setattr(ffield, "_poly_mulmod", counted)
+    assert F._powers(digits(F, F.generator())) == F.exp
+    assert len(calls) <= r
 
 
 def mobius(n):

@@ -232,7 +232,8 @@ def test_pruned_search_computes_only_the_quick_rows(name, tmp_path, capsys, monk
 @pytest.mark.parametrize("name", ["verify-curve71_deep", "verify-delta23"])
 def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys,
                                                          monkeypatch):
-    curve_ap, squares = congruence.curve_ap, congruence._ap_by_squares
+    # the target loop takes a_p through the unchecked helper of curve_ap
+    curve_ap, squares = congruence._curve_ap, congruence._ap_by_squares
     primes, table_primes = [], []
 
     def counted(E, p):
@@ -245,7 +246,7 @@ def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys
 
     # below 229, Mestre's theorem does not make the search exact
     assert congruence.AP_BSGS_CROSSOVER >= 229
-    monkeypatch.setattr(congruence, "curve_ap", counted)
+    monkeypatch.setattr(congruence, "_curve_ap", counted)
     monkeypatch.setattr(congruence, "_ap_by_squares", table_route)
     _run_pinned(name, tmp_path, capsys)
     if name == "verify-delta23":
@@ -273,6 +274,32 @@ def test_frobenius_traces_take_at_most_the_walk_additions(tmp_path, capsys, monk
     # the 380 primes in (229, 3000]: one walk across the Hasse interval per point,
     # its giant steps started from a multiple of 2s + 1
     assert adds[0] <= 11_445
+
+
+def test_sieved_primes_are_not_tested_again():
+    # a fresh process, so that no cache of an earlier test hides a call;
+    # testing the 430 sieved primes to 3000 again, in the prime table and in
+    # the curve target, would take 863 calls
+    code = f"""
+import sys
+sys.path.insert(0, {os.path.join(ROOT, 'src')!r})
+from cmdihedral import arith
+from cmdihedral.cli import main
+calls, is_prime = [0], arith.is_prime
+def counted(n):
+    calls[0] += 1
+    return is_prime(n)
+for mod in [m for name, m in sys.modules.items() if name.startswith("cmdihedral")]:
+    if getattr(mod, "is_prime", None) is is_prime:
+        mod.is_prime = counted
+code = main(["verify", "--scenario", {DEEP!r}])
+print(code, calls[0], file=sys.stderr)
+"""
+    err = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stderr
+    code, calls = map(int, err.split()[-2:])
+    assert code == 0
+    assert calls <= 20, calls
 
 
 def _layertrace():
