@@ -58,6 +58,7 @@ from .qfield import (
     IdealRep,
     QuadInt,
     _primes_above,
+    _residue_key,
     canonical_associate,
     class_group,
     disc_eps,
@@ -116,15 +117,6 @@ class ResidueGroup(Record):
     @property
     def order(self) -> int:
         return prod(self.orders)
-
-
-def _residue_key(f: IdealRep, a: int, b: int) -> tuple[int, int]:
-    """Normal form (x, y) of a + b*w modulo f, with 0 <= x < c*n and 0 <= y < c."""
-    c, n, mp = f.content, f.n, f.mprime()
-    y = b % c
-    k = (b - y) // c
-    x = (a - k * c * mp) % (c * n)
-    return (x, y)
 
 
 def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:

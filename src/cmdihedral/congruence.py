@@ -265,12 +265,10 @@ def reduce_expansion(f: QExpansion, m: ReductionMap) -> QExpansion:
     return QExpansion(m.field, coeffs, f.weight, f.level, f.character)
 
 
-def reduce_int_expansion(f: QExpansion, ell: int, field: FiniteField | None = None) -> QExpansion:
+def reduce_int_expansion(f: QExpansion, ell: int) -> QExpansion:
     if f.ring != "int":
         raise ValueError("expected an integer expansion")
-    F = field if field is not None else finite_field(ell, 1)
-    if F.ell != ell:
-        raise ValueError("field characteristic mismatch")
+    F = finite_field(ell, 1)
     coeffs = [0] + [F.scalar(c) for c in f.coeffs[1:]]
     return QExpansion(F, coeffs, f.weight, f.level, f.character)
 
@@ -485,8 +483,14 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int]:
         bound = sturm_bound(s.weight, cond.norm() * abs(s.disc), s.bound_mode)
     if bound > PREC_CAP:
         raise ValueError(f"comparison bound {bound} exceeds the cap of {PREC_CAP}")
-    if s.perturb is not None and not 1 <= s.perturb <= bound:
+    n = s.perturb
+    if n is not None and not 1 <= n <= bound:
         raise ValueError("perturbation index out of range")
+    # a curve target is compared at 1 and at its good primes other than ell
+    # only; elsewhere it holds 0, where a perturbed 1 can equal theta's value
+    if n not in (None, 1) and s.target != "tau" and (
+            n == s.ell or not is_prime(n) or s.target.discriminant() % n == 0):
+        raise ValueError(f"perturbation index {n} is not compared for a curve target")
     return datum, cond, bound
 
 
@@ -495,9 +499,7 @@ def _target_expansion(s: Scenario, bound: int):
     a curve target with no good prime p <= bound other than ell is refused."""
     F = finite_field(s.ell, 1)
     if s.target == "tau":
-        tgt = reduce_int_expansion(
-            drop_multiples(delta_qexp_recursion(bound), s.ell), s.ell, F
-        )
+        tgt = reduce_int_expansion(drop_multiples(delta_qexp_recursion(bound), s.ell), s.ell)
         idx = None
     else:
         E = s.target

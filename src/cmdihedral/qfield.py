@@ -5,9 +5,10 @@ so w has trace eps and norm (eps - D)/4.  Integral ideals are kept in
 two-generator Hermite form content * (Z*n + Z*(b + sqrt(D))/2) with
 b^2 = D (mod 4n); classes are computed by passing to binary quadratic forms
 and reducing; the reduction can carry the ideal's basis along, which writes
-the ideal as a multiple of the reduced ideal of its class.  A principal
-ideal's generator comes from Lagrange-Gauss reduction of its lattice under the
-norm form, made canonical over the units.
+the ideal as a multiple of the reduced ideal of its class.  That one form
+reduction also gives a principal ideal's generator, made canonical over the
+units, and residue classes modulo an ideal have one normal form, which also
+decides membership.
 |D| is capped at DISC_CAP = 10^7.
 """
 
@@ -290,12 +291,17 @@ def ideal_pow(a: IdealRep, e: int) -> IdealRep:
     return power(a, e, ideal_multiply, unit_ideal(a.D))
 
 
+def _residue_key(f: IdealRep, a: int, b: int) -> tuple[int, int]:
+    """Normal form (x, y) of a + b*w modulo f, with 0 <= x < c*n and 0 <= y < c."""
+    c, n, mp = f.content, f.n, f.mprime()
+    y = b % c
+    k = (b - y) // c
+    x = (a - k * c * mp) % (c * n)
+    return (x, y)
+
+
 def quadint_in_ideal(alpha: QuadInt, a: IdealRep) -> bool:
-    c, n, mp = a.content, a.n, a.mprime()
-    if alpha.b % c:
-        return False
-    bb = alpha.b // c
-    return (alpha.a - c * bb * mp) % (c * n) == 0
+    return _residue_key(a, alpha.a, alpha.b) == (0, 0)
 
 
 def ideals_coprime(a: IdealRep, f: IdealRep) -> bool:
@@ -434,16 +440,13 @@ def factor_ideal(a: IdealRep) -> list[tuple[IdealRep, int]]:
 
 
 def ideal_divide_prime(a: IdealRep, p: IdealRep) -> IdealRep:
-    """a / p for a prime divisor p of a (rebuilt from the factorization)."""
-    fac = factor_ideal(a)
-    if p not in dict(fac):
+    """a / p for a prime ideal p dividing a.  Since p * conj(p) = (N(p)),
+    a * conj(p) = (a / p) * (N(p)): the product's content is divisible by N(p)
+    exactly when p divides a, and dividing it out leaves the quotient."""
+    prod, N = ideal_multiply(a, p.conj()), p.norm()
+    if prod.content % N:
         raise ValueError("prime does not divide the ideal")
-    out = unit_ideal(a.D)
-    for q, e in fac:
-        if q == p:
-            e -= 1
-        out = ideal_multiply(out, ideal_pow(q, e))
-    return out
+    return IdealRep(a.D, prod.n, prod.b, prod.content // N)
 
 
 class ClassGroup(Record):
@@ -527,33 +530,9 @@ def canonical_associate(alpha: QuadInt) -> QuadInt:
 def principal_generator(a: IdealRep) -> QuadInt | None:
     """A generator when a is principal, else None.
 
-    Every nonzero element of a has norm a multiple of N(a), with equality
-    exactly for the generators, so a is principal iff a shortest vector of its
-    lattice under the norm form has norm N(a).  Lagrange-Gauss reduction
-    (Cohen, GTM 138, 1.3.4) on the pairs (x, y) = x + y*w finds one, and its
-    `canonical_associate` is returned, so the generator does not depend on
-    the path the reduction took."""
-    D, N = a.D, a.norm()
-    eps, q0 = disc_eps(D), omega_norm(D)
-
-    def norm(x, y):
-        return x * x + eps * x * y + q0 * y * y
-
-    c = a.content
-    ux, uy, vx, vy = c * a.n, 0, c * a.mprime(), c
-    nu, nv = norm(ux, uy), norm(vx, vy)
-    if nu > nv:
-        ux, uy, nu, vx, vy, nv = vx, vy, nv, ux, uy, nu
-    while True:
-        # v -= k*u, k the nearest integer to B(u, v)/N(u) for the bilinear
-        # form B of the norm: 2B(u, v) = 2 ux vx + eps (ux vy + uy vx) + 2 q0 uy vy
-        t = 2 * ux * vx + eps * (ux * vy + uy * vx) + 2 * q0 * uy * vy
-        k = (t + nu) // (2 * nu)
-        vx, vy = vx - k * ux, vy - k * uy
-        nv = norm(vx, vy)
-        if nv >= nu:
-            break
-        ux, uy, nu, vx, vy, nv = vx, vy, nv, ux, uy, nu
-    if nu != N:
-        return None
-    return canonical_associate(QuadInt(D, ux, uy))
+    `reduce_ideal` writes a = (alpha / A) * A_C for the reduced ideal A_C of
+    a's class, so a is principal exactly when A = 1, and alpha then generates
+    a.  Its `canonical_associate` is returned, so the generator does not
+    depend on the path the reduction took."""
+    form, alpha = reduce_ideal(a)
+    return canonical_associate(alpha) if form.a == 1 else None

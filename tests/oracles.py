@@ -8,9 +8,13 @@ from cmdihedral.qfield import (
     IdealRep,
     QuadInt,
     disc_eps,
+    factor_ideal,
+    ideal_multiply,
+    ideal_pow,
     ideals_coprime,
     primes_above,
     quadint_in_ideal,
+    unit_ideal,
     units,
 )
 
@@ -36,6 +40,20 @@ def principal_generator_by_search(a: IdealRep) -> QuadInt | None:
                     return cand
         y += 1
     return None
+
+
+def ideal_divide_prime_by_factors(a: IdealRep, p: IdealRep) -> IdealRep:
+    """a / p for a prime ideal p dividing a: the product of the prime powers of
+    a's factorization, with the exponent of p lowered by one."""
+    fac = factor_ideal(a)
+    if p not in dict(fac):
+        raise ValueError("prime does not divide the ideal")
+    out = unit_ideal(a.D)
+    for q, e in fac:
+        if q == p:
+            e -= 1
+        out = ideal_multiply(out, ideal_pow(q, e))
+    return out
 
 
 def unit_inconsistency_in_ring(D: int, k: int, rg: ResidueGroup, fp) -> QuadInt | None:

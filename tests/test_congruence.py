@@ -392,17 +392,23 @@ def test_delta_search_reports_maps_that_fail_past_the_quick_bound(tmp_path, caps
     assert all(d["failed_at"] == 100 for d in diagnostics if "failed_at" in d)
 
 
-def test_curve_perturbation_joins_the_comparison():
-    # 4 is no prime, so the curve comparison (427 primes at bound 3000) gains
-    # the index: theta has a_4 = 5 there, the target 0 + 1
+def test_curve_perturbation_joins_the_comparison(tmp_path, capsys):
+    # 5 is one of the 427 primes compared at bound 3000: theta has a_5 = 2
+    # there, the target 2 + 1; 4 is no prime, so it is refused, not compared
     path = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
     with open(path) as fh:
         obj = json.load(fh)
-    result = run_scenario(Scenario.from_json({**obj, "perturb": 4}))
+    result = run_scenario(Scenario.from_json({**obj, "perturb": 5}))
     report = result.report.to_json()
     assert not result.report.verdict
-    assert report["count"] == 428
-    assert report["mismatches"] == [[4, 5, 1]]
+    assert report["count"] == 427
+    assert report["mismatches"] == [[5, 2, 3]]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**obj, "perturb": 4}))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: perturbation index 4 is not compared for a curve target"
+    ]
 
 
 def test_curve_scenario(curve_run):

@@ -285,6 +285,21 @@ def test_perturbation_out_of_range_exits_2_before_any_work(perturb, char, comman
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("char", ["search", "explicit"])
+@pytest.mark.parametrize("perturb", [4, 7, 13, 80])
+def test_curve_perturbation_off_the_compared_primes_exits_2_before_any_work(
+        perturb, char, command, tmp_path, capsys, monkeypatch):
+    # the curve target is compared at 1 and at the good primes other than
+    # ell = 7; 4 and 80 are composite and 13 divides the curve's discriminant
+    _forbid_work(monkeypatch)
+    scenario = {**(CURVE71 if char == "search" else CURVE71_EXPLICIT),
+                "bound": 100, "perturb": perturb}
+    assert _refusal(command, scenario, tmp_path, capsys) == [
+        f"error: perturbation index {perturb} is not compared for a curve target"
+    ]
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
 def test_curve_bound_without_good_prime_exits_2(command, tmp_path, capsys, monkeypatch):
     # below 2 there is no prime to compare, so no verdict can be given
     _forbid_work(monkeypatch)

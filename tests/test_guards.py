@@ -2,8 +2,9 @@
 commands, the production route through the cached prime tables, the
 function names the per-layer tracer of `perfbench/` wraps, the modules
 a cold import of the command line loads, the one place the value types
-take equality, hashing and repr from, and the single set-up and candidate
-pass of each verification command."""
+take equality, hashing and repr from, the single set-up and candidate
+pass of each verification command, the one form reduction behind a principal
+generator and the one product behind an ideal quotient."""
 
 import ast
 import glob
@@ -93,6 +94,17 @@ def _run_pinned(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_curve_perturbation_at_an_uncompared_index_is_refused(capsys):
+    # the curve target holds 0 at the composite 80, where theta has 1, so a
+    # perturbed target would pass unnoticed
+    assert main(["verify", "--builtin", "curve65533", "--perturb", "80"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: perturbation index 80 is not compared for a curve target"
+    ]
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])
@@ -201,6 +213,45 @@ def test_prime_table_costs_one_multiply_and_one_generator_per_class(monkeypatch)
     assert calls["ideal_pow"] <= sum(class_group(D).orders) == h == 7
     assert calls["ideal_multiply"] <= h
     assert calls["principal_generator"] <= h
+
+
+def _counted(calls, fn):
+    def call(*args):
+        calls[0] += 1
+        return fn(*args)
+    return call
+
+
+def test_principal_generator_is_one_form_reduction(monkeypatch):
+    ideals = [IdealRep(D, a.n, a.b, a.content * c)
+              for D in (-3, -4, -23, -71) for n in range(1, 60)
+              for a in qfield.ideals_of_norm(D, n) for c in (1, 2)]
+    calls = [0]
+    monkeypatch.setattr(qfield, "_reduce", _counted(calls, qfield._reduce))
+    found = [qfield.principal_generator(a) for a in ideals]
+    assert calls[0] == len(ideals)
+    assert None in found and any(g is not None for g in found)
+
+
+def test_ideal_quotient_is_one_product(monkeypatch):
+    cases = [(a, P) for D in (-4, -23, -71) for n in range(1, 40)
+             for a in qfield.ideals_of_norm(D, n)
+             for p in (2, 3, 5) for P in primes_above(D, p).primes]
+
+    def no_factoring(a):
+        raise AssertionError("ideal_divide_prime factored the ideal")
+
+    calls = [0]
+    monkeypatch.setattr(qfield, "ideal_multiply", _counted(calls, qfield.ideal_multiply))
+    monkeypatch.setattr(qfield, "factor_ideal", no_factoring)
+    refused = 0
+    for a, P in cases:
+        try:
+            qfield.ideal_divide_prime(a, P)
+        except ValueError:
+            refused += 1
+    assert calls[0] == len(cases)
+    assert 0 < refused < len(cases)
 
 
 # name -> scenario of a search in which every candidate fails at q^2

@@ -31,7 +31,7 @@ from cmdihedral.qfield import (
     units,
 )
 
-from oracles import principal_generator_by_search
+from oracles import ideal_divide_prime_by_factors, principal_generator_by_search
 
 DISCS = [-23, -71, -4, -7, -8, -11]
 
@@ -392,3 +392,40 @@ def test_factor_multiply_divide_consistent_property(case):
     merged = Counter(dict(factor_ideal(a))) + Counter(dict(factor_ideal(b)))
     assert factor_ideal(ab) == sorted(merged.items(), key=lambda kv: (kv[0].norm(), kv[0].b))
     assert ideal_divide_prime(ideal_multiply(a, P), P) == a
+
+
+DIVIDE_DISCS = (-3, -4, -20, -23, -71, -84)
+
+
+@lru_cache(maxsize=None)
+def primes_above_small(D):
+    """Every prime ideal above 2, 3, 5, 7, 23 and 71."""
+    return tuple(P for p in (2, 3, 5, 7, 23, 71) for P in primes_above(D, p).primes)
+
+
+@st.composite
+def division_cases(draw):
+    D = draw(st.sampled_from(DIVIDE_DISCS))
+    a = draw(st.sampled_from(ideals_up_to(D, 200)))
+    c = draw(st.integers(1, 3))
+    return IdealRep(D, a.n, a.b, a.content * c), draw(st.sampled_from(primes_above_small(D)))
+
+
+def quotient_or_refusal(divide, a, P):
+    try:
+        return divide(a, P)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(division_cases())
+@example((IdealRep(-23, 2, 1), IdealRep(-23, 2, -1)))  # the conjugate does not divide
+@example((IdealRep(-23, 4, -3), IdealRep(-23, 2, 1)))  # P^2 / P
+@example((IdealRep(-4, 1, 0, 3), IdealRep(-4, 1, 0, 3)))  # inert: (3) / (3)
+@example((IdealRep(-71, 1, 1, 2), IdealRep(-71, 2, 1)))  # split: (2) / P
+@example((IdealRep(-20, 2, 2, 3), IdealRep(-20, 2, 2)))  # ramified, with a content
+def test_ideal_divide_prime_equals_the_factor_route(case):
+    a, P = case
+    assert (quotient_or_refusal(ideal_divide_prime, a, P)
+            == quotient_or_refusal(ideal_divide_prime_by_factors, a, P))
