@@ -60,6 +60,7 @@ from .qseries import (
     twist,
 )
 from .congruence import (
+    TAU,
     CongruenceReport,
     EllipticCurve,
     Scenario,

@@ -1,21 +1,12 @@
-"""Reduction of exact expansions, coefficientwise congruence comparison,
-elliptic-curve Frobenius traces, and the scenario orchestration for the
-built-in verification runs.
+"""Reduction of exact expansions, coefficientwise congruence comparison, the
+comparison targets, and the scenario orchestration of the verification runs.
 
-Frobenius traces a_p = p + 1 - #E(F_p) are exact.  For p <= AP_BSGS_CROSSOVER
-they are a character sum over a table of the squares mod p, O(p) per prime.
-Above it they come from the Shanks-Mestre method (Cohen, GTM 138, ch. 7 and
-Section 7.4.2; Schoof, J. Theor. Nombres Bordeaux 7, 1995): the N in the Hasse
-interval with N*P = O, collected for a few points P of E and of its quadratic
-twist by one baby-step giant-step walk per point in O(p^{1/4}) group
-operations, leave one a_p.  The points need no square root: at each x, a
-scaling of the short model by v = x^3 + A x + B puts (v x, v^2) on a curve
-that is E or its twist as v is a square or not.  Mestre's theorem guarantees
-one a_p for p > 229, which is why the crossover is never below 229; measured
-per prime, the two routes tie just below 229 and the search is faster above,
-so the crossover sits at 229.  Every comparison bound is capped at PREC_CAP,
-the precision cap of the Delta expansion, before any target or candidate is
-built."""
+A target, TAU (Delta) or an EllipticCurve, answers every question about
+itself: its JSON form, a scenario's default conductor, the indices it is
+compared at, and its expansion over F_ell.  A scenario is checked in one
+order before any target or candidate is built: datum, bound cap (PREC_CAP),
+perturbation index, the target's compared indices, and for a search the
+size of (O_K/f)^*."""
 
 from __future__ import annotations
 
@@ -110,18 +101,39 @@ class EllipticCurve(Record):
     def discriminant(self) -> int:
         return self._disc
 
+    def to_json(self) -> dict:
+        return {"curve": [self.a1, self.a2, self.a3, self.a4, self.a6]}
+
+    def default_conductor(self, at_ell: IdealRep):
+        raise ValueError("curve scenarios must specify the character conductor")
+
+    def indices(self, ell: int, bound: int) -> list[int]:
+        # the good primes other than ell: the target holds 0 at every other n but 1
+        return [p for p in primes_upto(bound) if p != ell and self._disc % p]
+
+    def expansion(self, ell: int, bound: int, primes) -> QExpansion:
+        F = finite_field(ell, 1)
+        # c_1 = 1 is a_1 of a newform; index 1 is compared only when perturbed
+        coeffs = [0, F.one()] + [0] * (bound - 1)
+        for p in primes:
+            coeffs[p] = F.scalar(_curve_ap(self, p))
+        return QExpansion(F, coeffs, 2, None)
+
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) at a prime p of good reduction.
 
     At and below AP_BSGS_CROSSOVER this is a quadratic character sum over x,
     read from a table of the squares mod p, in O(p).  Above it, the
-    Shanks-Mestre search collects the multiples in the Hasse interval of a few
-    points of the short model and of its quadratic twist, one point per x with
-    no square root taken, by one baby-step giant-step walk of O(p^{1/4}) group
-    operations per point.  The crossover is never below 229: Mestre's theorem,
-    which makes the search exact, holds for p > 229.  At 2 and 3, where the
-    short model does not exist, the table of squares always runs."""
+    Shanks-Mestre search (Cohen, GTM 138, ch. 7 and Section 7.4.2; Schoof,
+    J. Theor. Nombres Bordeaux 7, 1995) collects the multiples in the Hasse
+    interval of a few points of the short model and of its quadratic twist,
+    one point per x with no square root taken, by one baby-step giant-step
+    walk of O(p^{1/4}) group operations per point.  The crossover is never
+    below 229: Mestre's theorem, which makes the search exact, holds for
+    p > 229.  Measured per prime, the two routes tie just below 229 and the
+    search is faster above, so the crossover sits at 229.  At 2 and 3, where
+    the short model does not exist, the table of squares always runs."""
     if not is_prime(p):
         raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
@@ -314,12 +326,31 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
 # scenarios
 
 
+class Tau(NamedTuple):
+    """The target Delta = sum tau(n) q^n, of level 1: no fields, so copies equal TAU."""
+
+    def to_json(self) -> str:
+        return "tau"
+
+    def default_conductor(self, at_ell: IdealRep) -> IdealRep:
+        return at_ell
+
+    def indices(self, ell: int, bound: int) -> None:
+        return None
+
+    def expansion(self, ell: int, bound: int, indices) -> QExpansion:
+        return reduce_int_expansion(drop_multiples(delta_qexp_recursion(bound), ell), ell)
+
+
+TAU = Tau()
+
+
 class Scenario(NamedTuple):
     disc: int
     weight: int
     ell: int
     char: object  # "search" or an explicit spec dict
-    target: object  # "tau" or EllipticCurve
+    target: object  # TAU or EllipticCurve
     bound_mode: str = "standard"
     cond: IdealRep | None = None
     bound: int | None = None
@@ -343,7 +374,7 @@ class Scenario(NamedTuple):
         if bound_mode not in ("paper", "standard"):
             raise ValueError(f"unknown bound mode {bound_mode!r}")
         if target_spec == "tau":
-            target = "tau"
+            target = TAU
         elif isinstance(target_spec, dict) and _is_int_list(target_spec.get("curve"), 5):
             target = EllipticCurve(*target_spec["curve"])
         else:
@@ -378,25 +409,10 @@ class Scenario(NamedTuple):
         return Scenario(disc, weight, ell, char, target, bound_mode, cond, bound, perturb)
 
     def to_json(self) -> dict:
-        out = {
-            "disc": self.disc,
-            "weight": self.weight,
-            "ell": self.ell,
-            "char": self.char,
-            "target": (
-                "tau"
-                if self.target == "tau"
-                else {"curve": [self.target.a1, self.target.a2, self.target.a3,
-                                self.target.a4, self.target.a6]}
-            ),
-            "bound_mode": self.bound_mode,
-        }
-        if self.cond is not None:
-            out["cond"] = self.cond.to_json()
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.perturb is not None:
-            out["perturb"] = self.perturb
+        out = {name: v for name, v in self._asdict().items() if v is not None}
+        for name in ("target", "cond"):
+            if name in out:
+                out[name] = out[name].to_json()
         return out
 
 
@@ -431,7 +447,7 @@ def _is_int_list(x, length=None) -> bool:
 def builtin_scenario(name: str) -> Scenario:
     if name == "delta23":
         return Scenario(
-            disc=-23, weight=12, ell=23, char="search", target="tau",
+            disc=-23, weight=12, ell=23, char="search", target=TAU,
             bound_mode="standard", cond=IdealRep(-23, 23, 23),
         )
     if name == "curve65533":
@@ -454,21 +470,18 @@ class RunResult(NamedTuple):
     reduction: ReductionMap | None
 
 
-def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int]:
-    """(datum, conductor, comparison bound), checked in one order for every
-    command: datum, bound cap, perturbation index.  Every series is expanded
-    to the bound, so it is capped before any target or candidate is built."""
+def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | None]:
+    """(datum, conductor, comparison bound, the target's compared indices),
+    checked in one order for every command: datum, bound cap, perturbation
+    index, compared indices.  Every series is expanded to the bound, so each
+    refusal here comes before any target or candidate is built."""
     check_fundamental(s.disc)
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
     finite_field(s.ell, 2 if sp.kind == "inert" else 1)
     case = ramification_case(s.ell, sp.kind, s.weight)
     expected = delta_conductor_at_ell(case)
-    cond = s.cond
-    if cond is None:
-        if s.target != "tau":
-            raise ValueError("curve scenarios must specify the character conductor")
-        cond = sp.primes[0] if expected else unit_ideal(s.disc)
+    cond = s.cond or s.target.default_conductor(sp.primes[0] if expected else unit_ideal(s.disc))
     check_conductor_norm(cond)
     at_ell = factorint(cond.norm()).get(s.ell, 0)
     if at_ell != expected:
@@ -486,38 +499,24 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int]:
     n = s.perturb
     if n is not None and not 1 <= n <= bound:
         raise ValueError("perturbation index out of range")
-    # a curve target is compared at 1 and at its good primes other than ell
-    # only; elsewhere it holds 0, where a perturbed 1 can equal theta's value
-    if n not in (None, 1) and s.target != "tau" and (
-            n == s.ell or not is_prime(n) or s.target.discriminant() % n == 0):
+    indices = s.target.indices(s.ell, bound)
+    # a target is read at its indices only, and at 1 when perturbed there
+    if indices is not None and n not in (None, 1) and n not in indices:
         raise ValueError(f"perturbation index {n} is not compared for a curve target")
-    return datum, cond, bound
+    if indices is not None and not indices:
+        raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
+    return datum, cond, bound, indices
 
 
-def _target_expansion(s: Scenario, bound: int):
-    """(expansion over F_ell to the comparison bound, comparison indices or None);
-    a curve target with no good prime p <= bound other than ell is refused."""
-    F = finite_field(s.ell, 1)
-    if s.target == "tau":
-        tgt = reduce_int_expansion(drop_multiples(delta_qexp_recursion(bound), s.ell), s.ell)
-        idx = None
-    else:
-        E = s.target
-        disc_E = E.discriminant()
-        idx = [p for p in primes_upto(bound) if p != s.ell and disc_E % p]
-        if not idx:
-            raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
-        # c_1 = 1 is a_1 of a newform; index 1 is compared only when perturbed
-        coeffs = [0, F.one()] + [0] * (bound - 1)
-        for p in idx:
-            coeffs[p] = F.scalar(_curve_ap(E, p))
-        tgt = QExpansion(F, coeffs, s.weight, None)
+def _target_expansion(s: Scenario, bound: int, indices):
+    """The target's expansion over F_ell and its compared indices, perturbed."""
+    tgt = s.target.expansion(s.ell, bound, indices)
     n = s.perturb
     if n is not None:
-        tgt.coeffs[n] = F.add(tgt.coeffs[n], 1)
-        if idx is not None:
-            idx = sorted({*idx, n})
-    return tgt, idx
+        tgt.coeffs[n] = tgt.ring.add(tgt.coeffs[n], 1)
+        if indices is not None:
+            indices = sorted({*indices, n})
+    return tgt, indices
 
 
 def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
@@ -533,13 +532,13 @@ def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
         yield m, rep._replace(reduction_map=m.describe())
 
 
-def _search_matches(s: Scenario, cond: IdealRep, bound: int, diagnostics: list):
+def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostics: list):
     """Lazily yield each matching (character, reduction map, report) in candidate
     order, and append to diagnostics why each other candidate was skipped."""
     # one candidate per element of the character group of (O_K/cond)^*
     if residue_group_order(cond) > RESIDUE_GROUP_CAP:
         raise ValueError("finite-part candidate space exceeds the search cap")
-    target, indices = _target_expansion(s, bound)
+    target, indices = _target_expansion(s, bound, indices)
     rg = residue_group(s.disc, cond)
     quick = min(QUICK_PRUNE_BOUND, bound)
     for fp in product(*(range(n) for n in rg.orders)):
@@ -579,9 +578,9 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, diagnostics: list):
 def search_matching_char(s: Scenario):
     """Every matching (character, reduction map, report) triple of the search,
     in candidate order, plus the skip diagnostics of the other candidates."""
-    _, cond, bound = _scenario_setup(s)
+    _, cond, bound, indices = _scenario_setup(s)
     diagnostics = []
-    return list(_search_matches(s, cond, bound, diagnostics)), diagnostics
+    return list(_search_matches(s, cond, bound, indices, diagnostics)), diagnostics
 
 
 def run_scenario(s: Scenario) -> RunResult:
@@ -590,10 +589,10 @@ def run_scenario(s: Scenario) -> RunResult:
     A search stops at its first match, the first entry of `search_matching_char`,
     else reports an empty false comparison.  An explicit character is compared
     under every reduction map up to the first match, else reports the first map."""
-    datum, cond, bound = _scenario_setup(s)
+    datum, cond, bound, indices = _scenario_setup(s)
     if s.char == "search":
-        empty = CongruenceReport(s.ell, None, bound, 0, (), False)
-        chi, rmap, report = next(_search_matches(s, cond, bound, []), (None, None, empty))
+        empty = None, None, CongruenceReport(s.ell, None, bound, 0, (), False)
+        chi, rmap, report = next(_search_matches(s, cond, bound, indices, []), empty)
     else:
         chi = build_hecke_char(
             s.disc,
@@ -603,7 +602,7 @@ def run_scenario(s: Scenario) -> RunResult:
             s.char.get("class_part", "canonical"),
             avoid_primes=(s.ell,),
         )
-        target, indices = _target_expansion(s, bound)
+        target, indices = _target_expansion(s, bound, indices)
         maps = build_reductions(chi, s.ell)
         reports = _map_reports(chi, maps, target, bound, indices)
         rmap, report = first = next(reports)

@@ -12,6 +12,7 @@ from cmdihedral.charmod import build_reductions
 from cmdihedral.cli import main
 from cmdihedral.congruence import (
     AP_BSGS_CROSSOVER,
+    TAU,
     EllipticCurve,
     Scenario,
     builtin_scenario,
@@ -346,7 +347,7 @@ def test_delta_rerun_with_found_char_identical(delta_run):
         disc=-23, weight=12, ell=23,
         char={"finite_part": spec["finite_part"], "class_part": spec["class_part"],
               "conductor": spec["conductor"]},
-        target="tau", bound_mode="standard",
+        target=TAU, bound_mode="standard",
         cond=result.character.cond,
     )
     rerun = run_scenario(s)
@@ -435,12 +436,38 @@ def test_curve_scenario_inert_primes_vanish(curve_run):
             assert red.coeffs[p] == rmap.field.zero()
 
 
+class TauAtPrimes:
+    """A third kind of target, for this test only: Delta compared at the
+    primes p <= bound alone, through the same methods as TAU."""
+
+    def to_json(self):
+        return {"tau_at": "primes"}
+
+    def default_conductor(self, at_ell):
+        return at_ell
+
+    def indices(self, ell, bound):
+        return primes_upto(bound)
+
+    def expansion(self, ell, bound, indices):
+        return TAU.expansion(ell, bound, None)
+
+
+def test_a_third_target_kind_needs_no_change_to_the_runner():
+    s = builtin_scenario("delta23")._replace(target=TauAtPrimes())
+    report = run_scenario(s).report
+    assert report.verdict
+    assert report.count == len(primes_upto(552)) == 101
+    matches, _ = search_matching_char(s)
+    assert matches and all(rep.count == 101 for _, _, rep in matches)
+
+
 def test_scenario_hypothesis_errors():
-    s = Scenario(disc=-23, weight=23, ell=23, char="search", target="tau",
+    s = Scenario(disc=-23, weight=23, ell=23, char="search", target=TAU,
                  cond=builtin_scenario("delta23").cond)
     with pytest.raises(ValueError):
         run_scenario(s)
-    s2 = Scenario(disc=-23, weight=12, ell=3, char="search", target="tau")
+    s2 = Scenario(disc=-23, weight=12, ell=3, char="search", target=TAU)
     with pytest.raises(ValueError):
         run_scenario(s2)
 

@@ -1,14 +1,16 @@
 """Input contract: malformed scenarios exit 2 with one line, internal errors
 exit 3, and scenario JSON round-trips losslessly."""
 
+import copy
 import json
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmdihedral import arith, charmod, cli, congruence, ffield, qfield, qseries, serrepred
 from cmdihedral.charmod import RESIDUE_GROUP_CAP, build_hecke_char
-from cmdihedral.congruence import EllipticCurve, Scenario, curve_ap, curve_ap_naive
+from cmdihedral.congruence import TAU, EllipticCurve, Scenario, curve_ap, curve_ap_naive
 from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import IdealRep, ideals_of_norm
 
@@ -210,6 +212,18 @@ REFUSALS = {
         {**CURVE71, "char": {"conductor": [71, 71], "finite_part": [35]}},
         "error: malformed conductor: expected a JSON object, not list",
     ),
+    # (O_K/f)^* is above the search cap too, but the target's compared
+    # indices are checked first
+    "verify_no_good_prime_before_search_cap": (
+        ["verify", "--scenario"],
+        {**CONDUCTOR_40009, "bound": 1},
+        "error: comparison bound 1 leaves no good prime to compare",
+    ),
+    "search_no_good_prime_before_search_cap": (
+        ["search", "--scenario"],
+        {**CONDUCTOR_40009, "bound": 1},
+        "error: comparison bound 1 leaves no good prime to compare",
+    ),
 }
 
 
@@ -300,12 +314,60 @@ def test_curve_perturbation_off_the_compared_primes_exits_2_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])
-def test_curve_bound_without_good_prime_exits_2(command, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("char", ["search", "explicit"])
+def test_curve_bound_without_good_prime_exits_2(char, command, tmp_path, capsys, monkeypatch):
     # below 2 there is no prime to compare, so no verdict can be given
     _forbid_work(monkeypatch)
-    assert _refusal(command, {**CURVE71, "bound": 1}, tmp_path, capsys) == [
+    scenario = {**(CURVE71 if char == "search" else CURVE71_EXPLICIT), "bound": 1}
+    assert _refusal(command, scenario, tmp_path, capsys) == [
         "error: comparison bound 1 leaves no good prime to compare"
     ]
+
+
+# |discriminant| of the CURVE71 curve and a primality test of the test's own:
+# the rule for which perturbations a curve target refuses, written apart from
+# the code under test
+CURVE71_ABS_DISC = 13**7 * 71**3
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000).flatmap(lambda b: st.tuples(st.just(b), st.integers(1, b))))
+@example((1, 1))
+@example((3000, 2))
+@example((3000, 7))
+@example((3000, 13))
+@example((3000, 71))
+@example((3000, 2999))
+def test_curve_perturbation_refused_exactly_off_the_good_primes(bound_and_index):
+    bound, n = bound_and_index
+    E = EllipticCurve(*CURVE71["target"]["curve"])
+    assert abs(E.discriminant()) == CURVE71_ABS_DISC
+    uncompared = n != 1 and (
+        n == 7 or not _prime_by_trial_division(n) or CURVE71_ABS_DISC % n == 0
+    )
+
+    def no_ap(*args):
+        raise AssertionError("the scenario set-up computed an a_p")
+
+    s = Scenario.from_json({**CURVE71, "bound": bound, "perturb": n})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congruence, "_curve_ap", no_ap)
+        mp.setattr(congruence, "curve_ap", no_ap)
+        try:
+            congruence._scenario_setup(s)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+    if uncompared:
+        assert refusal == f"perturbation index {n} is not compared for a curve target"
+    elif bound == 1:
+        assert refusal == "comparison bound 1 leaves no good prime to compare"
+    else:
+        assert refusal is None
 
 
 def test_curve_bound_2_compares_p_2(tmp_path, capsys):
@@ -465,7 +527,7 @@ def scenarios(draw):
         weight=draw(st.integers(min_value=2, max_value=30)),
         ell=draw(st.sampled_from((5, 7, 11, 23))),
         char=char,
-        target=draw(st.one_of(st.just("tau"), st.sampled_from(CURVES))),
+        target=draw(st.one_of(st.just(TAU), st.sampled_from(CURVES))),
         bound_mode=draw(st.sampled_from(("standard", "paper"))),
         cond=draw(st.one_of(st.none(), ideals(D))),
         bound=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=5000))),
@@ -478,6 +540,7 @@ def scenarios(draw):
 def test_scenario_json_roundtrip_property(s):
     text = json.dumps(s.to_json(), sort_keys=True)
     assert Scenario.from_json(json.loads(text)) == s
+    assert copy.deepcopy(s) == s  # a target is a value, not an identity
     assert ("c" in json.loads(text).get("cond", {})) == (
         s.cond is not None and s.cond.content != 1
     )

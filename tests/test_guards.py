@@ -2,9 +2,10 @@
 commands, the production route through the cached prime tables, the
 function names the per-layer tracer of `perfbench/` wraps, the modules
 a cold import of the command line loads, the one place the value types
-take equality, hashing and repr from, the single set-up and candidate
-pass of each verification command, the one form reduction behind a principal
-generator and the one product behind an ideal quotient."""
+take equality, hashing and repr from, the one place the kind of a target is
+decided, the single set-up and candidate pass of each verification command,
+the one form reduction behind a principal generator and the one product
+behind an ideal quotient."""
 
 import ast
 import glob
@@ -431,6 +432,71 @@ def test_value_dunders_are_written_once():
                         and node.name not in OWN_DUNDERS.get(cls.name, ())):
                     found.append(f"{os.path.basename(path)}: {cls.name}.{node.name}")
     assert found == []
+
+
+def _target_kind_branches(tree):
+    """Each comparison with "tau" and each isinstance test on EllipticCurve
+    in a module, outside Scenario.from_json, which reads the JSON form."""
+    exempt = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Scenario":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "from_json":
+                    exempt.update(map(id, ast.walk(fn)))
+
+    def names(node):
+        # a constant or name, or the items of a tuple, list or set of them
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        for item in items:
+            if isinstance(item, ast.Constant):
+                yield item.value
+            elif isinstance(item, ast.Name):
+                yield item.id
+            elif isinstance(item, ast.Attribute):
+                yield item.attr
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(v in ("tau", "EllipticCurve") for o in operands for v in names(o)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+              and "EllipticCurve" in names(node.args[1])):
+            found.append(node.lineno)
+    return found
+
+
+def test_target_kind_is_decided_only_by_the_scenario_json():
+    # a target answers for itself (TAU and EllipticCurve share one interface),
+    # so a new kind of target adds a class, not a branch in every caller
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        with open(path) as fh:
+            lines = _target_kind_branches(ast.parse(fh.read()))
+        found += [f"{os.path.basename(path)}:{line}" for line in lines]
+    assert found == []
+
+
+def test_target_kind_guard_sees_each_form_of_branch():
+    branches = """
+def f(s, t, E):
+    if s.target == "tau": pass
+    if "tau" != t: pass
+    if t in ("tau", 1): pass
+    if isinstance(t, EllipticCurve): pass
+    if isinstance(t, (int, congruence.EllipticCurve)): pass
+    if type(t) is EllipticCurve: pass
+class Scenario:
+    def from_json(obj):
+        if obj["target"] == "tau": pass
+    def to_json(self):
+        return "tau" if self.target == "tau" else None
+"""
+    assert _target_kind_branches(ast.parse(branches)) == [3, 4, 5, 6, 7, 8, 13]
 
 
 # name -> (candidates that `verify` builds up to its first match, that `search`
