@@ -44,7 +44,7 @@ from .qfield import (
 from .qseries import (
     PREC_CAP,
     QExpansion,
-    delta_qexp_recursion,
+    delta_mod,
     drop_multiples,
     euler_product,
     sturm_bound,
@@ -339,7 +339,8 @@ class Tau(NamedTuple):
         return None
 
     def expansion(self, ell: int, bound: int, indices) -> QExpansion:
-        return reduce_int_expansion(drop_multiples(delta_qexp_recursion(bound), ell), ell)
+        """Delta over F_ell by `delta_mod`, zero at the multiples of ell: no exact tau(n)."""
+        return drop_multiples(delta_mod(bound, ell), ell)
 
 
 TAU = Tau()

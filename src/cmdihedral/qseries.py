@@ -1,16 +1,20 @@
 """Truncated q-expansions: CM theta series (the Euler product over prime
 values, and the ideal sum over the exact value ring as its oracle), the
-weight-12 level-1 cusp form, coefficient killing, character twists and Sturm
-indices."""
+weight-12 level-1 cusp form (exact for the `tau` command and as oracles; over
+F_ell, for the tau target, from sparse eta factors and the one product of
+series mod ell), coefficient killing, character twists and Sturm indices."""
 
 from __future__ import annotations
 
 import operator
+import sys
+from functools import partial
+from math import isqrt
 
 from .charmod import HeckeChar, VrElem, evaluate
-from .ffield import FiniteField
+from .ffield import FiniteField, finite_field
 from .qfield import ideals_coprime, ideals_of_norm, primes_above
-from .arith import Record, factorint, primes_upto
+from .arith import Record, factorint, power, primes_upto
 from .serrepred import DirichletChar
 
 # Largest precision of a Delta expansion; every comparison bound is capped at it.
@@ -137,8 +141,9 @@ def delta_qexp(prec: int) -> QExpansion:
 
 def delta_qexp_recursion(prec: int) -> QExpansion:
     """Coefficients of q * prod(1-q^n)^24 from the pentagonal-number
-    recursion n*s_n = -sum_k (-1)^k (n - 25 g_k) s_{n-g_k}.  The tau target
-    uses this route; the literal product `delta_qexp` is its test oracle."""
+    recursion n*s_n = -sum_k (-1)^k (n - 25 g_k) s_{n-g_k}.  The `tau` command
+    prints this route; it and the literal product `delta_qexp` are the test
+    oracles of `delta_mod`."""
     if prec > PREC_CAP:
         raise ValueError("precision cap exceeded")
     if prec < 1:
@@ -155,6 +160,66 @@ def delta_qexp_recursion(prec: int) -> QExpansion:
             raise AssertionError("recursion produced a non-integer")
         s[n] = -acc // n
     return QExpansion("int", [0] + s, 12, 1)
+
+
+def _pack(series: list[int], n: int, code: str, width: int) -> int:
+    """The first n entries of series as one int, one fixed-width slot each;
+    only the nonzero slots are written."""
+    buf = bytearray(width * n)
+    slots = memoryview(buf).cast(code)
+    for i, c in zip(range(n), series):
+        if c:
+            slots[i] = c
+    return int.from_bytes(buf, sys.byteorder)
+
+
+def series_product(f: list[int], g: list[int], ell: int, prec: int) -> list[int]:
+    """c_0..c_prec of f*g mod ell, for lists of residues mod ell, by Kronecker
+    substitution: one int product of the two lists packed into fixed slots,
+    4 bytes wide, or 8 where a coefficient of the integer product (at most
+    min(len) * (ell - 1)^2) can reach 2^32."""
+    nf, ng = min(len(f), prec + 1), min(len(g), prec + 1)
+    top = min(nf, ng) * (ell - 1) ** 2
+    if top >> 64:
+        raise ValueError("series coefficients do not fit a 64-bit slot")
+    code, width = ("I", 4) if top >> 32 == 0 else ("Q", 8)
+    h = _pack(f, nf, code, width) * _pack(g, ng, code, width)
+    size = width * max(nf + ng, prec + 1)
+    return [c % ell for c in memoryview(h.to_bytes(size, sys.byteorder)).cast(code)[: prec + 1]]
+
+
+def _eta_series(n: int, ell: int, cube: bool) -> list[int]:
+    """P = prod (1 - q^k) mod ell to degree n by Euler's pentagonal series, or
+    P^3 by Jacobi's sum (-1)^k (2k+1) q^{k(k+1)/2}."""
+    c = [0] * (n + 1)
+    jacobi = ((k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+              for k in range((isqrt(8 * n + 1) + 1) // 2))  # k(k+1)/2 <= n
+    for e, s in jacobi if cube else _pentagonal_exponents(n):
+        c[e] = s % ell
+    return c
+
+
+def delta_mod(prec: int, ell: int) -> QExpansion:
+    """Delta = q * P^24 over F_ell, P = prod (1 - q^n), with no exact tau(n).
+    With 24 = sum d_i ell^i in base ell, Frobenius gives P^24 = prod_i
+    P(q^{ell^i})^{d_i} (mod ell), and P^d = (P^3)^{d // 3} * P^{d % 3} is a
+    power of Jacobi's or Euler's sparse series: q * P(q) * P(q^23) at ell = 23."""
+    if not 1 <= prec <= PREC_CAP:
+        raise ValueError(f"precision must be in 1..{PREC_CAP}")
+    top = prec - 1  # the degree of P^24 that q * P^24 needs
+    acc, m = [1] + [0] * top, max(ell**i for i in range(5) if ell**i <= 24)
+    # Horner from the top digit down, by power(x, e, mul, a) = a * x^e: acc becomes
+    # prod_{ell^i >= m} P(q^{ell^i / m})^{d_i} to degree top // m, P^24 at m = 1
+    while m:
+        n, d = top // m, 24 // m % ell
+        mul = partial(series_product, ell=ell, prec=n)
+        spread = [0] * (n + 1)
+        spread[::ell] = acc[: n // ell + 1]
+        acc = power(_eta_series(n, ell, False), d % 3, mul, spread)
+        if d >= 3:
+            acc = power(_eta_series(n, ell, True), d // 3, mul, acc)
+        m //= ell
+    return QExpansion(finite_field(ell, 1), [0] + acc, 12, 1)
 
 
 def drop_multiples(f: QExpansion, p: int) -> QExpansion:

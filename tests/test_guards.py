@@ -1,11 +1,12 @@
 """Guards against silent drift: pinned stdout bytes of the verification
 commands, the production route through the cached prime tables, the
-function names the per-layer tracer of `perfbench/` wraps, the modules
-a cold import of the command line loads, the one place the value types
-take equality, hashing and repr from, the one place the kind of a target is
-decided, the single set-up and candidate pass of each verification command,
-the one form reduction behind a principal generator and the one product
-behind an ideal quotient."""
+function names the per-layer tracer of `perfbench/` wraps, the modules a
+cold import of the command line and a delta23 verdict load, no exact tau(n)
+on the verdict path, the one place the value types take equality, hashing
+and repr from, the one place the kind of a target is decided, the single
+set-up and candidate pass of each verification command, the one form
+reduction behind a principal generator and the one product behind an ideal
+quotient."""
 
 import ast
 import glob
@@ -377,19 +378,43 @@ def test_traced_names_resolve():
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
 # together about a quarter of a cold start; `fractions` imports `decimal`,
-# which only the exact value ring of the oracles needs. `typing` is not
-# checked, because a site `.pth` file may import it before any program code
-# runs.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
+# which only the exact value ring of the oracles needs. `array` (about 0.1 MB
+# of peak RSS) and `numpy` would pack series for the Kronecker product, which
+# a `bytearray` does within noise. `typing` is not checked, because a site
+# `.pth` file may import it before any program code runs.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+                 "array", "numpy")
 
 
 def test_cold_import_loads_no_heavy_module():
+    # the import, and one delta23 verdict, which builds the tau target
     code = (f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
             "import cmdihedral.cli; "
-            f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+            "code = cmdihedral.cli.main(['verify', '--builtin', 'delta23']); "
+            f"print(code, sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_verdict_path_computes_no_exact_tau(tmp_path, capsys, monkeypatch):
+    """The tau target is Delta mod ell from eta factors: with both exact routes
+    broken in every namespace but `cli`, whose `tau` prints exact tau(n), the
+    tau verdicts keep their bytes and `tau` keeps its own."""
+    def broken(prec):
+        raise AssertionError("exact tau(n) on the verdict path")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cmdihedral" and name != "cmdihedral.cli":
+            for fn in ("delta_qexp", "delta_qexp_recursion"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, broken)
+                    patched.add(name)
+    assert {"cmdihedral", "cmdihedral.qseries"} <= patched
+    for name in ("verify-delta23", "search-delta23", "verify-explicit-mismatch",
+                 "verify-delta23-paper", "search-delta23-paper", "tau-30"):
+        _run_pinned(name, tmp_path, capsys)
 
 
 def test_prime_sweep_factors_the_discriminant_once(monkeypatch):

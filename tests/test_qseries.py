@@ -6,17 +6,20 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmdihedral.charmod import build_hecke_char, build_reductions, evaluate
 from cmdihedral.congruence import reduce_expansion
 from cmdihedral.qfield import IdealRep, ideal_multiply, ideals_coprime, ideals_of_norm, kronecker
 from cmdihedral.qseries import (
+    PREC_CAP,
+    delta_mod,
     delta_qexp,
     delta_qexp_recursion,
     drop_multiples,
     euler_product,
     prime_values,
+    series_product,
     sturm_bound,
     sturm_index,
     theta_series,
@@ -46,6 +49,93 @@ def test_delta_multiplicativity_sample():
     for m, n in itertools.product(range(2, 11), range(2, 11)):
         if gcd(m, n) == 1 and m * n <= 100:
             assert t[m * n] == t[m] * t[n]
+
+
+# -- Delta mod ell from eta factors ---------------------------------------------------
+
+def _convolution(f, g, ell, prec):
+    out = [0] * (prec + 1)
+    for i, a in enumerate(f[: prec + 1]):
+        for j, b in enumerate(g[: prec + 1 - i]):
+            out[i + j] += a * b
+    return [c % ell for c in out]
+
+
+# A slot holds min(len) * (ell - 1)^2: 2 * 46336^2 < 2^32 <= 3 * 46336^2 and
+# 65536^2 = 2^32, so these primes use both slot widths.
+SLOT_ELLS = (2, 5, 23, 46337, 65537, 9999991)
+
+
+@st.composite
+def residue_products(draw):
+    ell = draw(st.sampled_from(SLOT_ELLS))
+    residues = st.lists(st.integers(0, ell - 1), max_size=40)
+    return ell, draw(residues), draw(residues), draw(st.integers(0, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_products())
+@example((46337, [46336] * 2, [46336] * 2, 2))  # the fullest 4-byte slot
+@example((46337, [46336] * 3, [46336] * 3, 4))  # the least full 8-byte one
+@example((9999991, [9999990] * 40, [9999990] * 40, 60))
+def test_series_product_is_convolution_mod_ell(case):
+    ell, f, g, prec = case
+    assert series_product(f, g, ell, prec) == _convolution(f, g, ell, prec)
+
+
+def test_series_product_refuses_slots_past_64_bits():
+    below, above = 2**32 - 5, 2**32 + 15  # the primes next to 2^32
+    assert series_product([below - 1], [below - 1], below, 0) == [1]
+    with pytest.raises(ValueError, match="64-bit slot"):
+        series_product([1], [1], above, 0)
+
+
+PRIMES_5_TO_97 = [p for p in range(5, 98) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("prec", [552, 2000])
+def test_delta_mod_is_the_recursion_reduced(prec):
+    tau = delta_qexp_recursion(prec).coeffs
+    for ell in PRIMES_5_TO_97:
+        f = delta_mod(prec, ell)
+        assert (f.ring.ell, f.ring.r, f.weight, f.level) == (ell, 1, 12, 1)
+        assert f.coeffs == [c % ell for c in tau], ell
+
+
+@lru_cache(maxsize=None)
+def _delta_200():
+    return delta_qexp(200).coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 200), st.sampled_from([p for p in range(2, 200)
+                                             if all(p % d for d in range(2, p))]))
+def test_delta_mod_is_the_literal_product_reduced(prec, ell):
+    assert delta_mod(prec, ell).coeffs == [c % ell for c in _delta_200()[: prec + 1]]
+
+
+def _pentagonal(n):
+    """exponent -> sign of prod (1 - q^k) up to q^n (Euler)."""
+    out, k = {0: 1}, 1
+    while k * (3 * k - 1) // 2 <= n:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e <= n:
+                out[e] = (-1) ** k
+        k += 1
+    return out
+
+
+def test_delta_mod_23_at_the_cap_is_two_pentagonal_series():
+    # Delta = q * P^24 = q * P(q) * P(q^23) (mod 23): P^23 = P(q^23) by Frobenius
+    top = PREC_CAP - 1
+    small = sorted(_pentagonal(top).items())
+    c = [0] * (top + 1)
+    for b, t in _pentagonal(top // 23).items():
+        for a, s in small:
+            if a + 23 * b > top:
+                break
+            c[a + 23 * b] += s * t
+    assert delta_mod(PREC_CAP, 23).coeffs == [0] + [x % 23 for x in c]
 
 
 # -- theta series ------------------------------------------------------------------
