@@ -31,6 +31,7 @@ from .charmod import (
     table_exponents,
     table_images,
     teichmuller_lift,
+    value_ring,
 )
 from .serrepred import (
     DihedralDatum,

@@ -37,43 +37,29 @@ class Record:
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# (psi_t, t): psi_t is the least strong pseudoprime to the first t bases, so
-# those bases decide every n < psi_t (Jaeschke, Math. Comp. 61, 1993;
-# Sorenson-Webster, Math. Comp. 86, 2017).  psi_8 = psi_7 and
-# psi_11 = psi_10 = psi_9, so 8, 10 and 11 bases are never the shortest prefix.
-_MR_TIERS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (318665857834031151167461, 12),
-)
+# psi_12, the least strong pseudoprime to all twelve bases, so together they
+# decide every n below it (Sorenson-Webster, Math. Comp. 86, 2017).
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for n below psi_12, the least strong pseudoprime to all
-    twelve bases: trial division by the bases, then Miller-Rabin with the
-    shortest prefix of them that is exact for n.  Raises ValueError at or
-    above psi_12, where no base set here decides primality."""
+    """Deterministic for n below psi_12: trial division by the bases, then
+    Miller-Rabin to all twelve of them.  Raises ValueError at or above psi_12,
+    where no base set here decides primality."""
     if n < 2:
         return False
-    if n >= _MR_TIERS[-1][0]:
-        raise ValueError(f"primality at or above {_MR_TIERS[-1][0]} is not decided")
+    if n >= _PSI_12:
+        raise ValueError(f"primality at or above {_PSI_12} is not decided")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:  # no prime factor up to 37, hence none below sqrt(n)
         return True
-    t = next(t for psi, t in _MR_TIERS if n < psi)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[:t]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -28,16 +28,16 @@ unit consistency is decided on exponents, and `build_reductions(chi, ell)`
 reduces each relation constant as m(c_j) = m(zeta_w)^z_j m(beta_j)^(k-1),
 with the image of a + b*w_D from the same `_image` as `table_images`.
 
-The presentation ring Z[w_D, zeta_w, t_1..t_s], built on the first read of
-`chi.ring`, is the test oracle: `evaluate` gives chi(a) there exactly, with
-rational normal-form coefficients whose denominators are supported at the
-norms of the class-extension ideals, and `ReductionMap.reduce` takes it to
-F_{ell^r} term by term.
+The presentation ring Z[w_D, zeta_w, t_1..t_s] of a character, built and
+cached by `value_ring(chi)`, is the test oracle: `evaluate` gives chi(a) there
+exactly, with rational normal-form coefficients whose denominators are
+supported at the norms of the class-extension ideals, and
+`ReductionMap.reduce` takes it to F_{ell^r} term by term.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
 from typing import NamedTuple
@@ -53,7 +53,7 @@ from .arith import (
     prime_to_part,
     primes_upto,
 )
-from .ffield import FiniteField, finite_field
+from .ffield import FIELD_SIZE_CAP, FiniteField, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
@@ -454,6 +454,18 @@ class VrElem:
         return " + ".join(terms)
 
 
+@lru_cache(maxsize=None)
+def value_ring(chi: HeckeChar) -> ValueRing:
+    """The exact value ring of chi, with t_j^{h_j} = zeta_w^z_j * beta_j^(k-1);
+    one per character, and only oracles build it."""
+    base = ValueRing(chi.D, chi.w, (), ())
+    cs = tuple(
+        (base.zeta_pow(z) * base.from_quadint(beta) ** (chi.k - 1)).d
+        for z, beta in zip(chi.class_zetas, chi.class_betas)
+    )
+    return ValueRing(chi.D, chi.w, class_group(chi.D).orders, cs)
+
+
 # ---------------------------------------------------------------------------
 # Hecke characters
 
@@ -465,13 +477,10 @@ class HeckeChar(Record):
     - fp: the exponent on each residue-group generator;
     - zeta_exps: the value of generator i as zeta_w^zeta_exps[i];
     - class_part: "canonical" or a tuple of zeta_w exponents;
-    - class_zetas: z_j of the relation constant zeta_w^z_j * beta_j^(k-1).
+    - class_zetas: z_j of the relation constant zeta_w^z_j * beta_j^(k-1)."""
 
-    Equality and hashing go over the eleven fields; the value ring cached
-    by `ring` takes no part."""
-
-    _FIELDS = ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
-               "class_betas", "class_part", "class_zetas")
+    __slots__ = ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
+                 "class_betas", "class_part", "class_zetas")
 
     def __init__(self, D: int, k: int, cond: IdealRep, rg: ResidueGroup,
                  fp: tuple[int, ...], w: int, zeta_exps: tuple[int, ...],
@@ -489,22 +498,9 @@ class HeckeChar(Record):
         self.class_part = class_part
         self.class_zetas = class_zetas
 
-    @cached_property
-    def ring(self) -> ValueRing:
-        """The exact value ring, built on the first read; only oracles read it."""
-        base = ValueRing(self.D, self.w, (), ())
-        cs = tuple(
-            (base.zeta_pow(z) * base.from_quadint(beta) ** (self.k - 1)).d
-            for z, beta in zip(self.class_zetas, self.class_betas)
-        )
-        return ValueRing(self.D, self.w, class_group(self.D).orders, cs)
-
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""
         return _finite_exponent(self.rg, self.zeta_exps, self.w, alpha)
-
-    def finite_value(self, alpha: QuadInt) -> VrElem:
-        return self.ring.zeta_pow(self.finite_exponent(alpha))
 
     def to_json(self) -> dict:
         return {
@@ -656,8 +652,8 @@ def evaluate(chi: HeckeChar, a: IdealRep) -> VrElem:
     from fractions import Fraction  # oracle only: kept out of a cold start
 
     fs, beta = _principal_part(a, chi.class_ideals)
-    R, km1 = chi.ring, chi.k - 1
-    out = chi.finite_value(beta) * R.from_quadint(beta) ** km1
+    R, km1 = value_ring(chi), chi.k - 1
+    out = R.zeta_pow(chi.finite_exponent(beta)) * R.from_quadint(beta) ** km1
     for j, (fj, hj, zj, bj) in enumerate(zip(fs, R.orders, chi.class_zetas, chi.class_betas)):
         if fj:
             # c_j^-1 = zeta_w^-z_j * conj(beta_j)^(k-1) / N(beta_j)^(k-1)
@@ -762,7 +758,7 @@ class ReductionMap(NamedTuple):
 
     def reduce(self, elem: VrElem) -> int:
         """Image in the field of an element of chi's value ring, term by term."""
-        if elem.ring is not self.chi.ring:
+        if elem.ring is not value_ring(self.chi):
             raise ValueError("element belongs to a different value ring")
         F, imgs = self.field, (self.x_img, self.z_img, *self.t_imgs)
         acc = 0
@@ -791,7 +787,10 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     stops at the first F_{ell^r} in which every relation constant c_j has all
     h'_j of its h_j-th roots, h'_j the prime-to-ell part of h_j.  So images of
     the formal roots t_j may land in a proper extension even when one root
-    exists lower down; the maps are ordered by element codes.
+    exists lower down; the maps are ordered by element codes.  A field with
+    some h'_j not dividing ell^r - 1 holds at most gcd(h'_j, ell^r - 1) < h'_j
+    roots of x^h_j = c_j, so it is skipped unbuilt, unless it is above
+    FIELD_SIZE_CAP, where `finite_field` refuses it.
     """
     if not is_prime(ell) or ell < 3:
         raise ValueError("reduction characteristic must be an odd prime")
@@ -803,6 +802,9 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     hprimes = [prime_to_part(h, ell) for h in orders]
 
     for r in count(r1, r1):
+        q = ell**r
+        if q <= FIELD_SIZE_CAP and any((q - 1) % hp for hp in hprimes):
+            continue
         F = finite_field(ell, r)
         # [F_ell(w_D):F_ell] divides r, so the minimal polynomial of w_D splits in F
         g = F.generator()

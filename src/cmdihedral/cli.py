@@ -57,7 +57,6 @@ def cmd_classgroup(args) -> int:
 
 def cmd_predict(args) -> int:
     D, ell, k, N_rho = args.disc, args.ell, args.weight, args.cond_norm
-    check_fundamental(D)
     kind = primes_above(D, ell).kind
     case = ramification_case(ell, kind, k)
     if N_rho < 1 or N_rho % ell == 0:
@@ -69,8 +68,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    if args.prec < 1:
-        raise ValueError("precision must be >= 1")
     f = delta_qexp_recursion(args.prec)
     _emit(coeff_strings(f))
     _note(f"tau(1..{args.prec})")

@@ -274,7 +274,7 @@ def _count_points_naive(E: EllipticCurve, p: int) -> int:
 
 def reduce_expansion(f: QExpansion, m: ReductionMap) -> QExpansion:
     coeffs = [0] + [m.reduce(c) for c in f.coeffs[1:]]
-    return QExpansion(m.field, coeffs, f.weight, f.level, f.character)
+    return QExpansion(m.field, coeffs, f.weight, f.level)
 
 
 def reduce_int_expansion(f: QExpansion, ell: int) -> QExpansion:
@@ -282,7 +282,7 @@ def reduce_int_expansion(f: QExpansion, ell: int) -> QExpansion:
         raise ValueError("expected an integer expansion")
     F = finite_field(ell, 1)
     coeffs = [0] + [F.scalar(c) for c in f.coeffs[1:]]
-    return QExpansion(F, coeffs, f.weight, f.level, f.character)
+    return QExpansion(F, coeffs, f.weight, f.level)
 
 
 class CongruenceReport(NamedTuple):
@@ -394,19 +394,12 @@ class Scenario(NamedTuple):
                 raise ValueError(
                     "malformed scenario: class_part must be 'canonical' or a list of integers"
                 )
-        cond = None
-        cond_spec = None
-        if isinstance(char, dict) and "conductor" in char:
-            cond_spec = char["conductor"]
-        elif "cond" in obj:
-            cond_spec = obj["cond"]
-        if cond_spec is not None:
-            _json_object(cond_spec, "conductor", ("n", "b"))
-            cond = IdealRep(
-                disc, _json_int(cond_spec["n"], "conductor n"),
-                _json_int(cond_spec["b"], "conductor b"),
-                _json_int(cond_spec.get("c", 1), "conductor c"),
-            )
+        # a top-level cond and an explicit char's conductor must name one ideal
+        specs = (obj.get("cond"), char.get("conductor") if isinstance(char, dict) else None)
+        conds = {_conductor(disc, spec) for spec in specs if spec is not None}
+        if len(conds) > 1:
+            raise ValueError("malformed scenario: cond and char.conductor name different ideals")
+        cond = conds.pop() if conds else None
         return Scenario(disc, weight, ell, char, target, bound_mode, cond, bound, perturb)
 
     def to_json(self) -> dict:
@@ -415,6 +408,14 @@ class Scenario(NamedTuple):
             if name in out:
                 out[name] = out[name].to_json()
         return out
+
+
+def _conductor(disc: int, spec) -> IdealRep:
+    _json_object(spec, "conductor", ("n", "b"))
+    return IdealRep(
+        disc, _json_int(spec["n"], "conductor n"), _json_int(spec["b"], "conductor b"),
+        _json_int(spec.get("c", 1), "conductor c"),
+    )
 
 
 def _json_object(x, what: str, keys) -> None:
@@ -476,7 +477,6 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | N
     checked in one order for every command: datum, bound cap, perturbation
     index, compared indices.  Every series is expanded to the bound, so each
     refusal here comes before any target or candidate is built."""
-    check_fundamental(s.disc)
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
     finite_field(s.ell, 2 if sp.kind == "inert" else 1)
@@ -528,7 +528,7 @@ def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
     level = chi.cond.norm() * abs(chi.D)
     for m in maps:
         coeffs = euler_product(m.field, table_images(rows, chi.k, m), bound)
-        theta = QExpansion(m.field, coeffs, chi.k, level, chi)
+        theta = QExpansion(m.field, coeffs, chi.k, level)
         rep = compare(theta, target, bound, indices)
         yield m, rep._replace(reduction_map=m.describe())
 

@@ -38,8 +38,9 @@ DISC_CAP = 10**7
 @lru_cache(maxsize=None)
 def check_fundamental(D: int) -> None:
     """Reject anything but a negative fundamental discriminant of |D| at most
-    DISC_CAP, before anything factors |D|.  A pass is cached per D, so a prime
-    table factors |D| once; a refusal raises every time."""
+    DISC_CAP, before anything factors |D|.  A pass is cached per D, so a sweep
+    of `primes_above` over many p factors |D| once; a refusal raises every
+    time."""
     if D >= 0:
         raise ValueError("discriminant must be negative")
     if -D > DISC_CAP:
@@ -158,7 +159,6 @@ def _reduce(a: int, b: int, c: int, ux: int, uy: int, vx: int, vy: int):
         return a, b, c, ux, uy
 
 
-@lru_cache(maxsize=None)
 def reduced_forms(D: int) -> tuple[QuadForm, ...]:
     """All reduced forms of discriminant D, one per class, sorted by (a, b, c)."""
     check_fundamental(D)

@@ -11,7 +11,7 @@ import sys
 from functools import partial
 from math import isqrt
 
-from .charmod import HeckeChar, VrElem, evaluate
+from .charmod import HeckeChar, VrElem, evaluate, value_ring
 from .ffield import FiniteField, finite_field
 from .qfield import ideals_coprime, ideals_of_norm, primes_above
 from .arith import Record, factorint, power, primes_upto
@@ -26,15 +26,14 @@ class QExpansion(Record):
     ring is "int", a FiniteField (coefficients are its int codes), or a
     ValueRing.  coeffs[n] holds c_n; coeffs[0] is unused (always zero)."""
 
-    __slots__ = ("ring", "coeffs", "weight", "level", "character")
+    __slots__ = ("ring", "coeffs", "weight", "level")
     __hash__ = None  # the coefficient list is mutable
 
-    def __init__(self, ring, coeffs: list, weight: int, level: int, character=None):
+    def __init__(self, ring, coeffs: list, weight: int, level: int):
         self.ring = ring
         self.coeffs = coeffs
         self.weight = weight
         self.level = level
-        self.character = character
 
     @property
     def prec(self) -> int:
@@ -52,7 +51,7 @@ def theta_series(chi: HeckeChar, prec: int) -> QExpansion:
     the test oracle of the Euler product over `prime_values`."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
-    R = chi.ring
+    R = value_ring(chi)
     coeffs = [R.zero() for _ in range(prec + 1)]
     for n in range(1, prec + 1):
         acc = R.zero()
@@ -62,7 +61,7 @@ def theta_series(chi: HeckeChar, prec: int) -> QExpansion:
         coeffs[n] = acc
     if coeffs[1] != R.one():
         raise AssertionError("theta series is not normalized")
-    return QExpansion(R, coeffs, chi.k, chi.cond.norm() * abs(chi.D), chi)
+    return QExpansion(R, coeffs, chi.k, chi.cond.norm() * abs(chi.D))
 
 
 def prime_values(chi: HeckeChar, prec: int) -> list[tuple[int, VrElem]]:
@@ -228,7 +227,7 @@ def drop_multiples(f: QExpansion, p: int) -> QExpansion:
     z = f.zero_coeff()
     for n in range(p, f.prec + 1, p):
         coeffs[n] = z
-    return QExpansion(f.ring, coeffs, f.weight, f.level, f.character)
+    return QExpansion(f.ring, coeffs, f.weight, f.level)
 
 
 def _char_value_in_ring(ring, t) -> object:
@@ -259,7 +258,7 @@ def twist(f: QExpansion, mu: DirichletChar) -> QExpansion:
         if key not in cache:
             cache[key] = _char_value_in_ring(f.ring, v)
         coeffs[n] = mul(cache[key], f.coeffs[n])
-    return QExpansion(f.ring, coeffs, f.weight, f.level, f.character)
+    return QExpansion(f.ring, coeffs, f.weight, f.level)
 
 
 def sturm_index(N: int) -> int:

@@ -10,7 +10,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import Record, abelian_structure, factorint, is_prime, prime_to_part
-from .charmod import HeckeChar, TeichRep, evaluate
+from .charmod import HeckeChar, TeichRep, evaluate, value_ring
 from .qfield import (
     IdealRep,
     QuadInt,
@@ -270,7 +270,7 @@ def charpoly_data(q: int, chi: HeckeChar, eps: DirichletChar, k: int):
     q_ideal = principal_ideal(QuadInt(D, q, 0))
     if not ideals_coprime(q_ideal, chi.cond):
         raise ValueError("q divides the level")
-    R = chi.ring
+    R = value_ring(chi)
     ev = eps.value(q)
     if ev is None:
         raise ValueError("q divides the nebentypus modulus")
@@ -322,14 +322,7 @@ class SerrePrediction(NamedTuple):
     ell_relation: str  # "2k-1" | "2k-3" | "none"
 
     def to_json(self) -> dict:
-        return {
-            "N_rho": self.N_rho,
-            "N_prime": self.N_prime,
-            "MDK": self.MDK,
-            "weight": self.weight,
-            "ell_relation": self.ell_relation,
-            "nebentypus_conductor": self.nebentypus_conductor,
-        }
+        return self._asdict()
 
 
 def predict_invariants(datum: DihedralDatum, nebentypus_conductor=None) -> SerrePrediction:

@@ -1,11 +1,12 @@
-"""Integer helpers: deterministic Miller-Rabin against the sieve and the
-strong pseudoprimes psi_t; the group primitives power and exact_order against
-built-in powers and naive orders, on residues and on elliptic-curve points."""
+"""Integer helpers: deterministic Miller-Rabin against the sieve, trial
+division, the Carmichael numbers and the strong pseudoprimes psi_t; the group
+primitives power and exact_order against built-in powers and naive orders, on
+residues and on elliptic-curve points."""
 
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmdihedral.arith import (
     exact_order,
@@ -56,6 +57,60 @@ def test_is_prime_refuses_psi_12_and_above():
         with pytest.raises(ValueError, match="not decided"):
             is_prime(n)
     assert is_prime(PSI[11] - 1) is False
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+PRIMORIAL_37 = prod(primes_upto(37))
+
+
+@settings(max_examples=100, deadline=None)
+@example(1681)  # 41^2, the least n that division by the bases up to 37 leaves open
+@given(st.integers(min_value=1681, max_value=10**9))
+def test_is_prime_agrees_with_trial_division(n):
+    # n, and the first m >= n with no prime factor up to 37, which only the
+    # Miller-Rabin rounds decide
+    m = n
+    while gcd(m, PRIMORIAL_37) != 1:
+        m += 1
+    assert is_prime(n) == _prime_by_trial_division(n)
+    assert is_prime(m) == _prime_by_trial_division(m)
+
+
+# The Carmichael numbers below 10^7: all 105 of them (Pinch, "The Carmichael
+# numbers up to 10^15", Math. Comp. 61, 1993), composites that pass Fermat's
+# test to every base prime to them
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633,
+    62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545,
+    294409, 314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461, 530881, 552721,
+    656601, 658801, 670033, 748657, 825265, 838201, 852841, 997633, 1024651, 1033669,
+    1050985, 1082809, 1152271, 1193221, 1461241, 1569457, 1615681, 1773289, 1857241,
+    1909001, 2100901, 2113921, 2433601, 2455921, 2508013, 2531845, 2628073, 2704801,
+    3057601, 3146221, 3224065, 3581761, 3664585, 3828001, 4335241, 4463641, 4767841,
+    4903921, 4909177, 5031181, 5049001, 5148001, 5310721, 5444489, 5481451, 5632705,
+    5968873, 6049681, 6054985, 6189121, 6313681, 6733693, 6840001, 6868261, 7207201,
+    7519441, 7995169, 8134561, 8341201, 8355841, 8719309, 8719921, 8830801, 8927101,
+    9439201, 9494101, 9582145, 9585541, 9613297, 9890881,
+)
+
+
+def test_is_prime_rejects_the_carmichael_numbers_below_10_7():
+    assert len(CARMICHAEL) == 105 and max(CARMICHAEL) < 10**7
+    for n in CARMICHAEL:
+        # Korselt's criterion: n is squarefree with at least three prime
+        # factors, and p - 1 divides n - 1 for each of them
+        primes, m = [], n
+        for d in range(3, isqrt(n) + 1, 2):
+            while m % d == 0:
+                primes.append(d)
+                m //= d
+        primes += [m] if m > 1 else []
+        assert len(primes) == len(set(primes)) >= 3 and n % 2
+        assert all((n - 1) % (p - 1) == 0 for p in primes)
+        assert not is_prime(n)
 
 
 @settings(max_examples=300, deadline=None)

@@ -207,6 +207,13 @@ REFUSALS = {
         {**DELTA, "char": "search", "cond": {"b": 23}},
         "error: malformed conductor: missing key 'n'",
     ),
+    # a top-level cond that names another ideal than the explicit char's
+    # conductor, which it once lost to silently
+    "cond_and_char_conductor_differ": (
+        ["verify", "--scenario"],
+        {**DELTA, "cond": {"n": 1, "b": 1}, "char": {**EXPLICIT, "finite_part": [11]}},
+        "error: malformed scenario: cond and char.conductor name different ideals",
+    ),
     "explicit_conductor_not_an_object": (
         ["verify", "--scenario"],
         {**CURVE71, "char": {"conductor": [71, 71], "finite_part": [35]}},
@@ -487,6 +494,15 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: ")
+
+
+def test_cond_equal_to_char_conductor_is_accepted(tmp_path, capsys):
+    # (23, -23) and (23, 23, c = 1) are one ideal, the conductor of the delta23 match
+    char = {"conductor": {"n": 23, "b": -23}, "finite_part": [11]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**DELTA, "cond": {"n": 23, "b": 23, "c": 1}, "char": char}))
+    assert cli.main(["verify", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
 
 
 def test_character_json_keeps_conductor_content():

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import pytest
 
-from cmdihedral import charmod, congruence, qfield, qseries, serrepred
+from cmdihedral import arith, charmod, congruence, ffield, qfield, qseries, serrepred
 from cmdihedral.arith import primes_upto
 from cmdihedral.cli import main
 from cmdihedral.qfield import IdealRep, check_fundamental, class_group, kronecker, primes_above
@@ -437,6 +437,51 @@ def test_prime_sweep_factors_the_discriminant_once(monkeypatch):
     with pytest.raises(ValueError, match="not a fundamental discriminant"):
         check_fundamental(-9999999)
     assert calls == [2499997, 9999999, 9999999]  # a refusal is not cached
+
+
+def test_every_record_defines_its_slots():
+    # a value type holds its fields and nothing else: no per-instance dict in
+    # which state outside the fields (a cached property, say) could live
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    records = [cls for cls in subclasses(arith.Record) if cls.__module__.startswith("cmdihedral.")]
+    assert len(records) >= 10
+    assert [cls.__name__ for cls in records if "__slots__" not in vars(cls)] == []
+
+
+# h(-1000003) = 105 = 3 * 5 * 7 divides 13^r - 1 at r = 4 only, below the cap
+# of 13^6 < 10^7 < 13^7, so x^105 = c has too few roots in F_{13^r} at every
+# other r; the reduction at ell = 13 of an h = 105 character
+BIG_CLASS_GROUP = {"disc": -1000003, "weight": 3, "ell": 13, "target": "tau", "bound": 5,
+                   "char": {"conductor": {"n": 1, "b": 1}, "finite_part": []}}
+
+
+def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path, capsys,
+                                                                       monkeypatch):
+    # a fresh cache of `finite_field` in every module that holds it, so that no
+    # field an earlier test built hides a construction
+    built, build = [], ffield.finite_field.__wrapped__
+
+    def counted(ell, r):
+        built.append((ell, r))
+        return build(ell, r)
+
+    fresh = lru_cache(maxsize=None)(counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cmdihedral" and vars(module).get("finite_field") is not None:
+            monkeypatch.setattr(module, "finite_field", fresh)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(BIG_CLASS_GROUP))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: field size 13^7 exceeds the cap of 10000000"]
+    # F_13 for the scenario set-up, F_{13^4}, in which the relation constant
+    # has no 105th root, and the refused F_{13^7}
+    assert built == [(13, 1), (13, 4), (13, 7)]
 
 
 # Equality, hashing and repr of the value types come from one base in `arith`;

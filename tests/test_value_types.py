@@ -3,19 +3,20 @@ equality holds exactly for the same class with the same fields, the hash is
 that of the field tuple, and the repr is the field listing.  For QuadInt,
 QuadForm, IdealRep and TeichRep, arithmetic is not tuple arithmetic, and
 IdealRep refuses bad input with its messages and normalises b.  ClassGroup
-and ResidueGroup leave their discrete-log tables out of all three, HeckeChar
-leaves out its cached value ring, and QExpansion is unhashable."""
+and ResidueGroup leave their discrete-log tables out of all three, the value
+ring cached per HeckeChar takes no part in it, and QExpansion is unhashable."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmdihedral.charmod import HeckeChar, ResidueGroup, TeichRep, build_hecke_char, residue_group
+from cmdihedral.charmod import (HeckeChar, ResidueGroup, TeichRep, build_hecke_char,
+                                residue_group, value_ring)
 from cmdihedral.congruence import EllipticCurve
 from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import (ClassGroup, IdealRep, QuadForm, QuadInt, class_group,
                                ideals_of_norm, primes_above, unit_ideal)
 from cmdihedral.qseries import QExpansion
-from cmdihedral.serrepred import DihedralDatum, DirichletChar, ramification_case
+from cmdihedral.serrepred import DihedralDatum, ramification_case
 
 DISCS = [-3, -4, -7, -8, -23, -71]
 ints = st.integers(-50, 50)
@@ -131,7 +132,7 @@ RECORD_FIELDS = {
                 "class_betas", "class_part", "class_zetas"),
     EllipticCurve: ("a1", "a2", "a3", "a4", "a6"),
     DihedralDatum: ("ell", "D", "k", "cond_away", "case"),
-    QExpansion: ("ring", "coeffs", "weight", "level", "character"),
+    QExpansion: ("ring", "coeffs", "weight", "level"),
 }
 P23, P71 = IdealRep(-23, 23, 23), IdealRep(-71, 71, 71)
 REAL = {
@@ -144,7 +145,7 @@ REAL = {
     QExpansion: [QExpansion("int", [0, 1, -24, 252], 12, 1),
                  QExpansion("int", [0, 1, -24], 12, 1),
                  QExpansion(FiniteField(7, 1), [0, 1, 3], 2, 71),
-                 QExpansion("int", [0, 1, -24, 252], 2, 71, DirichletChar.trivial(3))],
+                 QExpansion("int", [0, 1, -24, 252], 2, 71)],
 }
 
 
@@ -234,7 +235,7 @@ def test_dlog_takes_no_part_in_equality_hash_or_repr(cls):
 def test_hecke_char_ring_takes_no_part():
     for chi in REAL[HeckeChar]:
         copy = rebuilt(chi)
-        chi.ring
+        value_ring(chi)
         assert copy == chi and hash(copy) == hash(chi) and repr(copy) == repr(chi)
 
 
