@@ -11,7 +11,7 @@ size of (O_K/f)^*."""
 from __future__ import annotations
 
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .arith import (
@@ -35,6 +35,7 @@ from .charmod import (
 )
 from .ffield import FiniteField, finite_field
 from .qfield import (
+    DISC_CAP,
     IdealRep,
     check_fundamental,
     ideal_divide_prime,
@@ -591,6 +592,10 @@ def run_scenario(s: Scenario) -> RunResult:
     else reports an empty false comparison.  An explicit character is compared
     under every reduction map up to the first match, else reports the first map."""
     datum, cond, bound, indices = _scenario_setup(s)
+    # the nebentypus tables span its modulus: refuse it before any of them
+    L = lcm(cond.norm(), abs(s.disc))
+    if L > DISC_CAP:
+        raise ValueError(f"nebentypus modulus {L} exceeds the cap of {DISC_CAP}")
     if s.char == "search":
         empty = None, None, CongruenceReport(s.ell, None, bound, 0, (), False)
         chi, rmap, report = next(_search_matches(s, cond, bound, indices, []), empty)

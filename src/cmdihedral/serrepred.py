@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import Record, abelian_structure, factorint, is_prime, prime_to_part
+from .arith import Record, abelian_structure, divisors, factorint, is_prime, prime_to_part
 from .charmod import HeckeChar, TeichRep, evaluate, value_ring
 from .qfield import (
     IdealRep,
@@ -89,9 +89,11 @@ def predicted_level(N_rho: int, ell: int, ramified: bool) -> int:
 # Dirichlet characters (value tables of root-of-unity exponents)
 
 
-class DirichletChar:
+class DirichletChar(Record):
     """Character mod M with values stored as exponents of a primitive n-th
     root of unity; exps[m] is None when gcd(m, M) > 1."""
+
+    __slots__ = ("modulus", "order", "exps")
 
     def __init__(self, modulus: int, order: int, exps):
         self.modulus = modulus
@@ -108,22 +110,19 @@ class DirichletChar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def trivial(modulus: int) -> "DirichletChar":
-        return DirichletChar(
-            modulus, 1, [0 if gcd(m, modulus) == 1 else None for m in range(modulus)]
-        )
+        return _on_units(modulus, 1, lambda m: 0)
 
     @staticmethod
     def from_gen_values(modulus: int, order: int, gen_exps) -> "DirichletChar":
-        gens, orders, dlog = _unit_group(modulus)
+        _, orders, dlog = _unit_group(modulus)
+        if len(gen_exps) != len(orders):
+            raise ValueError("one exponent per generator of the unit group is required")
         for e, n in zip(gen_exps, orders):
             if (e * n) % order:
                 raise ValueError("exponent incompatible with generator order")
-        exps = [None] * modulus
-        for m in range(modulus):
-            if gcd(m, modulus) == 1:
-                vec = dlog[m % modulus]
-                exps[m] = sum(d * e for d, e in zip(vec, gen_exps)) % order
-        return DirichletChar(modulus, order, exps)
+        return _on_units(
+            modulus, order, lambda m: sum(d * e for d, e in zip(dlog[m], gen_exps)) % order
+        )
 
     @staticmethod
     def kronecker_char(D: int, modulus: int) -> "DirichletChar":
@@ -132,10 +131,7 @@ class DirichletChar:
         if modulus % abs(D):
             raise ValueError("modulus must be a multiple of |D|")
         period = [0 if kronecker(D, r) == 1 else 1 for r in range(abs(D))]
-        exps = [
-            None if gcd(m, modulus) > 1 else period[m % abs(D)] for m in range(modulus)
-        ]
-        return DirichletChar(modulus, 2, exps)
+        return _on_units(modulus, 2, lambda m: period[m % len(period)])
 
     # -- structure ---------------------------------------------------------
     def value(self, m: int) -> TeichRep | None:
@@ -145,53 +141,33 @@ class DirichletChar:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletChar)
-            and self.modulus == other.modulus
-            and self.order == other.order
-            and self.exps == other.exps
-        )
-
     def extend(self, modulus: int) -> "DirichletChar":
         if modulus % self.modulus:
             raise ValueError("can only extend to a multiple of the modulus")
-        exps = [
-            self.exps[m % self.modulus] if gcd(m, modulus) == 1 else None
-            for m in range(modulus)
-        ]
-        return DirichletChar(modulus, self.order, exps)
+        return self * DirichletChar.trivial(modulus)
 
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":
-        M = lcm(self.modulus, other.modulus)
         n = lcm(self.order, other.order)
-        exps = []
-        for m in range(M):
-            if gcd(m, M) > 1:
-                exps.append(None)
-            else:
-                e1 = self.exps[m % self.modulus] * (n // self.order)
-                e2 = other.exps[m % other.modulus] * (n // other.order)
-                exps.append((e1 + e2) % n)
-        return DirichletChar(M, n, exps)
+        a, s = self.exps, n // self.order
+        b, t = other.exps, n // other.order
+        return _on_units(lcm(self.modulus, other.modulus), n,
+                         lambda m: (a[m % len(a)] * s + b[m % len(b)] * t) % n)
 
     def __pow__(self, k: int) -> "DirichletChar":
-        exps = [None if e is None else (e * k) % self.order for e in self.exps]
-        return DirichletChar(self.modulus, self.order, exps)
+        return _on_units(self.modulus, self.order, lambda m: self.exps[m] * k % self.order)
 
     def conductor(self) -> int:
-        from .arith import divisors
+        """The least d | M with every unit m = 1 mod d in the kernel."""
+        M, exps = self.modulus, self.exps
+        return next(
+            (d for d in divisors(M) if not any(exps[m] for m in range(1 % d, M, d))), M
+        )
 
-        for d in divisors(self.modulus):
-            ok = True
-            for m in range(1, self.modulus + 1):
-                if gcd(m, self.modulus) == 1 and m % d == 1 % d:
-                    if self.exps[m % self.modulus]:
-                        ok = False
-                        break
-            if ok:
-                return d
-        return self.modulus
+
+def _on_units(modulus: int, order: int, value) -> DirichletChar:
+    """The character mod modulus whose exponent at each unit m is value(m)."""
+    units = (value(m) if gcd(m, modulus) == 1 else None for m in range(modulus))
+    return DirichletChar(modulus, order, units)
 
 
 @lru_cache(maxsize=None)
@@ -208,14 +184,7 @@ def nebentypus(chi: HeckeChar) -> tuple[DirichletChar, DirichletChar]:
     """(eps, eta): eta(m) = delta_H(m O_K)/m^(k-1) as a character mod
     Norm(cond), and eps = (D|.) * eta mod lcm(Norm(cond), |D|)."""
     M = chi.cond.norm()
-    w = chi.w
-    exps = []
-    for m in range(M):
-        if gcd(m, M) > 1:
-            exps.append(None)
-        else:
-            exps.append(chi.finite_exponent(QuadInt(chi.D, m, 0)))
-    eta = DirichletChar(M, max(w, 1), exps)
+    eta = _on_units(M, max(chi.w, 1), lambda m: chi.finite_exponent(QuadInt(chi.D, m, 0)))
     eps = DirichletChar.kronecker_char(chi.D, lcm(M, abs(chi.D))) * eta
     return eps, eta
 
@@ -239,15 +208,9 @@ def m_prime(M: int, D: int) -> int:
 
 def twist_char(eps: DirichletChar, ell: int) -> DirichletChar:
     """mu = eps^((ell^h - 1)/2) for eps of ell-power order; mu^2 * eps = 1."""
-    o = eps.order
-    h = 0
-    while o % ell == 0:
-        o //= ell
-        h += 1
-    if o != 1:
+    if prime_to_part(eps.order, ell) != 1:
         raise ValueError("character order is not a power of ell")
-    mu = eps ** ((ell**h - 1) // 2)
-    return mu
+    return eps ** ((eps.order - 1) // 2)
 
 
 def twisted_level(MDK: int, r: int) -> int:

@@ -331,6 +331,24 @@ def test_curve_bound_without_good_prime_exits_2(char, command, tmp_path, capsys,
     ]
 
 
+# conductor 6 O_K of norm 36 at D = -1000003: the nebentypus tables would span
+# lcm(36, 1000003) = 36000108 residues, about 1.1 GB at 31 MB per 10^6 entries
+BIG_NEBENTYPUS = {"disc": -1000003, "weight": 3, "ell": 5, "target": "tau", "bound": 5,
+                  "char": {"conductor": {"n": 1, "b": 1, "c": 6}, "finite_part": [2]}}
+
+
+def test_nebentypus_modulus_over_cap_exits_2_before_any_character(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the scenario was refused")
+
+    for fn in ("build_hecke_char", "nebentypus"):
+        monkeypatch.setattr(f"cmdihedral.congruence.{fn}", no_work)
+    assert _refusal("verify", BIG_NEBENTYPUS, tmp_path, capsys) == [
+        f"error: nebentypus modulus 36000108 exceeds the cap of {qfield.DISC_CAP}"
+    ]
+
+
 # |discriminant| of the CURVE71 curve and a primality test of the test's own:
 # the rule for which perturbations a curve target refuses, written apart from
 # the code under test

@@ -485,9 +485,8 @@ def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path
 
 
 # Equality, hashing and repr of the value types come from one base in `arith`;
-# VrElem and DirichletChar keep their own equality only.
-OWN_DUNDERS = {"Record": {"__eq__", "__hash__", "__repr__"},
-               "VrElem": {"__eq__"}, "DirichletChar": {"__eq__"}}
+# VrElem keeps its own equality only.
+OWN_DUNDERS = {"Record": {"__eq__", "__hash__", "__repr__"}, "VrElem": {"__eq__"}}
 
 
 def test_value_dunders_are_written_once():

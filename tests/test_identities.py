@@ -6,11 +6,16 @@ Delta mod 23 from two binary forms of discriminant -23 (Serre, "Modular forms
 of weight one and Galois representations", Durham 1977): eta(z)^24 =
 eta(z) eta(23z) (mod 23), and eta(z) eta(23z) = (theta_1 - theta_2) / 2 for
 the forms x^2 + xy + 6y^2 and 2x^2 + xy + 3y^2.  So tau(n) = (r_1(n) -
-r_2(n)) / 2 (mod 23), where r_i(n) counts the representations of n."""
+r_2(n)) / 2 (mod 23), where r_i(n) counts the representations of n.
+
+Frobenius traces of the CM curves y^2 = x^3 - x and y^2 = x^3 + 1 (Ireland-
+Rosen, GTM 84, ch. 18): a_p = 0 where p is inert in Z[i], resp. Z[w], and
+elsewhere a_p = 2a for p = a^2 + b^2, resp. p = a^2 + 3b^2, up to sign."""
 
 from math import isqrt
 
 from cmdihedral import congruence
+from cmdihedral.congruence import EllipticCurve, curve_ap
 
 BOUND = 552  # the delta23 comparison bound
 
@@ -59,3 +64,31 @@ def test_tau_mod_23_is_half_the_difference_of_two_theta_series(monkeypatch):
     assert (F.ell, F.r) == (23, 2) and theta.ring is F and theta.prec == BOUND
     # a prime-field element has the same code in F_{23^2}
     assert theta.coeffs == [0] + [F.scalar(c) for c in expected[1:]]
+
+
+AP_BOUND = 10**5
+
+
+def _odd_primes_from_5(bound):
+    sieve = bytearray([1]) * (bound + 1)
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return [p for p in range(5, bound + 1) if sieve[p]]
+
+
+def _is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def test_cm_curve_traces_to_10_5_follow_the_norm_forms():
+    # y^2 = x^3 - x: 4p - a_p^2 = 4b^2; y^2 = x^3 + 1: 4p - a_p^2 = 12b^2 = 3(2b)^2
+    for E, modulus, inert, c in ((EllipticCurve(0, 0, 0, -1, 0), 4, 3, 4),
+                                 (EllipticCurve(0, 0, 0, 0, 1), 3, 2, 3)):
+        for p in _odd_primes_from_5(AP_BOUND):
+            a = curve_ap(E, p)
+            if p % modulus == inert:
+                assert a == 0, (E, p)
+            else:
+                rest = 4 * p - a * a
+                assert rest % c == 0 and _is_square(rest // c), (E, p, a)

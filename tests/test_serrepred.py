@@ -3,7 +3,9 @@
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cmdihedral.arith import divisors
 from cmdihedral.charmod import build_hecke_char, build_reductions, evaluate
 from cmdihedral.qfield import IdealRep, ideals_of_norm, kronecker, unit_ideal
 from cmdihedral.serrepred import (
@@ -18,6 +20,7 @@ from cmdihedral.serrepred import (
     predicted_level,
     ramification_case,
     taguchi_level,
+    _unit_group,
     twist_char,
     twisted_level,
 )
@@ -214,6 +217,69 @@ def test_dirichlet_char_algebra():
     assert b.order == 28
     assert (b**28).is_trivial()
     assert b.conductor() == 29
+
+
+@pytest.mark.parametrize("modulus,order,gen_exps", [(15, 4, [1]), (29, 7, [1, 5, 3])])
+def test_from_gen_values_takes_one_exponent_per_generator(modulus, order, gen_exps):
+    # (Z/15)^* has two generators and (Z/29)^* one
+    with pytest.raises(ValueError, match="one exponent per generator"):
+        DirichletChar.from_gen_values(modulus, order, gen_exps)
+
+
+# fundamental discriminants with |D| <= 300, of both signs
+KRONECKER_DISCS = [-3, -4, -7, -8, -15, -20, -23, -24, -71, -84, 5, 8, 12, 13, 21, 60]
+
+
+def _gen_chars(M):
+    """Any character mod M, given by its exponents on the generators of (Z/M)^*."""
+    orders = _unit_group(M)[1]
+    n = lcm(1, *orders)
+    return st.tuples(*(st.integers(0, o - 1) for o in orders)).map(
+        lambda a: DirichletChar.from_gen_values(M, n, [n // o * x for o, x in zip(orders, a)])
+    )
+
+
+@st.composite
+def dirichlet_chars(draw, M, depth=2):
+    """A character mod M: from generator values, a Kronecker symbol, or a
+    product, power or extension of smaller such characters."""
+    discs = [D for D in KRONECKER_DISCS if M % abs(D) == 0]
+    kinds = ["gen"] + ["kronecker"] * bool(discs) + ["mul", "pow", "extend"] * bool(depth)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "gen":
+        return draw(_gen_chars(M))
+    if kind == "kronecker":
+        return DirichletChar.kronecker_char(draw(st.sampled_from(discs)), M)
+    inner = draw(dirichlet_chars(M, depth - 1))
+    if kind == "pow":
+        return inner ** draw(st.integers(-3, 12))
+    d = draw(st.sampled_from(divisors(M)))
+    other = draw(dirichlet_chars(d, depth - 1))
+    return other.extend(M) if kind == "extend" else inner * other
+
+
+def _conductor_by_definition(chi):
+    """The least d | M such that chi is 1 at every unit m = 1 mod d."""
+    M = chi.modulus
+    for d in range(1, M + 1):
+        if M % d == 0 and all(chi.value(m) is None or chi.value(m).is_one()
+                              for m in range(M) if m % d == 1 % d):
+            return d
+
+
+MODULI = st.one_of(st.sampled_from([1, 2, 4, 8, 9, 27, 81, 243, 25, 125, 49, 121, 169, 289]),
+                   st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MODULI.flatmap(dirichlet_chars))
+@example(DirichletChar.trivial(1))
+@example(DirichletChar.kronecker_char(-4, 8))
+@example(DirichletChar.kronecker_char(8, 8))
+@example(DirichletChar.kronecker_char(-23, 23).extend(46))
+@example(DirichletChar.from_gen_values(15, 4, [1, 2]))
+def test_conductor_is_the_least_modulus_of_the_kernel(chi):
+    assert chi.conductor() == _conductor_by_definition(chi)
 
 
 # -- characteristic polynomial data ------------------------------------------------

@@ -16,7 +16,7 @@ from cmdihedral.ffield import FiniteField
 from cmdihedral.qfield import (ClassGroup, IdealRep, QuadForm, QuadInt, class_group,
                                ideals_of_norm, primes_above, unit_ideal)
 from cmdihedral.qseries import QExpansion
-from cmdihedral.serrepred import DihedralDatum, ramification_case
+from cmdihedral.serrepred import DihedralDatum, DirichletChar, ramification_case
 
 DISCS = [-3, -4, -7, -8, -23, -71]
 ints = st.integers(-50, 50)
@@ -132,6 +132,7 @@ RECORD_FIELDS = {
                 "class_betas", "class_part", "class_zetas"),
     EllipticCurve: ("a1", "a2", "a3", "a4", "a6"),
     DihedralDatum: ("ell", "D", "k", "cond_away", "case"),
+    DirichletChar: ("modulus", "order", "exps"),
     QExpansion: ("ring", "coeffs", "weight", "level"),
 }
 P23, P71 = IdealRep(-23, 23, 23), IdealRep(-71, 71, 71)
@@ -142,6 +143,10 @@ REAL = {
         (-4, IdealRep(-4, 5, 4)), (-3, IdealRep(-3, 1, 1, 2))]],
     HeckeChar: [build_hecke_char(-23, 12, P23, [11]), build_hecke_char(-23, 12, P23, [1]),
                 build_hecke_char(-23, 12, P23, [3]), build_hecke_char(-71, 2, P71, [35])],
+    DirichletChar: [DirichletChar.trivial(12), DirichletChar.kronecker_char(-4, 12),
+                    DirichletChar.kronecker_char(-3, 12), DirichletChar.kronecker_char(-23, 23),
+                    DirichletChar.from_gen_values(29, 28, [1]),
+                    DirichletChar.from_gen_values(29, 7, [4])],
     QExpansion: [QExpansion("int", [0, 1, -24, 252], 12, 1),
                  QExpansion("int", [0, 1, -24], 12, 1),
                  QExpansion(FiniteField(7, 1), [0, 1, 3], 2, 71),
