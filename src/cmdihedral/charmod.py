@@ -5,7 +5,9 @@ reductions to finite fields.
 A character is stored ideal-theoretically: a finite-part character on
 (O_K/f)^* satisfying unit consistency, together with one formal root t_j per
 cyclic factor of the class group subject to t_j^{h_j} = eps_f(beta_j) *
-beta_j^{k-1} where (beta_j) = b_j^{h_j}.
+beta_j^{k-1} where (beta_j) = b_j^{h_j}.  The residue group, cached per
+conductor, holds the dlogs of the kernel of (O_K/f)^* -> (O_K/(f/P))^* at each
+P | f, so the conductor is judged exact on integers.
 
 Production never forms a value chi(P).  The prime table (`prime_table`),
 cached per conductor, class extension and bound, holds for each prime P off
@@ -86,19 +88,21 @@ RESIDUE_GROUP_CAP = 10**4
 
 
 class ResidueGroup(Record):
-    """Generators of (O_K/f)^* and their orders; the discrete logs (unit
-    residue key -> exponents) take no part in equality, hashing or repr."""
+    """Generators of (O_K/f)^* and their orders.  The discrete logs (unit
+    residue key -> exponents) and the kernels (N(P) and the dlogs of the units
+    = 1 mod f/P, per prime P | f) take no part in equality, hashing or repr."""
 
-    __slots__ = ("D", "modulus", "gens", "orders", "_dlog")
+    __slots__ = ("D", "modulus", "gens", "orders", "_dlog", "_kernels")
     _FIELDS = ("D", "modulus", "gens", "orders")
 
     def __init__(self, D: int, modulus: IdealRep, gens: tuple[QuadInt, ...],
-                 orders: tuple[int, ...], dlog: dict):
+                 orders: tuple[int, ...], dlog: dict, kernels: tuple):
         self.D = D
         self.modulus = modulus
         self.gens = gens
         self.orders = orders
         self._dlog = dlog
+        self._kernels = kernels
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
         return _residue_key(self.modulus, alpha.a, alpha.b)
@@ -109,10 +113,6 @@ class ResidueGroup(Record):
             return self._dlog[key]
         except KeyError:
             raise ValueError("element is not a unit modulo the conductor") from None
-
-    def elements(self) -> list[QuadInt]:
-        """One representative x + y*w of each class, in table order."""
-        return [QuadInt(self.D, x, y) for x, y in self._dlog]
 
     @property
     def order(self) -> int:
@@ -144,7 +144,8 @@ def residue_group_order(f: IdealRep) -> int:
 
 @lru_cache(maxsize=None)
 def residue_group(D: int, f: IdealRep) -> ResidueGroup:
-    """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs."""
+    """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs,
+    with the kernel of the reduction to (O_K/(f/P))^* at each prime P | f."""
     check_conductor_norm(f)
     if residue_group_order(f) > RESIDUE_GROUP_CAP:
         raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
@@ -157,7 +158,13 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
 
     one = (1 % (f.content * f.n), 0)
     gens, orders, dlog = abelian_structure(keys, mul, one)
-    return ResidueGroup(D, f, tuple(QuadInt(D, x, y) for x, y in gens), tuple(orders), dlog)
+    kernels = []
+    for P, _ in factor_ideal(f):
+        g = ideal_divide_prime(f, P)
+        near_one = tuple(d for (x, y), d in dlog.items() if _residue_key(g, x - 1, y) == (0, 0))
+        kernels.append((P.norm(), near_one))
+    return ResidueGroup(D, f, tuple(QuadInt(D, x, y) for x, y in gens), tuple(orders), dlog,
+                        tuple(kernels))
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +597,19 @@ def build_hecke_char(
 
     # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit u = g^a, decided
     # as in Z[w_D] (x) Z[zeta_w], where zeta_w meets the units of K only at +-1
-    n = len(units(D))
-    for a, u in enumerate(units(D)):
-        v = TeichRep.make(n, a * (k - 1))
+    us = units(D)
+    for a, u in enumerate(us):
+        v = TeichRep.make(len(us), a * (k - 1))
         if v.m > 2 or TeichRep.make(w, _finite_exponent(rg, zeta_exps, w, u)) != v:
             raise ValueError(
                 f"unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = {u.a}+{u.b}w"
             )
 
     # conductor exactness: nontrivial on some unit congruent to 1 mod cond/P
-    one = QuadInt(D, 1, 0)
-    for P, _ in factor_ideal(cond):
-        smaller = ideal_divide_prime(cond, P)
-        near_one = (u for u in rg.elements() if quadint_in_ideal(u - one, smaller))
-        if not any(_finite_exponent(rg, zeta_exps, w, u) for u in near_one):
+    for norm, near_one in rg._kernels:
+        if not any(sum(d * z for d, z in zip(v, zeta_exps)) % w for v in near_one):
             raise ValueError(
-                f"conductor not exact: character trivial on 1 + cond/P at P of norm {P.norm()}"
+                f"conductor not exact: character trivial on 1 + cond/P at P of norm {norm}"
             )
 
     class_ideals, class_betas = _class_extension(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .congruence import Scenario, builtin_scenario, run_scenario, search_matching_char
@@ -25,17 +24,6 @@ def _emit(obj) -> None:
 
 def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("CM_DIHEDRAL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CM_DIHEDRAL_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("CM_DIHEDRAL_THREADS must be a positive integer")
-    return n
 
 
 def cmd_classgroup(args) -> int:
@@ -163,7 +151,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads_from_env()
         return args.func(args)
     except ValueError as exc:
         _note(f"error: {exc}")

@@ -124,18 +124,6 @@ def test_search_command(capsys, tmp_path, delta_run):
     assert json.loads(out) == []
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("CM_DIHEDRAL_THREADS", "junk")
-    code, _, _ = run_main(capsys, "tau", "--prec", "3")
-    assert code == 2
-    monkeypatch.setenv("CM_DIHEDRAL_THREADS", "0")
-    code, _, _ = run_main(capsys, "tau", "--prec", "3")
-    assert code == 2
-    monkeypatch.setenv("CM_DIHEDRAL_THREADS", "4")
-    code, _, _ = run_main(capsys, "tau", "--prec", "3")
-    assert code == 0
-
-
 def test_cli_subprocess_smoke():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -1,14 +1,16 @@
 """Reductions, comparison reports, curve point counts, scenario runs."""
 
+import hashlib
 import json
 import os
+from collections import Counter
 from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmdihedral import congruence
-from cmdihedral.charmod import build_reductions
+from cmdihedral.charmod import build_reductions, residue_group
 from cmdihedral.cli import main
 from cmdihedral.congruence import (
     AP_BSGS_CROSSOVER,
@@ -391,6 +393,40 @@ def test_delta_search_reports_maps_that_fail_past_the_quick_bound(tmp_path, caps
     failed = [(d["finite_part"], d["map"]["t"]) for d in diagnostics if "failed_at" in d]
     assert failed == [([11], [195]), ([11], [356])]
     assert all(d["failed_at"] == 100 for d in diagnostics if "failed_at" in d)
+
+
+# conductor (sqrt(-71)) * P_2^7 of norm 71 * 2^7 = 9088: |(O_K/f)^*| = 70 * 64
+E7_SEARCH = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+             "cond": {"n": 9088, "b": 4331}, "bound": 500,
+             "target": {"curve": [0, -1, 1, -18507, -989382]}}
+
+
+def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(E7_SEARCH))
+    assert main(["search", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "[]\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570")
+    s = Scenario.from_json(E7_SEARCH)
+    matches, diagnostics = search_matching_char(s)
+    order = residue_group(s.disc, s.cond).order
+    assert matches == [] and len(diagnostics) == order == 4480
+    tally = Counter(d["skipped"] for d in diagnostics)
+    # the units are +-1 and k = 2, so eps_f(-1) must be -1; -1 is not 1 mod f,
+    # so exactly half the characters of (O_K/f)^* take +1 there
+    assert tally["unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = -1+0w"] == order // 2
+    not_exact = "conductor not exact: character trivial on 1 + cond/P at P of norm {}"
+    assert tally == {
+        "unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = -1+0w": 2240,
+        not_exact.format(2): 1120,
+        not_exact.format(71): 16,
+        "finite-part order above cap": 768,
+        "ell divides the root-of-unity order of the ring": 192,
+        "reduction fan-out above cap": 128,
+        "pruned at the quick bound": 16,
+    }
 
 
 def test_curve_perturbation_joins_the_comparison(tmp_path, capsys):

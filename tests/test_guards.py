@@ -5,8 +5,9 @@ cold import of the command line and a delta23 verdict load, no exact tau(n)
 on the verdict path, the one place the value types take equality, hashing
 and repr from, the one place the kind of a target is decided, the single
 set-up and candidate pass of each verification command, the one form
-reduction behind a principal generator and the one product behind an ideal
-quotient."""
+reduction behind a principal generator, the one product behind an ideal
+quotient, exactness kernels built once per conductor, and no read of the
+process environment."""
 
 import ast
 import glob
@@ -256,6 +257,20 @@ def test_ideal_quotient_is_one_product(monkeypatch):
     assert 0 < refused < len(cases)
 
 
+@pytest.mark.parametrize("name", ["delta23", "curve65533"])
+def test_search_divides_the_conductor_once_per_prime(name, monkeypatch):
+    # the residue group builds the kernel of (O_K/f)^* -> (O_K/(f/P))^* at
+    # each P | f once, so no candidate's exactness check divides an ideal
+    calls = [0]
+    monkeypatch.setattr(charmod, "ideal_divide_prime",
+                        _counted(calls, charmod.ideal_divide_prime))
+    charmod.residue_group.cache_clear()
+    matches, diagnostics = congruence.search_matching_char(congruence.builtin_scenario(name))
+    (cond,) = {chi.cond for chi, _, _ in matches}
+    assert len(diagnostics) > 10
+    assert calls[0] == len(qfield.factor_ideal(cond)) == 1
+
+
 # name -> scenario of a search in which every candidate fails at q^2
 PERTURBED_SEARCHES = {
     "delta23": {"disc": -23, "weight": 12, "ell": 23, "char": "search",
@@ -482,6 +497,38 @@ def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path
     # F_13 for the scenario set-up, F_{13^4}, in which the relation constant
     # has no 105th root, and the refused F_{13^7}
     assert built == [(13, 1), (13, 4), (13, 7)]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Lines that use os.environ, os.getenv or their bytes forms, or import
+    one of them from os."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENVIRONMENT_NAMES for alias in node.names)):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # stdout depends on argv and the files it names, never on the environment
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        with open(path) as fh:
+            lines = _environment_reads(ast.parse(fh.read()))
+        found += [f"{os.path.basename(path)}:{line}" for line in lines]
+    assert found == []
+
+
+def test_environment_guard_sees_each_form_of_read():
+    reads = "import os\nos.environ.get('X')\nos.getenv('Y')\nfrom os import environ\n"
+    assert sorted(_environment_reads(ast.parse(reads))) == [2, 3, 4]
 
 
 # Equality, hashing and repr of the value types come from one base in `arith`;

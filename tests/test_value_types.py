@@ -3,8 +3,9 @@ equality holds exactly for the same class with the same fields, the hash is
 that of the field tuple, and the repr is the field listing.  For QuadInt,
 QuadForm, IdealRep and TeichRep, arithmetic is not tuple arithmetic, and
 IdealRep refuses bad input with its messages and normalises b.  ClassGroup
-and ResidueGroup leave their discrete-log tables out of all three, the value
-ring cached per HeckeChar takes no part in it, and QExpansion is unhashable."""
+and ResidueGroup leave their discrete-log tables, and ResidueGroup its kernel
+table, out of all three, the value ring cached per HeckeChar takes no part in
+it, and QExpansion is unhashable."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,12 +159,15 @@ def _dlogs():
     return st.sampled_from([{}, {"x": (1,)}, {QuadForm(1, 1, 6): (0,)}])
 
 
+def _kernels():
+    return st.sampled_from([(), ((2, ((1,),)),), ((71, ((0,), (1,))),)])
+
+
 def _mixed(cls):
     pools = [st.sampled_from([getattr(x, name) for x in REAL[cls]])
              for name in RECORD_FIELDS[cls]]
-    if cls in (ClassGroup, ResidueGroup):
-        return st.tuples(*pools, _dlogs()).map(lambda args: cls(*args))
-    return st.tuples(*pools).map(lambda args: cls(*args))
+    tables = {ClassGroup: [_dlogs()], ResidueGroup: [_dlogs(), _kernels()]}.get(cls, [])
+    return st.tuples(*pools, *tables).map(lambda args: cls(*args))
 
 
 def _curve(coeffs):
@@ -198,9 +202,12 @@ def record_fields(x) -> tuple:
     return tuple(getattr(x, name) for name in RECORD_FIELDS[type(x)])
 
 
+# the tables a class holds outside its fields, passed to its constructor after them
+TABLES = {ClassGroup: ("_dlog",), ResidueGroup: ("_dlog", "_kernels")}
+
+
 def rebuilt(x):
-    extra = (dict(x._dlog),) if type(x) in (ClassGroup, ResidueGroup) else ()
-    return type(x)(*record_fields(x), *extra)
+    return type(x)(*record_fields(x), *(getattr(x, name) for name in TABLES.get(type(x), ())))
 
 
 @settings(max_examples=400, deadline=None)
@@ -229,12 +236,13 @@ def test_record_repr_lists_the_fields(x):
 
 @pytest.mark.parametrize("cls", [ClassGroup, ResidueGroup])
 def test_dlog_takes_no_part_in_equality_hash_or_repr(cls):
+    junk = {"_dlog": {"not": "a dlog"}, "_kernels": ((5, "not a kernel"),)}
     for x in REAL[cls]:
-        other = cls(*record_fields(x), {"not": "a dlog"})
+        other = cls(*record_fields(x), *(junk[name] for name in TABLES[cls]))
         assert other == x and hash(other) == hash(x) and repr(other) == repr(x)
-        assert "_dlog" not in repr(x)
+        assert not any(name in repr(x) for name in TABLES[cls])
         twin = {ClassGroup: ResidueGroup, ResidueGroup: ClassGroup}[cls]
-        assert twin(*record_fields(x), x._dlog) != x
+        assert twin(*record_fields(x), *(junk[name] for name in TABLES[twin])) != x
 
 
 def test_hecke_char_ring_takes_no_part():
