@@ -2,7 +2,10 @@
 finite abelian group structure), the one `power` and `exact_order` that
 every finite group of the package (ideals, curve points, polynomials,
 residues, classes) takes its powers and element orders from, and `Record`,
-the base that every value type takes equality, hashing and repr from."""
+the base that every value type takes its constructor, equality, hashing and
+repr from.  A value type states its fields once, in `__slots__`: a slot
+named with a leading underscore holds derived or lookup state, which takes
+no part in equality, hashing or repr."""
 
 from __future__ import annotations
 
@@ -11,16 +14,30 @@ from operator import attrgetter
 
 
 class Record:
-    """A value given by the fields named in `_FIELDS` (by default the class's
-    `__slots__`, at least two): equal exactly to an instance of the same class
-    with equal fields, hashed as the tuple of its fields, and shown as
-    `Class(field=value, ...)`.  Subclasses write their own `__init__`."""
+    """A value given by its fields, the slots of its class whose names do not
+    start with an underscore (at least two): equal exactly to an instance of
+    the same class with equal fields, hashed as the tuple of its fields, and
+    shown as `Class(field=value, ...)`.  A subclass that writes no `__init__`
+    gets one that stores each of its slots, in order, from its arguments,
+    compiled once when the class is defined (as `collections.namedtuple`
+    compiles its `__new__`), so that a call runs the bytecode of a
+    hand-written store.  A subclass writes its own `__init__` only to
+    validate, normalise or derive."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._FIELDS = cls.__dict__.get("_FIELDS", cls.__slots__)
+        slots = cls.__slots__
+        cls._FIELDS = tuple(name for name in slots if not name.startswith("_"))
         cls._key = attrgetter(*cls._FIELDS)
+        if "__init__" not in vars(cls):
+            stores = "".join(f"\n    self.{name} = {name}" for name in slots)
+            namespace = {}
+            exec(f"def __init__(self, {', '.join(slots)}):{stores}", namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__module__ = cls.__module__
+            cls.__init__ = init
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -93,16 +93,6 @@ class ResidueGroup(Record):
     = 1 mod f/P, per prime P | f) take no part in equality, hashing or repr."""
 
     __slots__ = ("D", "modulus", "gens", "orders", "_dlog", "_kernels")
-    _FIELDS = ("D", "modulus", "gens", "orders")
-
-    def __init__(self, D: int, modulus: IdealRep, gens: tuple[QuadInt, ...],
-                 orders: tuple[int, ...], dlog: dict, kernels: tuple):
-        self.D = D
-        self.modulus = modulus
-        self.gens = gens
-        self.orders = orders
-        self._dlog = dlog
-        self._kernels = kernels
 
     def reduce(self, alpha: QuadInt) -> tuple[int, int]:
         return _residue_key(self.modulus, alpha.a, alpha.b)
@@ -175,10 +165,6 @@ class TeichRep(Record):
     """The root of unity zeta_m^e, stored with m equal to its exact order."""
 
     __slots__ = ("m", "e")
-
-    def __init__(self, m: int, e: int):
-        self.m = m
-        self.e = e
 
     @staticmethod
     def make(m: int, e: int) -> "TeichRep":
@@ -488,22 +474,6 @@ class HeckeChar(Record):
 
     __slots__ = ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
                  "class_betas", "class_part", "class_zetas")
-
-    def __init__(self, D: int, k: int, cond: IdealRep, rg: ResidueGroup,
-                 fp: tuple[int, ...], w: int, zeta_exps: tuple[int, ...],
-                 class_ideals: tuple[IdealRep, ...], class_betas: tuple[QuadInt, ...],
-                 class_part, class_zetas: tuple[int, ...]):
-        self.D = D
-        self.k = k
-        self.cond = cond
-        self.rg = rg
-        self.fp = fp
-        self.w = w
-        self.zeta_exps = zeta_exps
-        self.class_ideals = class_ideals
-        self.class_betas = class_betas
-        self.class_part = class_part
-        self.class_zetas = class_zetas
 
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .congruence import Scenario, builtin_scenario, run_scenario, search_matching_char
+from .congruence import BUILTINS, Scenario, builtin_scenario, run_scenario, search_matching_char
 from .qfield import check_fundamental, class_group, primes_above
 from .qseries import coeff_strings, delta_qexp_recursion
 from .serrepred import SerrePrediction, predicted_level, ramification_case
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a congruence scenario")
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--scenario", help="path to a scenario JSON file")
-        g.add_argument("--builtin", choices=["delta23", "curve65533"])
+        g.add_argument("--builtin", choices=list(BUILTINS))
         if name == "verify":
             p.add_argument("--perturb", type=int, default=None,
                            help="test hook: add 1 to the target coefficient at this index")

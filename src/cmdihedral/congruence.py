@@ -72,11 +72,9 @@ AP_BSGS_CROSSOVER = 229
 
 class EllipticCurve(Record):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, refused when singular.
-    The invariants c4, c6 and the discriminant are computed once, here; they
-    take no part in equality, hashing or repr."""
+    The invariants c4, c6 and the discriminant are computed once, here."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "c4", "c6", "_disc")
-    _FIELDS = ("a1", "a2", "a3", "a4", "a6")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         self.a1 = a1
@@ -85,8 +83,8 @@ class EllipticCurve(Record):
         self.a4 = a4
         self.a6 = a6
         b2, b4, b6, b8 = self.b_invariants()
-        self.c4 = b2 * b2 - 24 * b4
-        self.c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+        self._c4 = b2 * b2 - 24 * b4
+        self._c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
         self._disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if self._disc == 0:
             raise ValueError("singular Weierstrass equation")
@@ -189,7 +187,7 @@ def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
 
 def _short_model(E: EllipticCurve, p: int) -> tuple[int, int]:
     """(A, B) with y^2 = x^3 + A x + B isomorphic to E over F_p, p > 3."""
-    return -27 * E.c4 % p, -54 * E.c6 % p
+    return -27 * E._c4 % p, -54 * E._c6 % p
 
 
 def _hasse_multiples(P, a4: int, p: int):
@@ -447,19 +445,20 @@ def _is_int_list(x, length=None) -> bool:
     )
 
 
+# the built-in scenarios, as the JSON documents a scenario file would hold
+BUILTINS = {
+    "delta23": {"disc": -23, "weight": 12, "ell": 23, "char": "search", "target": "tau",
+                "cond": {"n": 23, "b": 23}},
+    "curve65533": {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+                   "target": {"curve": [0, -1, 1, -18507, -989382]},
+                   "cond": {"n": 71, "b": 71}, "bound": 500},
+}
+
+
 def builtin_scenario(name: str) -> Scenario:
-    if name == "delta23":
-        return Scenario(
-            disc=-23, weight=12, ell=23, char="search", target=TAU,
-            bound_mode="standard", cond=IdealRep(-23, 23, 23),
-        )
-    if name == "curve65533":
-        return Scenario(
-            disc=-71, weight=2, ell=7, char="search",
-            target=EllipticCurve(0, -1, 1, -18507, -989382),
-            bound_mode="standard", cond=IdealRep(-71, 71, 71), bound=500,
-        )
-    raise ValueError(f"unknown builtin scenario {name!r}")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin scenario {name!r}")
+    return Scenario.from_json(BUILTINS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +475,9 @@ class RunResult(NamedTuple):
 def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | None]:
     """(datum, conductor, comparison bound, the target's compared indices),
     checked in one order for every command: datum, bound cap, perturbation
-    index, compared indices.  Every series is expanded to the bound, so each
-    refusal here comes before any target or candidate is built."""
+    index, compared indices, a bound of at least 1.  Every series is expanded
+    to the bound, so each refusal here comes before any target or candidate
+    is built."""
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
     finite_field(s.ell, 2 if sp.kind == "inert" else 1)
@@ -507,6 +507,9 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | N
         raise ValueError(f"perturbation index {n} is not compared for a curve target")
     if indices is not None and not indices:
         raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
+    # a derived bound is 0 at m < 6 (paper) or k*m < 12 (standard): D = -3, unit conductor
+    if bound < 1:
+        raise ValueError(f"comparison bound {bound} compares no coefficient")
     return datum, cond, bound, indices
 
 

@@ -72,11 +72,6 @@ class QuadInt(Record):
 
     __slots__ = ("D", "a", "b")
 
-    def __init__(self, D: int, a: int, b: int):
-        self.D = D
-        self.a = a
-        self.b = b
-
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.D, self.a - other.a, self.b - other.b)
 
@@ -117,11 +112,6 @@ class QuadForm(Record):
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
     __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int):
-        self.a = a
-        self.b = b
-        self.c = c
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -184,9 +174,10 @@ def _norm_b(b: int, n: int) -> int:
 
 
 class IdealRep(Record):
-    """content * (Z*n + Z*(b + sqrt(D))/2), an integral ideal of norm content^2 * n."""
+    """content * (Z*n + Z*(b + sqrt(D))/2), an integral ideal of norm content^2 * n,
+    which is content * (Z*n + Z*(_mp + w)) with the w-offset _mp = (b - eps)/2."""
 
-    __slots__ = ("D", "n", "b", "content")
+    __slots__ = ("D", "n", "b", "content", "_mp")
 
     def __init__(self, D: int, n: int, b: int, content: int = 1):
         if n <= 0 or content <= 0:
@@ -195,19 +186,16 @@ class IdealRep(Record):
             raise ValueError("b^2 != D mod 4n")
         self.D = D
         self.n = n
-        self.b = _norm_b(b, n)
+        self.b = b = _norm_b(b, n)
         self.content = content
+        self._mp = (b - disc_eps(D)) // 2
 
     def norm(self) -> int:
         return self.content * self.content * self.n
 
-    def mprime(self) -> int:
-        # w-coefficient offset: the module is content*(Z*n + Z*(mprime + w))
-        return (self.b - disc_eps(self.D)) // 2
-
     def basis(self) -> tuple[QuadInt, QuadInt]:
         c = self.content
-        return QuadInt(self.D, c * self.n, 0), QuadInt(self.D, c * self.mprime(), c)
+        return QuadInt(self.D, c * self.n, 0), QuadInt(self.D, c * self._mp, c)
 
     def as_form(self) -> QuadForm:
         return QuadForm(self.n, self.b, (self.b * self.b - self.D) // (4 * self.n))
@@ -293,7 +281,7 @@ def ideal_pow(a: IdealRep, e: int) -> IdealRep:
 
 def _residue_key(f: IdealRep, a: int, b: int) -> tuple[int, int]:
     """Normal form (x, y) of a + b*w modulo f, with 0 <= x < c*n and 0 <= y < c."""
-    c, n, mp = f.content, f.n, f.mprime()
+    c, n, mp = f.content, f.n, f._mp
     y = b % c
     k = (b - y) // c
     x = (a - k * c * mp) % (c * n)
@@ -454,15 +442,6 @@ class ClassGroup(Record):
     (form -> exponents) take no part in equality, hashing or repr."""
 
     __slots__ = ("D", "reps", "gens", "orders", "_dlog")
-    _FIELDS = ("D", "reps", "gens", "orders")
-
-    def __init__(self, D: int, reps: tuple[QuadForm, ...], gens: tuple[QuadForm, ...],
-                 orders: tuple[int, ...], dlog: dict):
-        self.D = D
-        self.reps = reps
-        self.gens = gens
-        self.orders = orders
-        self._dlog = dlog
 
     @property
     def h(self) -> int:

@@ -29,12 +29,6 @@ class QExpansion(Record):
     __slots__ = ("ring", "coeffs", "weight", "level")
     __hash__ = None  # the coefficient list is mutable
 
-    def __init__(self, ring, coeffs: list, weight: int, level: int):
-        self.ring = ring
-        self.coeffs = coeffs
-        self.weight = weight
-        self.level = level
-
     @property
     def prec(self) -> int:
         return len(self.coeffs) - 1

@@ -1,11 +1,15 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
-from cmdihedral.cli import main
+import pytest
+
+from cmdihedral.cli import build_parser, main
+from cmdihedral.congruence import BUILTINS, builtin_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -81,8 +85,6 @@ def test_verify_perturbed_exit_1(capsys):
 def test_verify_scenario_file(tmp_path, capsys, curve_run):
     result, _ = curve_run
     path = tmp_path / "curve.json"
-    from cmdihedral.congruence import builtin_scenario
-
     path.write_text(json.dumps(builtin_scenario("curve65533").to_json()))
     code, out, _ = run_main(capsys, "verify", "--scenario", str(path))
     assert code == 0
@@ -114,8 +116,6 @@ def test_search_command(capsys, tmp_path, delta_run):
     assert any(m["character"]["finite_part"] == [11] for m in found)
     # perturbed target finds nothing
     s = tmp_path / "p.json"
-    from cmdihedral.congruence import builtin_scenario
-
     obj = builtin_scenario("delta23").to_json()
     obj["perturb"] = 5
     s.write_text(json.dumps(obj))
@@ -137,3 +137,15 @@ def test_cli_subprocess_smoke():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_builtin_choices_are_the_builtin_documents(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    builtin = next(a for a in sub.choices[command]._actions if a.dest == "builtin")
+    assert builtin.choices == list(BUILTINS)
+
+
+def test_unknown_builtin_is_refused_by_name():
+    with pytest.raises(ValueError, match="^unknown builtin scenario 'delta24'$"):
+        builtin_scenario("delta24")

@@ -331,6 +331,29 @@ def test_curve_bound_without_good_prime_exits_2(char, command, tmp_path, capsys,
     ]
 
 
+# At D = -3 with the unit conductor the level index is m = 4, so the derived
+# bound floor(k*m/12) is 0 at k = 2 and floor(m/6) is 0 at every k
+ZERO_BOUND = {
+    "standard_k2_search": {"disc": -3, "weight": 2, "ell": 7, "char": "search",
+                           "target": "tau"},
+    "paper_k7_explicit": {"disc": -3, "weight": 7, "ell": 13, "char": {"finite_part": []},
+                          "target": "tau", "bound_mode": "paper"},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(ZERO_BOUND))
+def test_derived_bound_0_exits_2_before_any_work(name, command, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the scenario was refused")
+
+    for fn in ("build_hecke_char", "delta_mod"):
+        monkeypatch.setattr(f"cmdihedral.congruence.{fn}", no_work)
+    assert _refusal(command, ZERO_BOUND[name], tmp_path, capsys) == [
+        "error: comparison bound 0 compares no coefficient"
+    ]
+
+
 # conductor 6 O_K of norm 36 at D = -1000003: the nebentypus tables would span
 # lcm(36, 1000003) = 36000108 residues, about 1.1 GB at 31 MB per 10^6 entries
 BIG_NEBENTYPUS = {"disc": -1000003, "weight": 3, "ell": 5, "target": "tau", "bound": 5,

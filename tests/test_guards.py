@@ -3,11 +3,12 @@ commands, the production route through the cached prime tables, the
 function names the per-layer tracer of `perfbench/` wraps, the modules a
 cold import of the command line and a delta23 verdict load, no exact tau(n)
 on the verdict path, the one place the value types take equality, hashing
-and repr from, the one place the kind of a target is decided, the single
-set-up and candidate pass of each verification command, the one form
-reduction behind a principal generator, the one product behind an ideal
-quotient, exactness kernels built once per conductor, and no read of the
-process environment."""
+and repr from, value-type fields stated only in `__slots__`, source compiled
+only for the constructors `Record` writes, the one place the kind of a
+target is decided, the single set-up and candidate pass of each
+verification command, the one form reduction behind a principal generator,
+the one product behind an ideal quotient, exactness kernels built once per
+conductor, and no read of the process environment."""
 
 import ast
 import glob
@@ -548,6 +549,106 @@ def test_value_dunders_are_written_once():
                         and node.name not in OWN_DUNDERS.get(cls.name, ())):
                     found.append(f"{os.path.basename(path)}: {cls.name}.{node.name}")
     assert found == []
+
+
+def _field_restatements(tree):
+    """`_FIELDS` assigned in a class body, and each `__init__` of a class
+    deriving from Record whose body (past a docstring) only stores its
+    parameters, `self.p = p` or `self._p = p`: the fields stated again."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        record = any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+        for node in cls.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            if any(isinstance(t, ast.Name) and t.id == "_FIELDS" for t in targets):
+                found.append(f"{cls.name}._FIELDS")
+            if not (record and isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            params = {a.arg for a in node.args.args[1:]}
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if body and all(
+                isinstance(st, ast.Assign) and len(st.targets) == 1
+                and isinstance(st.targets[0], ast.Attribute)
+                and isinstance(st.targets[0].value, ast.Name) and st.targets[0].value.id == "self"
+                and isinstance(st.value, ast.Name) and st.value.id in params
+                for st in body
+            ):
+                found.append(f"{cls.name}.__init__")
+    return found
+
+
+def test_value_types_state_their_fields_once():
+    # a value type's fields are its public slots, and Record writes the
+    # constructor that only stores them
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}: {name}"
+                      for name in _field_restatements(ast.parse(fh.read()))]
+    assert found == []
+
+
+def test_field_guard_sees_each_form_of_restatement():
+    source = """
+class A(Record):
+    __slots__ = ("x", "_y")
+    _FIELDS = ("x",)
+    def __init__(self, x, y):
+        "Store them."
+        self.x = x
+        self._y = y
+class B(Record):
+    def __init__(self, x):
+        self.x = x
+        self.y = 2 * x
+class C:
+    _FIELDS: tuple = ()
+    def __init__(self, x):
+        self.x = x
+"""
+    assert _field_restatements(ast.parse(source)) == ["A._FIELDS", "A.__init__", "C._FIELDS"]
+
+
+def _dynamic_code(tree, exempt_record: bool):
+    """Lines that name exec, eval or compile, outside Record.__init_subclass__
+    when exempt_record."""
+    exempt = set()
+    for cls in ast.walk(tree):
+        if exempt_record and isinstance(cls, ast.ClassDef) and cls.name == "Record":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init_subclass__":
+                    exempt.update(map(id, ast.walk(fn)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("exec", "eval", "compile")
+            and id(node) not in exempt]
+
+
+def test_code_is_compiled_only_for_record_constructors():
+    # the generated constructors are the one place source text becomes code;
+    # Record lives in arith, so a class named Record elsewhere is no exemption
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            lines = _dynamic_code(ast.parse(fh.read()), exempt_record=name == "arith.py")
+        found += [f"{name}:{line}" for line in lines]
+    assert found == []
+
+
+def test_dynamic_code_guard_sees_each_name():
+    source = """
+class Record:
+    def __init_subclass__(cls):
+        exec("x = 1", {})
+f = eval
+g = compile("1", "<s>", "eval")
+exec("y = 2")
+"""
+    assert sorted(_dynamic_code(ast.parse(source), exempt_record=True)) == [5, 6, 7]
+    assert sorted(_dynamic_code(ast.parse(source), exempt_record=False)) == [4, 5, 6, 7]
 
 
 def _target_kind_branches(tree):

@@ -2,14 +2,19 @@
 equality holds exactly for the same class with the same fields, the hash is
 that of the field tuple, and the repr is the field listing.  For QuadInt,
 QuadForm, IdealRep and TeichRep, arithmetic is not tuple arithmetic, and
-IdealRep refuses bad input with its messages and normalises b.  ClassGroup
+IdealRep refuses bad input with its messages and normalises b.  A type
+that writes no constructor gets one from `Record` that stores its slots in
+order.  ClassGroup
 and ResidueGroup leave their discrete-log tables, and ResidueGroup its kernel
 table, out of all three, the value ring cached per HeckeChar takes no part in
 it, and QExpansion is unhashable."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmdihedral.arith import Record
 from cmdihedral.charmod import (HeckeChar, ResidueGroup, TeichRep, build_hecke_char,
                                 residue_group, value_ring)
 from cmdihedral.congruence import EllipticCurve
@@ -256,3 +261,39 @@ def test_qexpansion_is_unhashable():
     for f in REAL[QExpansion]:
         with pytest.raises(TypeError):
             hash(f)
+
+
+# the value types whose constructor validates, normalises or derives; Record
+# writes the constructor of every other one
+HAND_WRITTEN = {IdealRep, EllipticCurve, DirichletChar, DihedralDatum}
+RECORDS = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("cmdihedral.")]
+GENERATED = [cls for cls in RECORDS if cls not in HAND_WRITTEN]
+
+
+def test_record_writes_the_constructor_of_each_type_that_only_stores():
+    assert {cls.__name__ for cls in GENERATED} == {
+        "QuadInt", "QuadForm", "ClassGroup", "ResidueGroup", "TeichRep", "HeckeChar",
+        "QExpansion"}
+    for cls in RECORDS:
+        init = vars(cls)["__init__"]
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert init.__module__ == cls.__module__
+        assert (init.__code__.co_filename == "<string>") is (cls not in HAND_WRITTEN)
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_generated_constructor_takes_and_stores_each_slot(cls):
+    assert tuple(inspect.signature(cls.__init__).parameters) == ("self", *cls.__slots__)
+    args = [object() for _ in cls.__slots__]
+    x = cls(*args)
+    assert all(getattr(x, name) is arg for name, arg in zip(cls.__slots__, args))
+    for wrong in (args[:-1], [*args, object()], []):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
+@settings(max_examples=200, deadline=None)
+@given(idealreps())
+def test_idealrep_stores_its_w_offset(a):
+    assert a._mp == (a.b - a.D % 2) // 2
+    assert IdealRep(a.D, a.n, a.b + 2 * a.n, a.content)._mp == a._mp
