@@ -8,9 +8,9 @@ internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .congruence import BUILTINS, Scenario, builtin_scenario, run_scenario, search_matching_char
 from .qfield import check_fundamental, class_group, primes_above
@@ -111,47 +111,91 @@ def cmd_search(args) -> int:
     return 0 if matches else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cmdihedral",
-        description="CM newform congruence toolkit for imaginary quadratic fields",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# command -> (one-line help, options, required). An option maps to (type,
+# help); its type is int, str or the tuple of the values it may take. Each
+# word of `required` names the options of which exactly one must be given.
+# The handler of a command is `cmd_<command>`, looked up when called, so that
+# a wrapper set on this module is the one that runs.
+_SCENARIO = {"--scenario": (str, "path to a scenario JSON file"),
+             "--builtin": (tuple(BUILTINS), "a built-in scenario")}
+COMMANDS = {
+    "classgroup": ("reduced forms and class group structure",
+                   {"--disc": (int, "negative fundamental discriminant")}, "--disc"),
+    "predict": ("predicted weight/level/character data",
+                {"--disc": (int, "negative fundamental discriminant"),
+                 "--ell": (int, "the prime ell"), "--weight": (int, "the weight k"),
+                 "--cond-norm": (int, "prime-to-ell Artin conductor of the representation")},
+                "--disc --ell --weight --cond-norm"),
+    "tau": ("coefficients of the weight-12 level-1 cusp form",
+            {"--prec": (int, "number of coefficients")}, "--prec"),
+    "verify": ("verify a congruence scenario",
+               {**_SCENARIO, "--perturb": (int, "test hook: add 1 to the target "
+                                                "coefficient at this index")},
+               "--scenario|--builtin"),
+    "search": ("search a congruence scenario", _SCENARIO, "--scenario|--builtin"),
+}
 
-    p = sub.add_parser("classgroup", help="reduced forms and class group structure")
-    p.add_argument("--disc", type=int, required=True, help="negative fundamental discriminant")
-    p.set_defaults(func=cmd_classgroup)
 
-    p = sub.add_parser("predict", help="predicted weight/level/character data")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--cond-norm", type=int, required=True,
-                   help="prime-to-ell Artin conductor of the representation")
-    p.set_defaults(func=cmd_predict)
+def _meta(kind) -> str:
+    return kind.__name__ if isinstance(kind, type) else "|".join(kind)
 
-    p = sub.add_parser("tau", help="coefficients of the weight-12 level-1 cusp form")
-    p.add_argument("--prec", type=int, required=True)
-    p.set_defaults(func=cmd_tau)
 
-    for name, fn in (("verify", cmd_verify), ("search", cmd_search)):
-        p = sub.add_parser(name, help=f"{name} a congruence scenario")
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--scenario", help="path to a scenario JSON file")
-        g.add_argument("--builtin", choices=list(BUILTINS))
-        if name == "verify":
-            p.add_argument("--perturb", type=int, default=None,
-                           help="test hook: add 1 to the target coefficient at this index")
-        p.set_defaults(func=fn)
+def usage(command=None) -> str:
+    """The --help text of `command`, or of the program when it is None."""
+    lines = [f"usage: cmdihedral {command or 'COMMAND'} [--opt value | --opt=value ...]"]
+    if command is None:
+        lines += [f"  {name:<11} {text}" for name, (text, _, _) in COMMANDS.items()]
+        return "\n".join(lines + ["options: cmdihedral COMMAND --help"]) + "\n"
+    text, options, required = COMMANDS[command]
+    lines.append(text)
+    lines += [f"  {name} {_meta(kind)}: {help_}" for name, (kind, help_) in options.items()]
+    return "\n".join(lines + [f"required: {required}"]) + "\n"
 
-    return ap
+
+def parse_args(argv):
+    """(command, namespace of its options, None where not given) from argv,
+    or (command, None) for --help, where command is None for the program's
+    help. Every usage error raises ValueError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{what}; expected one of {', '.join(COMMANDS)}")
+    command, rest = argv[0], argv[1:]
+    if "-h" in rest or "--help" in rest:
+        return command, None
+    _, options, required = COMMANDS[command]
+    given, tokens = {}, iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command}: unknown option {token!r}")
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValueError(f"{command}: option {name} needs a value")
+        if name in given:
+            raise ValueError(f"{command}: option {name} given twice")
+        kind = options[name][0]
+        try:
+            given[name] = kind(value) if isinstance(kind, type) else kind[kind.index(value)]
+        except ValueError:
+            raise ValueError(f"{command}: {name} takes {_meta(kind)}, not {value!r}") from None
+    for group in required.split():
+        if sum(name in given for name in group.split("|")) != 1:
+            raise ValueError(f"{command}: {group} is required" if "|" not in group else
+                             f"{command}: exactly one of {group} is required")
+    return command, SimpleNamespace(
+        **{name[2:].replace("-", "_"): given.get(name) for name in options})
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        command, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(usage(command))
+            return 0
+        return globals()[f"cmd_{command}"](args)
     except ValueError as exc:
         _note(f"error: {exc}")
         return 2

@@ -1,6 +1,5 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ import sys
 
 import pytest
 
-from cmdihedral.cli import build_parser, main
+from cmdihedral.cli import COMMANDS, main
 from cmdihedral.congruence import BUILTINS, builtin_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -137,13 +136,36 @@ def test_cli_subprocess_smoke():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown command 'nosuchcmd'")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmdihedral", "verify", "--help"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "--perturb" in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])
-def test_builtin_choices_are_the_builtin_documents(command):
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    builtin = next(a for a in sub.choices[command]._actions if a.dest == "builtin")
-    assert builtin.choices == list(BUILTINS)
+def test_builtin_choices_are_the_builtin_documents(command, capsys):
+    _, options, _ = COMMANDS[command]
+    assert list(options["--builtin"][0]) == list(BUILTINS)
+    code, out, err = run_main(capsys, command, "--builtin", "delta24")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: {command}: --builtin takes {'|'.join(BUILTINS)}, not 'delta24'"
+    ]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_command_or_option(command, flag, capsys):
+    argv = [flag] if command is None else [command, flag]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: cmdihedral {command or 'COMMAND'} ")
+    names = COMMANDS if command is None else COMMANDS[command][1]
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert listed == set(names)
 
 
 def test_unknown_builtin_is_refused_by_name():

@@ -50,6 +50,57 @@ def test_malformed_scenario_exits_2(name, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# argv -> what the one stderr line names
+USAGE_ERRORS = {
+    "no_command": ([], "no command given"),
+    "unknown_command": (["nosuch"], "unknown command 'nosuch'"),
+    "unknown_option": (["classgroup", "--disk", "-23"], "unknown option '--disk'"),
+    "stray_argument": (["classgroup", "--disc", "-23", "x"], "unknown option 'x'"),
+    "abbreviated_option": (["verify", "--bui", "delta23"], "unknown option '--bui'"),
+    "no_value": (["verify", "--builtin"], "--builtin needs a value"),
+    "option_as_value": (["verify", "--scenario", "--builtin", "delta23"],
+                        "--scenario needs a value"),
+    "given_twice": (["tau", "--prec", "5", "--prec=6"], "--prec given twice"),
+    "missing_required": (["predict", "--disc", "-23", "--ell", "23", "--weight", "12"],
+                         "--cond-norm is required"),
+    "neither_of_pair": (["search"], "exactly one of --scenario|--builtin"),
+    "both_of_pair": (["verify", "--builtin", "delta23", "--scenario", "s.json"],
+                     "exactly one of --scenario|--builtin"),
+    "disc_not_int": (["classgroup", "--disc", "x"], "--disc takes int, not 'x'"),
+    "ell_not_int": (["predict", "--disc", "-23", "--ell", "2.3", "--weight", "12",
+                     "--cond-norm", "1"], "--ell takes int, not '2.3'"),
+    "weight_not_int": (["predict", "--disc", "-23", "--ell", "23", "--weight=",
+                        "--cond-norm", "1"], "--weight takes int, not ''"),
+    "cond_norm_not_int": (["predict", "--disc", "-23", "--ell", "23", "--weight", "12",
+                           "--cond-norm", "one"], "--cond-norm takes int, not 'one'"),
+    "prec_not_int": (["tau", "--prec", "1e3"], "--prec takes int, not '1e3'"),
+    "perturb_not_int": (["verify", "--builtin", "delta23", "--perturb", "-"],
+                        "--perturb takes int, not '-'"),
+    "unknown_builtin": (["verify", "--builtin", "delta24"], "not 'delta24'"),
+    "search_perturb": (["search", "--builtin", "delta23", "--perturb", "2"],
+                       "unknown option '--perturb'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_with_one_line(name, capsys):
+    argv, names = USAGE_ERRORS[name]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
+def test_option_values_may_start_with_a_dash(capsys):
+    assert cli.main(["classgroup", "--disc", "-23"]) == 0
+    first = capsys.readouterr()
+    assert cli.main(["classgroup", "--disc=-23"]) == 0
+    assert capsys.readouterr() == first
+    assert json.loads(first.out)["disc"] == -23
+
+
 @pytest.mark.parametrize("disc", [5, -12])
 def test_discriminant_checked_before_the_conductor(disc, tmp_path, capsys):
     # (n, b) = (23, 23) is no ideal of either discriminant, but the

@@ -392,6 +392,8 @@ def test_traced_names_resolve():
                     assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
+# `argparse` imports `gettext`, whose first lookup imports `locale`: about
+# 2.5 ms of a cold verdict, for a parser that `cli.COMMANDS` replaces.
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
 # together about a quarter of a cold start; `fractions` imports `decimal`,
 # which only the exact value ring of the oracles needs. `array` (about 0.1 MB
@@ -399,7 +401,7 @@ def test_traced_names_resolve():
 # a `bytearray` does within noise. `typing` is not checked, because a site
 # `.pth` file may import it before any program code runs.
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
-                 "array", "numpy")
+                 "array", "numpy", "argparse", "gettext", "locale")
 
 
 def test_cold_import_loads_no_heavy_module():
@@ -408,6 +410,22 @@ def test_cold_import_loads_no_heavy_module():
             "import cmdihedral.cli; "
             "code = cmdihedral.cli.main(['verify', '--builtin', 'delta23']); "
             f"print(code, sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "delta23"],
+    ["verify", "--builtin", "curve65533"],
+    ["verify", "--scenario", DEEP],
+])
+def test_verdict_window_imports_nothing(argv):
+    # a cold interpreter: everything a verdict needs is loaded by the import
+    code = (f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
+            "import cmdihedral.cli; before = set(sys.modules); "
+            f"code = cmdihedral.cli.main({argv!r}); "
+            "print(code, sorted(set(sys.modules) ^ before))")
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 []"
