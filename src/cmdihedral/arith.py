@@ -204,11 +204,14 @@ def exact_order(x, n: int, mul, one, subgroup=None) -> int:
     return n
 
 
+def totient(n: int) -> int:
+    return prod((p - 1) * p ** (e - 1) for p, e in factorint(n).items())
+
+
 def multiplicative_order(a: int, n: int) -> int:
     if gcd(a, n) != 1:
         raise ValueError("element not invertible")
-    phi = prod((p - 1) * p ** (e - 1) for p, e in factorint(n).items())
-    return exact_order(a % n, phi, lambda x, y: x * y % n, 1)
+    return exact_order(a % n, totient(n), lambda x, y: x * y % n, 1)
 
 
 def abelian_structure(elements, mul, identity):

@@ -54,8 +54,9 @@ from .arith import (
     power,
     prime_to_part,
     primes_upto,
+    totient,
 )
-from .ffield import FIELD_SIZE_CAP, FiniteField, finite_field
+from .ffield import FiniteField, check_field_size, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
@@ -754,6 +755,17 @@ class ReductionMap(NamedTuple):
         }
 
 
+def reduction_count(chi: HeckeChar, ell: int) -> int:
+    """len(build_reductions(chi, ell)) from integers, and its refusals of ell: the product
+    of 2 roots of w_D's polynomial (1 if ell | D), phi(w) images of zeta_w and h'_j t_j's."""
+    if not is_prime(ell) or ell < 3:
+        raise ValueError("reduction characteristic must be an odd prime")
+    if chi.w % ell == 0:
+        raise ValueError("ell divides the root-of-unity order of the ring")
+    hprimes = (prime_to_part(h, ell) for h in class_group(chi.D).orders)
+    return (1 if chi.D % ell == 0 else 2) * totient(chi.w) * prod(hprimes)
+
+
 def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     """All homomorphisms of chi's value ring into the smallest common F_{ell^r}.
 
@@ -763,21 +775,18 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     the formal roots t_j may land in a proper extension even when one root
     exists lower down; the maps are ordered by element codes.  A field with
     some h'_j not dividing ell^r - 1 holds at most gcd(h'_j, ell^r - 1) < h'_j
-    roots of x^h_j = c_j, so it is skipped unbuilt, unless it is above
-    FIELD_SIZE_CAP, where `finite_field` refuses it.
+    roots of x^h_j = c_j, so it is skipped unbuilt.  Each field is sized by
+    `check_field_size` first, so one above the cap is refused unbuilt too.
     """
-    if not is_prime(ell) or ell < 3:
-        raise ValueError("reduction characteristic must be an odd prime")
+    reduction_count(chi, ell)
     D, w, orders = chi.D, chi.w, class_group(chi.D).orders
-    if w % ell == 0:
-        raise ValueError("ell divides the root-of-unity order of the ring")
     r1 = lcm(1 if kronecker(D, ell) >= 0 else 2, multiplicative_order(ell % w, w))
     minpoly = [omega_norm(D), -disc_eps(D), 1]
     hprimes = [prime_to_part(h, ell) for h in orders]
 
     for r in count(r1, r1):
-        q = ell**r
-        if q <= FIELD_SIZE_CAP and any((q - 1) % hp for hp in hprimes):
+        check_field_size(ell, r)
+        if any((ell**r - 1) % hp for hp in hprimes):
             continue
         F = finite_field(ell, r)
         # [F_ell(w_D):F_ell] divides r, so the minimal polynomial of w_D splits in F

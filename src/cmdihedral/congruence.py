@@ -22,18 +22,17 @@ from .arith import (
     primes_upto,
 )
 from .charmod import (
-    RESIDUE_GROUP_CAP,
     HeckeChar,
     ReductionMap,
     build_hecke_char,
     build_reductions,
     check_conductor_norm,
+    reduction_count,
     residue_group,
-    residue_group_order,
     table_exponents,
     table_images,
 )
-from .ffield import FiniteField, finite_field
+from .ffield import FiniteField, check_field_size, finite_field
 from .qfield import (
     DISC_CAP,
     IdealRep,
@@ -59,7 +58,6 @@ from .serrepred import (
     ramification_case,
 )
 
-SEARCH_ORDER_CAP = 500
 SEARCH_MAP_CAP = 100
 QUICK_PRUNE_BOUND = 20
 # a_p from the table of squares at and below, by baby-step giant-step above
@@ -358,7 +356,8 @@ class Scenario(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "Scenario":
-        _json_object(obj, "scenario", ("disc", "weight", "ell", "char", "target"))
+        _json_object(obj, "scenario", ("disc", "weight", "ell", "char", "target"),
+                     ("bound_mode", "cond", "bound", "perturb"))
         disc = _json_int(obj["disc"], "disc")
         weight = _json_int(obj["weight"], "weight")
         ell = _json_int(obj["ell"], "ell")
@@ -376,6 +375,7 @@ class Scenario(NamedTuple):
         if target_spec == "tau":
             target = TAU
         elif isinstance(target_spec, dict) and _is_int_list(target_spec.get("curve"), 5):
+            _json_object(target_spec, "target", ("curve",))
             target = EllipticCurve(*target_spec["curve"])
         else:
             raise ValueError(
@@ -384,6 +384,7 @@ class Scenario(NamedTuple):
         if char != "search":
             if not isinstance(char, dict):
                 raise ValueError("char must be 'search' or an explicit spec object")
+            _json_object(char, "char", (), ("finite_part", "class_part", "conductor"))
             if not _is_int_list(char.get("finite_part")):
                 raise ValueError(
                     "malformed scenario: explicit char needs a 'finite_part' list of integers"
@@ -410,20 +411,24 @@ class Scenario(NamedTuple):
 
 
 def _conductor(disc: int, spec) -> IdealRep:
-    _json_object(spec, "conductor", ("n", "b"))
+    _json_object(spec, "conductor", ("n", "b"), ("c",))
     return IdealRep(
         disc, _json_int(spec["n"], "conductor n"), _json_int(spec["b"], "conductor b"),
         _json_int(spec.get("c", 1), "conductor c"),
     )
 
 
-def _json_object(x, what: str, keys) -> None:
-    """Refuse, in one line, anything but a JSON object holding every key."""
+def _json_object(x, what: str, keys, optional=()) -> None:
+    """Refuse, in one line, anything but a JSON object with every key of keys
+    and no key outside keys and optional."""
     if not isinstance(x, dict):
         raise ValueError(f"malformed {what}: expected a JSON object, not {type(x).__name__}")
     for key in keys:
         if key not in x:
             raise ValueError(f"malformed {what}: missing key {key!r}")
+    for key in x:
+        if key not in keys and key not in optional:
+            raise ValueError(f"malformed {what}: unknown key {key!r}")
 
 
 def _is_json_int(x) -> bool:
@@ -480,7 +485,7 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | N
     is built."""
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
-    finite_field(s.ell, 2 if sp.kind == "inert" else 1)
+    check_field_size(s.ell, 2 if sp.kind == "inert" else 1)
     case = ramification_case(s.ell, sp.kind, s.weight)
     expected = delta_conductor_at_ell(case)
     cond = s.cond or s.target.default_conductor(sp.primes[0] if expected else unit_ideal(s.disc))
@@ -541,10 +546,8 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
     """Lazily yield each matching (character, reduction map, report) in candidate
     order, and append to diagnostics why each other candidate was skipped."""
     # one candidate per element of the character group of (O_K/cond)^*
-    if residue_group_order(cond) > RESIDUE_GROUP_CAP:
-        raise ValueError("finite-part candidate space exceeds the search cap")
-    target, indices = _target_expansion(s, bound, indices)
     rg = residue_group(s.disc, cond)
+    target, indices = _target_expansion(s, bound, indices)
     quick = min(QUICK_PRUNE_BOUND, bound)
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
@@ -552,19 +555,11 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
             chi = build_hecke_char(
                 s.disc, s.weight, cond, fp, "canonical", avoid_primes=(s.ell,)
             )
-        except ValueError as exc:
-            diagnostics.append({**label, "skipped": str(exc)})
-            continue
-        if chi.w > SEARCH_ORDER_CAP:
-            diagnostics.append({**label, "skipped": "finite-part order above cap"})
-            continue
-        try:
+            if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
+                raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)
         except ValueError as exc:
             diagnostics.append({**label, "skipped": str(exc)})
-            continue
-        if len(maps) > SEARCH_MAP_CAP:
-            diagnostics.append({**label, "skipped": "reduction fan-out above cap"})
             continue
         quick_reports = _map_reports(chi, maps, target, quick, indices)
         surviving = [m for m, rep in quick_reports if rep.verdict]

@@ -20,8 +20,14 @@ from math import gcd
 
 from .arith import factorint, is_prime, power
 
-# Largest field order ell^r with tables; larger fields are rejected up front.
+# Largest field order ell^r with tables; larger fields are rejected up front,
+# from ell and r alone, by `check_field_size`.
 FIELD_SIZE_CAP = 10**7
+
+
+def check_field_size(ell: int, r: int) -> None:
+    if ell**r > FIELD_SIZE_CAP:
+        raise ValueError(f"field size {ell}^{r} exceeds the cap of {FIELD_SIZE_CAP}")
 
 
 def _digits(code, ell, r):
@@ -81,8 +87,7 @@ class FiniteField:
             raise ValueError(f"{ell} is not prime")
         if r < 1:
             raise ValueError("degree must be positive")
-        if ell**r > FIELD_SIZE_CAP:
-            raise ValueError(f"field size {ell}^{r} exceeds the cap of {FIELD_SIZE_CAP}")
+        check_field_size(ell, r)
         self.ell = ell
         self.r = r
         self.q = q = ell**r

@@ -4,16 +4,23 @@ import hashlib
 import json
 import os
 from collections import Counter
+from itertools import product
 from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmdihedral import congruence
-from cmdihedral.charmod import build_reductions, residue_group
+from cmdihedral.charmod import (
+    build_hecke_char,
+    build_reductions,
+    reduction_count,
+    residue_group,
+)
 from cmdihedral.cli import main
 from cmdihedral.congruence import (
     AP_BSGS_CROSSOVER,
+    BUILTINS,
     TAU,
     EllipticCurve,
     Scenario,
@@ -367,7 +374,6 @@ def test_delta_scenario_perturbed_empty():
 
 @pytest.mark.parametrize("cap,value,reason", [
     ("SEARCH_MAP_CAP", 2, "reduction fan-out above cap"),
-    ("SEARCH_ORDER_CAP", 1, "finite-part order above cap"),
 ])
 def test_delta_search_skips_candidates_over_cap(cap, value, reason, monkeypatch):
     # the delta23 candidates that build have w = 2 or 22 and at least 3 maps
@@ -422,11 +428,31 @@ def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys):
         "unit inconsistency: eps_f(u)*u^(k-1) != 1 at u = -1+0w": 2240,
         not_exact.format(2): 1120,
         not_exact.format(71): 16,
-        "finite-part order above cap": 768,
-        "ell divides the root-of-unity order of the ring": 192,
+        # of the 1,104 characters that build, 960 have 7 | w
+        "ell divides the root-of-unity order of the ring": 960,
         "reduction fan-out above cap": 128,
         "pruned at the quick bound": 16,
     }
+
+
+@pytest.mark.parametrize("obj,built", [
+    (BUILTINS["delta23"], 11), (BUILTINS["curve65533"], 5), (E7_SEARCH, 144),
+], ids=["delta23", "curve65533", "e7"])
+def test_reduction_count_is_the_number_of_maps(obj, built):
+    # every character of the search that has reduction maps, whether the
+    # search then refuses its fan-out or compares it
+    s = Scenario.from_json(obj)
+    rg = residue_group(s.disc, s.cond)
+    counted = 0
+    for fp in product(*(range(n) for n in rg.orders)):
+        try:
+            chi = build_hecke_char(s.disc, s.weight, s.cond, fp, avoid_primes=(s.ell,))
+            maps = build_reductions(chi, s.ell)
+        except ValueError:
+            continue
+        assert reduction_count(chi, s.ell) == len(maps), fp
+        counted += 1
+    assert counted == built
 
 
 def test_curve_perturbation_joins_the_comparison(tmp_path, capsys):

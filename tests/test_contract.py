@@ -35,6 +35,19 @@ MALFORMED = {
     "weight_float": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23}, "weight": 12.7},
     "bound_true": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23}, "bound": True},
     "finite_part_bool": {**DELTA, "char": {**EXPLICIT, "finite_part": [True]}},
+    # a misspelled key at each level, which was dropped silently: the first
+    # gave a true verdict although it names a perturbation
+    "unknown_key_scenario": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23},
+                             "bound_mod": "paper", "perturbb": 5},
+    "unknown_key_char": {**DELTA, "char": {**EXPLICIT, "finite_part": [11], "class": [1]}},
+    "unknown_key_cond": {**DELTA, "char": "search", "cond": {"n": 23, "b": 23, "C": 1}},
+    "unknown_key_char_conductor": {
+        **DELTA, "char": {**EXPLICIT, "finite_part": [11], "conductor": {"n": 23, "b": 23,
+                                                                         "d": 1}},
+    },
+    "unknown_key_target": {
+        **CURVE, "target": {"curve": [0, -1, 1, -18507, -989382], "model": "minimal"},
+    },
 }
 
 
@@ -48,6 +61,43 @@ def test_malformed_scenario_exits_2(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+UNKNOWN_KEYS = {
+    "unknown_key_scenario": "scenario: unknown key 'bound_mod'",
+    "unknown_key_char": "char: unknown key 'class'",
+    "unknown_key_cond": "conductor: unknown key 'C'",
+    "unknown_key_char_conductor": "conductor: unknown key 'd'",
+    "unknown_key_target": "target: unknown key 'model'",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(UNKNOWN_KEYS))
+def test_unknown_key_exits_2_at_every_level(name, command, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: malformed {UNKNOWN_KEYS[name]}"]
+
+
+def test_search_reads_only_the_conductor_of_an_explicit_char(tmp_path, capsys):
+    # search tries every finite part of the char's conductor and ignores the
+    # char's own finite_part, whose length only verify checks
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(MALFORMED["finite_part_too_long"]))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: finite part must assign one exponent per generator"
+    ]
+    assert cli.main(["search", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert cli.main(["search", "--builtin", "delta23"]) == 0
+    assert out == capsys.readouterr().out
+    assert len(json.loads(out)) == 2
 
 
 # argv -> what the one stderr line names
@@ -125,6 +175,47 @@ OVER_CAP = {
 }
 
 
+# each refused from integers, with no field built: F_{1009^2} (about 10^6
+# elements) and F_1000033 lie under the field cap, the weight or the bound
+# is out of range, and the two fields of OVER_CAP lie above the cap
+NO_FIELD = {
+    "inert_ell_1009_weight_5000": (
+        {**DELTA, "ell": 1009, "weight": 5000, "char": "search", "cond": {"n": 23, "b": 23},
+         "bound": 40},
+        "error: weight must satisfy 2 <= k <= ell - 1",
+    ),
+    "split_ell_1000033_bound_200000": (
+        {**DELTA, "ell": 1000033, "char": "search", "cond": {"n": 23, "b": 23},
+         "bound": 200000},
+        "error: comparison bound 200000 exceeds the cap of 100000",
+    ),
+    "split_ell_10000079": (OVER_CAP["split_ell_10000079"],
+                           "error: field size 10000079^1 exceeds the cap of 10000000"),
+    "inert_ell_3181": (OVER_CAP["inert_ell_3181"],
+                       "error: field size 3181^2 exceeds the cap of 10000000"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(NO_FIELD))
+def test_refused_with_no_field_built(name, command, tmp_path, capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(FiniteField, "__init__", no_field)
+    # nor taken from the cache of an earlier build
+    calls = ffield.finite_field.cache_info()
+    scenario, line = NO_FIELD[name]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert ffield.finite_field.cache_info() == calls
+
+
 @pytest.mark.parametrize("command", ["verify", "search"])
 @pytest.mark.parametrize("name", sorted(OVER_CAP))
 def test_field_over_cap_exits_2_before_candidates(name, command, tmp_path, capsys, monkeypatch):
@@ -152,7 +243,7 @@ def test_search_sized_before_residue_group(command, tmp_path, capsys, monkeypatc
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the residue group was enumerated")
 
-    monkeypatch.setattr("cmdihedral.congruence.residue_group", no_enumeration)
+    monkeypatch.setattr("cmdihedral.charmod._unit_keys", no_enumeration)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(CONDUCTOR_40009))
     code = cli.main([command, "--scenario", str(path)])
@@ -160,7 +251,7 @@ def test_search_sized_before_residue_group(command, tmp_path, capsys, monkeypatc
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: finite-part candidate space exceeds the search cap"
+        f"error: residue group order exceeds the cap of {RESIDUE_GROUP_CAP}"
     ]
 
 

@@ -513,9 +513,9 @@ def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: field size 13^7 exceeds the cap of 10000000"]
-    # F_13 for the scenario set-up, F_{13^4}, in which the relation constant
-    # has no 105th root, and the refused F_{13^7}
-    assert built == [(13, 1), (13, 4), (13, 7)]
+    # F_13 for the target and F_{13^4}, in which the relation constant has no
+    # 105th root; F_{13^7} is refused from its size and never constructed
+    assert built == [(13, 1), (13, 4)]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
