@@ -39,9 +39,10 @@ supported at the norms of the class-extension ideals, and
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from itertools import count, product
-from math import gcd, lcm, prod
+from itertools import count, groupby, product
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -690,28 +691,33 @@ def table_exponents(chi: HeckeChar, bound: int) -> list[tuple]:
     ]
 
 
-def table_images(rows, k: int, m: ReductionMap) -> list[tuple[int, int]]:
-    """(N(P), m(chi(P))) for the rows of `table_exponents` of a weight-k
-    character, read off the log tables of the map's field F_q:
+def table_images(rows, k: int, m: ReductionMap):
+    """For each rational prime p below the rows of `table_exponents` of a
+    weight-k character, p and a lazy iterator of (N(P), m(chi(P))) over the
+    rows above p, read off the log tables of the map's field F_q:
 
         log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P)
                         - sum_j f_j log m(t_j)   mod q - 1,
 
     because m(c_j^-1) = m(t_j)^-h_j.  m(chi(P)) = 0 where m(beta_P) = 0, that
-    is for P above ell."""
+    is for P above ell.  The rows above p are adjacent, of norm p, or p^2 for
+    an inert p; read each iterator before the next p."""
     F = m.field
     order, log, exp = F.q - 1, F.log, F.exp
     lz = log[m.z_img]
     lts = [log[t] for t in m.t_imgs]
-    out = []
-    for norm, fs, beta, s in rows:
+
+    def image(row):
+        norm, fs, beta, s = row
         b = _image(F, m.x_img, beta)
-        if b:
-            e = s * lz + (k - 1) * log[b] - sum(f * lt for f, lt in zip(fs, lts))
-            out.append((norm, exp[e % order]))
-        else:
-            out.append((norm, 0))
-    return out
+        if not b:
+            return norm, 0
+        e = s * lz + (k - 1) * log[b] - sum(map(operator.mul, fs, lts))
+        return norm, exp[e % order]
+
+    for norm, above in groupby(rows, operator.itemgetter(0)):
+        p = isqrt(norm)
+        yield (p if p * p == norm else norm), map(image, above)
 
 
 def _image(F: FiniteField, x: int, alpha: QuadInt) -> int:

@@ -529,17 +529,26 @@ def _target_expansion(s: Scenario, bound: int, indices):
     return tgt, indices
 
 
-def _map_reports(chi: HeckeChar, maps, target: QExpansion, bound: int, indices):
-    """Lazily yield (map, report) for each reduction map, in order: the map
-    takes chi on the rows of its prime table up to bound into its field, and
-    the theta series is the Euler product of those values."""
-    rows = table_exponents(chi, bound)
-    level = chi.cond.norm() * abs(chi.D)
-    for m in maps:
-        coeffs = euler_product(m.field, table_images(rows, chi.k, m), bound)
-        theta = QExpansion(m.field, coeffs, chi.k, level)
-        rep = compare(theta, target, bound, indices)
-        yield m, rep._replace(reduction_map=m.describe())
+def _first_mismatch(chi: HeckeChar, rows, m: ReductionMap, target, bound: int, indices):
+    """Expand chi's theta series c under m to bound, comparing each c_n that target is read
+    at once final: (the first n where they differ, c), or (None, c) with c_0..c_bound all in."""
+    tc = target.coeffs
+    steps = euler_product(m.field, table_images(rows, chi.k, m), bound)
+    final, c = next(steps)
+    for n in range(1, bound + 1) if indices is None else [n for n in indices if n <= bound]:
+        while n >= final:
+            final, c = next(steps)
+        if c[n] != tc[n]:
+            return n, c
+    for final, c in steps:  # the factors left complete c
+        pass
+    return None, c
+
+
+def _report(chi: HeckeChar, m: ReductionMap, coeffs, target, bound, indices) -> CongruenceReport:
+    """compare's report on chi's theta series under m, of coefficients coeffs."""
+    theta = QExpansion(m.field, coeffs, chi.k, chi.cond.norm() * abs(chi.D))
+    return compare(theta, target, bound, indices)._replace(reduction_map=m.describe())
 
 
 def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostics: list):
@@ -561,18 +570,19 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
         except ValueError as exc:
             diagnostics.append({**label, "skipped": str(exc)})
             continue
-        quick_reports = _map_reports(chi, maps, target, quick, indices)
-        surviving = [m for m, rep in quick_reports if rep.verdict]
+        quick_rows = table_exponents(chi, quick)
+        surviving = [m for m in maps
+                     if _first_mismatch(chi, quick_rows, m, target, quick, indices)[0] is None]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        for m, rep in _map_reports(chi, surviving, target, bound, indices):
-            if rep.verdict:
-                yield chi, m, rep
+        rows = table_exponents(chi, bound)
+        for m in surviving:
+            n, coeffs = _first_mismatch(chi, rows, m, target, bound, indices)
+            if n is None:
+                yield chi, m, _report(chi, m, coeffs, target, bound, indices)
             else:
-                diagnostics.append(
-                    {**label, "map": rep.reduction_map, "failed_at": rep.mismatches[0][0]}
-                )
+                diagnostics.append({**label, "map": m.describe(), "failed_at": n})
 
 
 def search_matching_char(s: Scenario):
@@ -608,9 +618,14 @@ def run_scenario(s: Scenario) -> RunResult:
         )
         target, indices = _target_expansion(s, bound, indices)
         maps = build_reductions(chi, s.ell)
-        reports = _map_reports(chi, maps, target, bound, indices)
-        rmap, report = first = next(reports)
-        if not report.verdict:
-            rmap, report = next(((m, r) for m, r in reports if r.verdict), first)
+        rows = table_exponents(chi, bound)
+        for rmap in maps:
+            n, coeffs = _first_mismatch(chi, rows, rmap, target, bound, indices)
+            if n is None:
+                break
+        else:
+            rmap = maps[0]
+            *_, (_, coeffs) = euler_product(rmap.field, table_images(rows, chi.k, rmap), bound)
+        report = _report(chi, rmap, coeffs, target, bound, indices)
     neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

@@ -58,35 +58,39 @@ def theta_series(chi: HeckeChar, prec: int) -> QExpansion:
     return QExpansion(R, coeffs, chi.k, chi.cond.norm() * abs(chi.D))
 
 
-def prime_values(chi: HeckeChar, prec: int) -> list[tuple[int, VrElem]]:
-    """(N(P), chi(P)) for every prime ideal P coprime to the conductor with
-    N(P) <= prec, in the order of the rational prime below P."""
-    out = []
-    for p in primes_upto(prec):
-        for P in primes_above(chi.D, p).primes:
-            if P.norm() <= prec and ideals_coprime(P, chi.cond):
-                out.append((P.norm(), evaluate(chi, P)))
-    return out
+def prime_values(chi: HeckeChar, prec: int) -> list[tuple[int, list[tuple[int, VrElem]]]]:
+    """For each rational prime p <= prec, p and the pairs (N(P), chi(P)) over
+    the prime ideals P above p coprime to the conductor with N(P) <= prec."""
+    return [
+        (p, [(P.norm(), evaluate(chi, P)) for P in primes_above(chi.D, p).primes
+             if P.norm() <= prec and ideals_coprime(P, chi.cond)])
+        for p in primes_upto(prec)
+    ]
 
 
-def euler_product(ring, values, prec: int) -> list:
+def euler_product(ring, factors, prec: int):
     """Coefficients c_0..c_prec of the Dirichlet series prod (1 - v N^-s)^-1
-    over the pairs (N, v) in values, in ring (a FiniteField or a ValueRing).
-    On the prime values of a character this is its theta series, because the
-    character is multiplicative on ideals."""
+    over the pairs (N, v) of factors, in ring (a FiniteField or a ValueRing):
+    for rational primes p in increasing order, p and the pairs with N = p or
+    p^2.  Yields (p, c) before the pairs at p and (prec + 1, c) at the end, c
+    the list being built: c_n is final for n < p, as a later pair touches only
+    multiples of its N >= p.  On the prime values of a character this is its
+    theta series, because the character is multiplicative on ideals."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     zero, add, mul = ring.zero(), ring.add, ring.mul
     c = [zero] * (prec + 1)
     c[1] = ring.one()
-    for q, v in values:
-        # upward in n: c[n // q] already carries this factor, so the pass
-        # multiplies by the whole geometric series sum v^e N^-es
-        for n in range(q, prec + 1, q):
-            lower = c[n // q]
-            if lower != zero:
-                c[n] = add(c[n], mul(v, lower))
-    return c
+    for p, pairs in factors:
+        yield p, c
+        for q, v in pairs:
+            # upward in n = jq: c[j] already carries this factor, so the pass
+            # multiplies by the whole geometric series sum v^e N^-es
+            for j in range(1, prec // q + 1):
+                lower = c[j]
+                if lower != zero:
+                    c[j * q] = add(c[j * q], mul(v, lower))
+    yield prec + 1, c
 
 
 def _pentagonal_exponents(prec: int):

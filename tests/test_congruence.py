@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -16,6 +17,8 @@ from cmdihedral.charmod import (
     build_reductions,
     reduction_count,
     residue_group,
+    table_exponents,
+    table_images,
 )
 from cmdihedral.cli import main
 from cmdihedral.congruence import (
@@ -34,8 +37,14 @@ from cmdihedral.congruence import (
     search_matching_char,
 )
 from cmdihedral.ffield import finite_field
-from cmdihedral.qfield import kronecker, primes_above
-from cmdihedral.qseries import QExpansion, delta_qexp, drop_multiples, theta_series
+from cmdihedral.qfield import IdealRep, kronecker, primes_above
+from cmdihedral.qseries import (
+    QExpansion,
+    delta_qexp,
+    drop_multiples,
+    euler_product,
+    theta_series,
+)
 from cmdihedral.arith import power, primes_upto
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -99,6 +108,46 @@ def test_compare_embeds_prime_field():
     F49, F2401 = finite_field(7, 2), finite_field(7, 4)
     with pytest.raises(ValueError, match="no canonical embedding"):
         compare(_ff_series(F49, [1, 2, 3]), _ff_series(F2401, [1, 2, 3]), 3)
+
+
+# characters whose prime tables put an inert row of norm p^2 at p's place,
+# before rows of smaller norm: norms 4, 9, 5, 5, 7, 7, ... for D = -19 and
+# 4, 3, 3, 5, 5, ... for D = -11; maps into F_5, F_25 and F_{7^4}
+OUT_OF_NORM_ORDER = {
+    "D-19_F5": (-19, 2, 5, IdealRep(-19, 19, 19), [9]),
+    "D-19_F25": (-19, 2, 5, IdealRep(-19, 19, 19), [3]),
+    "D-11_F2401": (-11, 3, 7, IdealRep(-11, 11, 11), [2]),
+}
+
+
+@lru_cache(maxsize=None)
+def _out_of_norm_order(name):
+    D, k, ell, cond, fp = OUT_OF_NORM_ORDER[name]
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
+    return chi, build_reductions(chi, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(OUT_OF_NORM_ORDER)), st.integers(0, 7), st.integers(1, 60),
+       st.integers(0, 60), st.booleans())
+@example("D-19_F25", 0, 20, 0, False)
+@example("D-11_F2401", 0, 20, 0, False)
+def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bound, n, primes):
+    # the target is a map's own theta series, perturbed at n unless n = 0 or
+    # n > bound; the early exit must give compare's verdict and first mismatch
+    chi, maps = _out_of_norm_order(name)
+    m = maps[i % len(maps)]
+    rows = table_exponents(chi, bound)
+    *_, (_, coeffs) = euler_product(m.field, table_images(rows, chi.k, m), bound)
+    target = list(coeffs)
+    if 1 <= n <= bound:
+        target[n] = m.field.add(target[n], 1)
+    theta, target = (QExpansion(m.field, c, chi.k, None) for c in (coeffs, target))
+    indices = primes_upto(bound) if primes else None
+    full = compare(theta, target, bound, indices)
+    first, _ = congruence._first_mismatch(chi, rows, m, target, bound, indices)
+    assert first == (full.mismatches[0][0] if full.mismatches else None)
+    assert (first is None) == full.verdict
 
 
 # -- curve point counts --------------------------------------------------------------
@@ -399,6 +448,43 @@ def test_delta_search_reports_maps_that_fail_past_the_quick_bound(tmp_path, caps
     failed = [(d["finite_part"], d["map"]["t"]) for d in diagnostics if "failed_at" in d]
     assert failed == [([11], [195]), ([11], [356])]
     assert all(d["failed_at"] == 100 for d in diagnostics if "failed_at" in d)
+
+
+# (builtin, perturbed n) -> (diagnostics, "pruned at the quick bound", failed_at,
+# sha256 of the sorted-key JSON of the diagnostics): each side of the quick
+# bound, and the full bound, of both searches
+QUICK_EDGES = {
+    ("delta23", 2): (22, 11, [],
+     "ae7206d69d94b2170100881c367ed7607e3023291651b94f63d7d823e495907e"),
+    ("delta23", 20): (22, 11, [],
+     "ae7206d69d94b2170100881c367ed7607e3023291651b94f63d7d823e495907e"),
+    ("delta23", 21): (23, 10, [21, 21],
+     "1f9edfcf5abbc9b79b01836c48f94c9751d1c2b3b4cbb7a670c6434eeb8784ce"),
+    ("delta23", 552): (23, 10, [552, 552],
+     "b80d683317da3d58f362b93889e9febc88d877be95679b634f60fc04b860b2f1"),
+    ("curve65533", 3): (70, 5, [],
+     "f69c311dc9613d2714609070355bc7eebcab95e298db369a382e00a624444580"),
+    ("curve65533", 19): (70, 5, [],
+     "f69c311dc9613d2714609070355bc7eebcab95e298db369a382e00a624444580"),
+    ("curve65533", 23): (71, 4, [23, 23],
+     "436c8ee187e765cd606c8351ddc12b16d6f333938169a382b226d1646ca7357c"),
+    ("curve65533", 499): (71, 4, [499, 499],
+     "bf8eb3b339f9f9b178396983028191be14e690123276ca97e039c655e8bd4b83"),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(QUICK_EDGES))
+def test_perturbed_search_diagnostics_at_the_quick_edges(name, n):
+    # a perturbation at n <= 20 prunes the matching candidate at the quick
+    # bound; one past it leaves its two maps to fail at n in the full bound
+    count, pruned, failed_at, digest = QUICK_EDGES[name, n]
+    matches, diagnostics = search_matching_char(
+        Scenario.from_json({**BUILTINS[name], "perturb": n}))
+    assert matches == [] and len(diagnostics) == count
+    assert sum(d.get("skipped") == "pruned at the quick bound" for d in diagnostics) == pruned
+    assert [d["failed_at"] for d in diagnostics if "failed_at" in d] == failed_at
+    assert hashlib.sha256(
+        json.dumps(diagnostics, sort_keys=True).encode()).hexdigest() == digest
 
 
 # conductor (sqrt(-71)) * P_2^7 of norm 71 * 2^7 = 9088: |(O_K/f)^*| = 70 * 64

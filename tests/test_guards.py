@@ -8,7 +8,8 @@ only for the constructors `Record` writes, the one place the kind of a
 target is decided, the single set-up and candidate pass of each
 verification command, the one form reduction behind a principal generator,
 the one product behind an ideal quotient, exactness kernels built once per
-conductor, and no read of the process environment."""
+conductor, maps that fail at q^2 imaging no row above 3 or beyond, and no
+read of the process environment."""
 
 import ast
 import glob
@@ -290,12 +291,49 @@ def test_pruned_search_computes_only_the_quick_rows(name, tmp_path, capsys, monk
     assert main(["search", "--scenario", str(path)]) == 1
     assert capsys.readouterr().out == "[]\n"
     # only the quick table: one row per prime ideal of norm <= 20 off the
-    # conductor, above 2, 3, 13 (split) and 5 (inert) for D = -23, and above
-    # 2, 3, 5, 19 (split) and 7 (inert) for D = -71
+    # conductor, two above each split 2, 3, 13 for D = -23 and 2, 3, 5, 19 for
+    # D = -71; the inert 5 and 7 have norms 25 and 49, above 20
     assert [key[-1] for key in tables] == [congruence.QUICK_PRUNE_BOUND]
     (rows,) = tables.values()
     assert len(rows) == {"delta23": 6, "curve65533": 8}[name]
     assert max(row.norm for row in rows) <= congruence.QUICK_PRUNE_BOUND
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_SEARCHES))
+def test_maps_failing_at_q2_image_only_the_rows_above_2(name, monkeypatch):
+    # c_2 is final once both rows above 2 are in, so each map stops there
+    # without imaging the rows above 3 and beyond; the images of the relation
+    # constants, made while a candidate's maps are built, are not counted
+    tables = _record_prime_tables(monkeypatch)
+    image, imaged, building = charmod._image, [], [False]
+
+    def recorded(F, x, alpha):
+        if not building[0]:
+            imaged.append(alpha)
+        return image(F, x, alpha)
+
+    build, maps = congruence.build_reductions, [0]
+
+    def counted(chi, ell):
+        building[0] = True
+        try:
+            out = build(chi, ell)
+        finally:
+            building[0] = False
+        maps[0] += len(out)
+        return out
+
+    monkeypatch.setattr(charmod, "_image", recorded)
+    monkeypatch.setattr(congruence, "build_reductions", counted)
+    s = congruence.Scenario.from_json(PERTURBED_SEARCHES[name])
+    matches, _ = congruence.search_matching_char(s)
+    assert matches == [] and maps[0] > 0
+    (rows,) = tables.values()
+    above_2 = {row.beta for row in rows if row.norm == 2}
+    above_odd = {row.beta for row in rows if row.norm != 2}
+    assert len(above_2) == 2 and above_odd
+    assert sum(alpha in above_2 for alpha in imaged) == 2 * maps[0]
+    assert not above_odd.intersection(imaged)
 
 
 @pytest.mark.parametrize("name", ["verify-curve71_deep", "verify-delta23"])

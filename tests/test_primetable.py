@@ -68,17 +68,18 @@ def test_curve65533_candidates_include_the_match():
 @pytest.mark.parametrize("D,k,cond,fp,ell,bound,class_part", cases())
 def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound, class_part):
     chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
-    exact = prime_values(chi, bound)
+    # the rational primes with a prime ideal in the table, and those ideals
+    exact = [(p, pairs) for p, pairs in prime_values(chi, bound) if pairs]
     rows = table_exponents(chi, bound)
-    assert [q for q, *_ in rows] == [q for q, _ in exact]
+    assert [q for q, *_ in rows] == [q for _, pairs in exact for q, _ in pairs]
     # a map kills exactly one prime above ell, when the table holds one: (7) of
     # norm 49 for D = -71 and D = -4, one of the two of norm 13 for D = -3
-    above_ell = any(q % ell == 0 for q, _ in exact)
+    above_ell = any(p == ell for p, _ in exact)
     for m in build_reductions(chi, ell):
-        fast = table_images(rows, k, m)
-        oracle = [(q, m.reduce(v)) for q, v in exact]
+        fast = [(p, list(images)) for p, images in table_images(rows, k, m)]
+        oracle = [(p, [(q, m.reduce(v)) for q, v in pairs]) for p, pairs in exact]
         assert fast == oracle
-        zeros = [q for q, v in fast if v == m.field.zero()]
+        zeros = [q for _, images in fast for q, v in images if v == m.field.zero()]
         assert len(zeros) == above_ell and all(q % ell == 0 for q in zeros)
 
 
@@ -88,7 +89,8 @@ def test_quick_bound_filters_the_same_table():
     full = prime_table(D, cond, chi.class_ideals, bound)
     quick = prime_table(D, cond, chi.class_ideals, 20)
     assert quick == tuple(row for row in full if row.norm <= 20)
-    assert [q for q, *_ in table_exponents(chi, 20)] == [q for q, _ in prime_values(chi, 20)]
+    assert [q for q, *_ in table_exponents(chi, 20)] == [
+        q for _, pairs in prime_values(chi, 20) for q, _ in pairs]
     # cached per conductor, class extension and bound
     assert prime_table(D, cond, chi.class_ideals, 20) is quick
 

@@ -26,6 +26,7 @@ from cmdihedral.qseries import (
     twist,
 )
 from cmdihedral.serrepred import DirichletChar
+from cmdihedral.arith import primes_upto
 
 
 # -- the weight-12 level-1 form -------------------------------------------------
@@ -205,7 +206,8 @@ def _theta(name):
 @pytest.mark.parametrize("name", sorted(CHARS))
 def test_euler_product_equals_theta_in_exact_ring(name):
     chi, prec = _char(name), CHARS[name][-1]
-    assert euler_product(value_ring(chi), prime_values(chi, prec), prec) == _theta(name).coeffs
+    *_, (_, coeffs) = euler_product(value_ring(chi), prime_values(chi, prec), prec)
+    assert coeffs == _theta(name).coeffs
 
 
 @pytest.mark.parametrize("name", sorted(CHARS))
@@ -213,7 +215,8 @@ def test_euler_product_reduces_like_theta_under_every_map(name):
     chi, ell, prec = _char(name), CHARS[name][-2], CHARS[name][-1]
     values = prime_values(chi, prec)
     for m in build_reductions(chi, ell):
-        fast = euler_product(m.field, [(q, m.reduce(v)) for q, v in values], prec)
+        factors = [(p, [(q, m.reduce(v)) for q, v in pairs]) for p, pairs in values]
+        *_, (_, fast) = euler_product(m.field, factors, prec)
         oracle = reduce_expansion(_theta(name), m).coeffs
         assert fast == oracle
 
@@ -222,10 +225,13 @@ def test_prime_values_cover_the_prime_ideals_once():
     # D = -3, conductor above 7: the other prime above 7 stays, 2 and 5 are
     # inert (norms 4 and 25), 3 is ramified
     chi = _char("D-3_split7")
-    norms = [q for q, _ in prime_values(chi, 30)]
-    assert norms == [4, 3, 25, 7, 13, 13, 19, 19]
+    factors = prime_values(chi, 30)
+    assert [q for _, pairs in factors for q, _ in pairs] == [4, 3, 25, 7, 13, 13, 19, 19]
+    # each rational prime p <= 30 once, with its inert ideal of norm p^2 at p
+    assert [p for p, _ in factors] == primes_upto(30)
+    assert [p for p, pairs in factors if pairs and pairs[0][0] == p * p] == [2, 5]
     with pytest.raises(ValueError, match="precision"):
-        euler_product(value_ring(chi), [], 0)
+        next(euler_product(value_ring(chi), [], 0))
 
 
 @lru_cache(maxsize=None)
