@@ -2,11 +2,12 @@
 comparison targets, and the scenario orchestration of the verification runs.
 
 A target, TAU (Delta) or an EllipticCurve, answers every question about
-itself: its JSON form, a scenario's default conductor, the indices it is
-compared at, and its expansion over F_ell.  A scenario is checked in one
+itself: its JSON form, a scenario's default conductor, the sorted indices it
+is compared at, and its expansion over F_ell.  A scenario is checked in one
 order before any target or candidate is built: datum, bound cap (PREC_CAP),
 perturbation index, the target's compared indices, and for a search the
-size of (O_K/f)^*."""
+size of (O_K/f)^*.  Under each reduction map one lazy stream of mismatches
+decides the map by its first entry and, read to the end, is its report."""
 
 from __future__ import annotations
 
@@ -332,8 +333,10 @@ class Tau(NamedTuple):
     def default_conductor(self, at_ell: IdealRep) -> IdealRep:
         return at_ell
 
-    def indices(self, ell: int, bound: int) -> None:
-        return None
+    def indices(self, ell: int, bound: int) -> range:
+        if bound < 1:  # derived at m < 6 (paper) or k*m < 12 (standard): D = -3, unit conductor
+            raise ValueError(f"comparison bound {bound} compares no coefficient")
+        return range(1, bound + 1)
 
     def expansion(self, ell: int, bound: int, indices) -> QExpansion:
         """Delta over F_ell by `delta_mod`, zero at the multiples of ell: no exact tau(n)."""
@@ -477,12 +480,9 @@ class RunResult(NamedTuple):
     reduction: ReductionMap | None
 
 
-def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | None]:
-    """(datum, conductor, comparison bound, the target's compared indices),
-    checked in one order for every command: datum, bound cap, perturbation
-    index, compared indices, a bound of at least 1.  Every series is expanded
-    to the bound, so each refusal here comes before any target or candidate
-    is built."""
+def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | range]:
+    """(datum, conductor, comparison bound, the target's sorted compared indices),
+    refused in the one order of the module docstring, before any series is built."""
     sp = primes_above(s.disc, s.ell)
     # every reduction lands in an extension of this field: check its size first
     check_field_size(s.ell, 2 if sp.kind == "inert" else 1)
@@ -508,13 +508,10 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | N
         raise ValueError("perturbation index out of range")
     indices = s.target.indices(s.ell, bound)
     # a target is read at its indices only, and at 1 when perturbed there
-    if indices is not None and n not in (None, 1) and n not in indices:
+    if n not in (None, 1) and n not in indices:
         raise ValueError(f"perturbation index {n} is not compared for a curve target")
-    if indices is not None and not indices:
+    if not indices:
         raise ValueError(f"comparison bound {bound} leaves no good prime to compare")
-    # a derived bound is 0 at m < 6 (paper) or k*m < 12 (standard): D = -3, unit conductor
-    if bound < 1:
-        raise ValueError(f"comparison bound {bound} compares no coefficient")
     return datum, cond, bound, indices
 
 
@@ -524,31 +521,22 @@ def _target_expansion(s: Scenario, bound: int, indices):
     n = s.perturb
     if n is not None:
         tgt.coeffs[n] = tgt.ring.add(tgt.coeffs[n], 1)
-        if indices is not None:
-            indices = sorted({*indices, n})
+        indices = sorted({*indices, n})
     return tgt, indices
 
 
-def _first_mismatch(chi: HeckeChar, rows, m: ReductionMap, target, bound: int, indices):
-    """Expand chi's theta series c under m to bound, comparing each c_n that target is read
-    at once final: (the first n where they differ, c), or (None, c) with c_0..c_bound all in."""
+def _mismatches(chi: HeckeChar, rows, m: ReductionMap, target, bound: int, indices):
+    """Each (n, c_n, target_n) at which chi's theta series c under m, expanded to bound,
+    differs from target, over indices (sorted, each <= bound) in order: each as soon as
+    the Euler product has made c_n final."""
     tc = target.coeffs
     steps = euler_product(m.field, table_images(rows, chi.k, m), bound)
     final, c = next(steps)
-    for n in range(1, bound + 1) if indices is None else [n for n in indices if n <= bound]:
+    for n in indices:
         while n >= final:
             final, c = next(steps)
         if c[n] != tc[n]:
-            return n, c
-    for final, c in steps:  # the factors left complete c
-        pass
-    return None, c
-
-
-def _report(chi: HeckeChar, m: ReductionMap, coeffs, target, bound, indices) -> CongruenceReport:
-    """compare's report on chi's theta series under m, of coefficients coeffs."""
-    theta = QExpansion(m.field, coeffs, chi.k, chi.cond.norm() * abs(chi.D))
-    return compare(theta, target, bound, indices)._replace(reduction_map=m.describe())
+            yield n, c[n], tc[n]
 
 
 def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostics: list):
@@ -558,6 +546,7 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
     rg = residue_group(s.disc, cond)
     target, indices = _target_expansion(s, bound, indices)
     quick = min(QUICK_PRUNE_BOUND, bound)
+    quick_indices = [n for n in indices if n <= quick]
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
         try:
@@ -571,18 +560,18 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
             diagnostics.append({**label, "skipped": str(exc)})
             continue
         quick_rows = table_exponents(chi, quick)
-        surviving = [m for m in maps
-                     if _first_mismatch(chi, quick_rows, m, target, quick, indices)[0] is None]
+        surviving = [m for m in maps if next(
+            _mismatches(chi, quick_rows, m, target, quick, quick_indices), None) is None]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
         rows = table_exponents(chi, bound)
         for m in surviving:
-            n, coeffs = _first_mismatch(chi, rows, m, target, bound, indices)
-            if n is None:
-                yield chi, m, _report(chi, m, coeffs, target, bound, indices)
+            first = next(_mismatches(chi, rows, m, target, bound, indices), None)
+            if first is None:
+                yield chi, m, CongruenceReport(s.ell, m.describe(), bound, len(indices), (), True)
             else:
-                diagnostics.append({**label, "map": m.describe(), "failed_at": n})
+                diagnostics.append({**label, "map": m.describe(), "failed_at": first[0]})
 
 
 def search_matching_char(s: Scenario):
@@ -620,12 +609,12 @@ def run_scenario(s: Scenario) -> RunResult:
         maps = build_reductions(chi, s.ell)
         rows = table_exponents(chi, bound)
         for rmap in maps:
-            n, coeffs = _first_mismatch(chi, rows, rmap, target, bound, indices)
-            if n is None:
+            if next(_mismatches(chi, rows, rmap, target, bound, indices), None) is None:
+                mism = ()
                 break
         else:
             rmap = maps[0]
-            *_, (_, coeffs) = euler_product(rmap.field, table_images(rows, chi.k, rmap), bound)
-        report = _report(chi, rmap, coeffs, target, bound, indices)
+            mism = tuple(_mismatches(chi, rows, rmap, target, bound, indices))
+        report = CongruenceReport(s.ell, rmap.describe(), bound, len(indices), mism, not mism)
     neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

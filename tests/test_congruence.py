@@ -133,21 +133,75 @@ def _out_of_norm_order(name):
 @example("D-19_F25", 0, 20, 0, False)
 @example("D-11_F2401", 0, 20, 0, False)
 def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bound, n, primes):
-    # the target is a map's own theta series, perturbed at n unless n = 0 or
-    # n > bound; the early exit must give compare's verdict and first mismatch
+    # the target is a map's own theta series, perturbed at each multiple of n
+    # unless n = 0; the lazy mismatch stream, whose first entry decides a map,
+    # must give compare's mismatches, in order
     chi, maps = _out_of_norm_order(name)
     m = maps[i % len(maps)]
     rows = table_exponents(chi, bound)
     *_, (_, coeffs) = euler_product(m.field, table_images(rows, chi.k, m), bound)
     target = list(coeffs)
-    if 1 <= n <= bound:
-        target[n] = m.field.add(target[n], 1)
+    for j in range(n, bound + 1, n) if n else ():
+        target[j] = m.field.add(target[j], 1)
     theta, target = (QExpansion(m.field, c, chi.k, None) for c in (coeffs, target))
     indices = primes_upto(bound) if primes else None
     full = compare(theta, target, bound, indices)
-    first, _ = congruence._first_mismatch(chi, rows, m, target, bound, indices)
-    assert first == (full.mismatches[0][0] if full.mismatches else None)
-    assert (first is None) == full.verdict
+    # compare's None means every n <= bound; primes_upto(1) is [], not None
+    every = range(1, bound + 1) if indices is None else indices
+    stream = tuple(congruence._mismatches(chi, rows, m, target, bound, every))
+    assert stream == full.mismatches
+    assert (not stream) == full.verdict
+
+
+# explicit characters whose report comes from the one mismatch stream: delta23's
+# [11], whose first map t = [1] fails and whose second, t = [195], matches, and
+# the curve71_deep character at a smaller bound, whose first map matches
+with open(os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")) as _fh:
+    EXPLICIT_REPORTS = {
+        "delta23": {"disc": -23, "weight": 12, "ell": 23, "target": "tau",
+                    "char": {"conductor": {"n": 23, "b": 23}, "finite_part": [11]}},
+        "curve71": {**json.load(_fh), "bound": 400},
+    }
+
+
+@lru_cache(maxsize=None)
+def _explicit_thetas(name):
+    """(scenario, comparison bound, the target's compared indices, the maps
+    of its character, and the full theta series under each map)."""
+    s = Scenario.from_json(EXPLICIT_REPORTS[name])
+    _, _, bound, indices = congruence._scenario_setup(s)
+    chi = build_hecke_char(s.disc, s.weight, s.cond, s.char["finite_part"],
+                           avoid_primes=(s.ell,))
+    maps = build_reductions(chi, s.ell)
+    rows = table_exponents(chi, bound)
+    thetas = []
+    for m in maps:
+        *_, (_, coeffs) = euler_product(m.field, table_images(rows, chi.k, m), bound)
+        thetas.append(QExpansion(m.field, coeffs, chi.k, None))
+    return s, bound, indices, maps, thetas
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(EXPLICIT_REPORTS)), st.one_of(st.none(), st.integers(0, 10**4)))
+@example("delta23", None)
+@example("curve71", None)
+@example("curve71", 0)
+def test_explicit_report_is_compare_on_the_reported_map(name, draw):
+    # the target perturbed at a drawn compared index, or at 1, or not at all;
+    # the report is compare's on the first map that matches, else on maps[0]
+    s, bound, indices, maps, thetas = _explicit_thetas(name)
+    compared = sorted({1, *indices})
+    n = None if draw is None else compared[draw % len(compared)]
+    target = s.target.expansion(s.ell, bound, indices)
+    if n is not None:
+        target.coeffs[n] = target.ring.add(target.coeffs[n], 1)
+        indices = sorted({*indices, n})
+    reports = [compare(theta, target, bound, indices)._replace(reduction_map=m.describe())
+               for m, theta in zip(maps, thetas)]
+    expected = next((r for r in reports if r.verdict), reports[0])
+    assert run_scenario(s._replace(perturb=n)).report == expected
+    if name == "delta23" and n is None:
+        assert expected.reduction_map["t"] == [195] and not reports[0].verdict
 
 
 # -- curve point counts --------------------------------------------------------------

@@ -8,8 +8,9 @@ only for the constructors `Record` writes, the one place the kind of a
 target is decided, the single set-up and candidate pass of each
 verification command, the one form reduction behind a principal generator,
 the one product behind an ideal quotient, exactness kernels built once per
-conductor, maps that fail at q^2 imaging no row above 3 or beyond, and no
-read of the process environment."""
+conductor, maps that fail at q^2 imaging no row above 3 or beyond, no
+verdict calling `congruence.compare`, and no read of the process
+environment."""
 
 import ast
 import glob
@@ -32,21 +33,26 @@ from cmdihedral.qfield import IdealRep, check_fundamental, class_group, kronecke
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEEP = os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")
 
-EXPLICIT_MISMATCH = {
+# delta23's character given explicitly: its first map, t = [1], fails, and its
+# second, t = [195], matches, the same map and bytes the search reports
+EXPLICIT_DELTA23 = {
     "disc": -23, "weight": 12, "ell": 23,
     "char": {"conductor": {"n": 23, "b": 23}, "finite_part": [11], "class_part": "canonical"},
-    "target": "tau", "perturb": 5,
+    "target": "tau",
 }
+
+EXPLICIT_MISMATCH = {**EXPLICIT_DELTA23, "perturb": 5}
 
 DELTA23_PAPER = {
     "disc": -23, "weight": 12, "ell": 23, "char": "search",
     "cond": {"n": 23, "b": 23}, "target": "tau", "bound_mode": "paper",
 }
 
-SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{paper}": DELTA23_PAPER}
+SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{explicit}": EXPLICIT_DELTA23,
+             "{paper}": DELTA23_PAPER}
 
-# name -> (argv, exit code, sha256 of stdout); "{mismatch}" and "{paper}" are
-# the scenarios above.
+# name -> (argv, exit code, sha256 of stdout); "{mismatch}", "{explicit}" and
+# "{paper}" are the scenarios above.
 PINNED = {
     "verify-delta23": (["verify", "--builtin", "delta23"], 0,
      "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
@@ -65,6 +71,8 @@ PINNED = {
      "2786c64ec11eac038c58b40e76a5e01f1c961d3dfc81c92170a7c46ff303370c"),
     "verify-explicit-mismatch": (["verify", "--scenario", "{mismatch}"], 1,
      "234787bc75e55f6a63a4c8841225eede226da75caa30955e948a6cf3a6c3418b"),
+    "verify-explicit-delta23": (["verify", "--scenario", "{explicit}"], 0,
+     "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
     "verify-delta23-paper": (["verify", "--scenario", "{paper}"], 0,
      "041f034eebe8579e0c0d66af109c5a35a3663946d8c6d5ac99126e874bf7773b"),
     "search-delta23-paper": (["search", "--scenario", "{paper}"], 0,
@@ -99,6 +107,21 @@ def _run_pinned(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", [
+    "verify-delta23", "verify-curve65533", "verify-curve71_deep", "verify-curve65533-perturb2",
+    "verify-curve65533-perturb1", "verify-explicit-mismatch", "search-delta23",
+    "search-curve65533",
+])
+def test_verdicts_never_call_compare(name, tmp_path, capsys, monkeypatch):
+    # one mismatch stream decides each map and fills each report; the full
+    # comparison is the stream's test oracle only
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("a verdict called congruence.compare")
+
+    monkeypatch.setattr(congruence, "compare", oracle_only)
+    _run_pinned(name, tmp_path, capsys)
 
 
 def test_curve_perturbation_at_an_uncompared_index_is_refused(capsys):

@@ -15,7 +15,9 @@ elsewhere a_p = 2a for p = a^2 + b^2, resp. p = a^2 + 3b^2, up to sign."""
 from math import isqrt
 
 from cmdihedral import congruence
+from cmdihedral.charmod import table_exponents, table_images
 from cmdihedral.congruence import EllipticCurve, curve_ap
+from cmdihedral.qseries import euler_product
 
 BOUND = 552  # the delta23 comparison bound
 
@@ -40,30 +42,25 @@ def _tau_mod_23():
     return [(u - v) // 2 % 23 for u, v in zip(r1, r2)]
 
 
-def test_tau_mod_23_is_half_the_difference_of_two_theta_series(monkeypatch):
+def test_tau_mod_23_is_half_the_difference_of_two_theta_series():
     half = _tau_mod_23()
     assert half[1:6] == [1, 22, 22, 0, 0]  # tau(1..5) = 1, -24, 252, -1472, 4830
     # Delta over F_23 with the multiples of 23 dropped, as every verdict uses it
     expected = [0] + [0 if n % 23 == 0 else half[n] for n in range(1, BOUND + 1)]
     assert congruence.TAU.expansion(23, BOUND, None).coeffs == expected
 
-    # the reduced theta series that the delta23 verdict compares, read at the
-    # comparison through the built-in's reduction map
-    seen, compare = [], congruence.compare
-
-    def recording_compare(f, g, bound, indices=None):
-        seen.append(f)
-        return compare(f, g, bound, indices)
-
-    monkeypatch.setattr(congruence, "compare", recording_compare)
+    # the reduced theta series that the delta23 verdict compares, rebuilt
+    # through the built-in's reported character and reduction map
     result = congruence.run_scenario(congruence.builtin_scenario("delta23"))
-    theta = seen[-1]
     assert result.report.verdict and result.report.count == BOUND
     assert result.report.reduction_map == result.reduction.describe()
-    F = result.reduction.field
-    assert (F.ell, F.r) == (23, 2) and theta.ring is F and theta.prec == BOUND
+    chi, m = result.character, result.reduction
+    F = m.field
+    assert (F.ell, F.r) == (23, 2)
+    rows = table_exponents(chi, BOUND)
+    *_, (_, theta) = euler_product(F, table_images(rows, chi.k, m), BOUND)
     # a prime-field element has the same code in F_{23^2}
-    assert theta.coeffs == [0] + [F.scalar(c) for c in expected[1:]]
+    assert theta == [0] + [F.scalar(c) for c in expected[1:]]
 
 
 AP_BOUND = 10**5
