@@ -28,7 +28,6 @@ from .charmod import (
     predict_conductor_at_v,
     prime_table,
     residue_group,
-    table_exponents,
     table_images,
     teichmuller_lift,
     value_ring,

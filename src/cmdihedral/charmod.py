@@ -12,18 +12,19 @@ P | f, so the conductor is judged exact on integers.
 Production never forms a value chi(P).  The prime table (`prime_table`),
 cached per conductor, class extension and bound, holds for each prime P off
 the conductor the exponents f_j that make P * prod b_j^{f_j} = (beta_P)
-principal, beta_P, and dlog_f(beta_P).  `table_exponents(chi, bound)` reads
-the table of chi's own conductor, class extension and bound and adds only the
-zeta_w exponent s_P of eps_f(beta_P).  A row costs one form reduction that
-carries the basis of P (`reduce_ideal`), writing P = (alpha / a) * A_C for the
-reduced ideal A_C = (a, b) of its class C, and beta_P = alpha * gamma_C / a;
-the generator gamma_C of A_C * prod b_j^f_j takes one ideal multiplication by
-a power cached per class extension (`_class_power`) and one lattice reduction,
-once per class of the table.  A reduction map m
-holds the int codes of m(w_D), m(zeta_w) and m(t_j) in its field, and reads
-log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P) - sum_j f_j log m(t_j)
-off the field's log tables (`table_images`).  Every image in a finite field
-is such a code, and field arithmetic on codes is a `FiniteField` method call.
+principal, beta_P, and dlog_f(beta_P); a character reads the rows of its own
+conductor, class extension and bound as they are.  A row costs one form
+reduction that carries the basis of P (`reduce_ideal`), writing
+P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of its class C, and
+beta_P = alpha * gamma_C / a; the generator gamma_C of A_C * prod b_j^f_j
+takes one ideal multiplication by a power cached per class extension
+(`_class_power`) and one lattice reduction, once per class of the table.  A
+reduction map m holds the int codes of m(w_D), m(zeta_w) and m(t_j) in its
+field, and reads log m(chi(P)) = sum_i d_i z_i log m(zeta_w)
++ (k-1) log m(beta_P) - sum_j f_j log m(t_j), for d = dlog_f(beta_P) and
+z = zeta_exps, off the field's log tables (`table_images`).  Every image in a
+finite field is such a code, and field arithmetic on codes is a `FiniteField`
+method call.
 
 Production never builds a value ring either: a character is its integers,
 unit consistency is decided on exponents, and `build_reductions(chi, ell)`
@@ -681,38 +682,32 @@ def prime_table(D: int, cond: IdealRep, class_ideals: tuple[IdealRep, ...],
     return tuple(rows)
 
 
-def table_exponents(chi: HeckeChar, bound: int) -> list[tuple]:
-    """(N(P), f, beta_P, s_P) for the rows of chi's prime table up to bound;
-    the finite part enters only through s_P = <zeta_exps, dlog_f beta_P> mod w."""
-    w, zs = chi.w, chi.zeta_exps
-    return [
-        (norm, fs, beta, sum(d * z for d, z in zip(dlog, zs)) % w)
-        for norm, fs, beta, dlog in prime_table(chi.D, chi.cond, chi.class_ideals, bound)
-    ]
-
-
-def table_images(rows, k: int, m: ReductionMap):
-    """For each rational prime p below the rows of `table_exponents` of a
-    weight-k character, p and a lazy iterator of (N(P), m(chi(P))) over the
+def table_images(rows, m: ReductionMap):
+    """For each rational prime p below the `prime_table` rows of the weight-k
+    character chi = m.chi, p and a lazy iterator of (N(P), m(chi(P))) over the
     rows above p, read off the log tables of the map's field F_q:
 
-        log m(chi(P)) = s_P log m(zeta_w) + (k-1) log m(beta_P)
+        log m(chi(P)) = sum_i d_i z_i log m(zeta_w) + (k-1) log m(beta_P)
                         - sum_j f_j log m(t_j)   mod q - 1,
 
-    because m(c_j^-1) = m(t_j)^-h_j.  m(chi(P)) = 0 where m(beta_P) = 0, that
-    is for P above ell.  The rows above p are adjacent, of norm p, or p^2 for
-    an inert p; read each iterator before the next p."""
-    F = m.field
-    order, log, exp = F.q - 1, F.log, F.exp
+    for d = dlog_f(beta_P) and z = zeta_exps, because eps_f(beta_P) is zeta_w
+    to the sum_i d_i z_i, m(zeta_w)^w = 1 and m(c_j^-1) = m(t_j)^-h_j.
+    m(chi(P)) = 0 where m(beta_P) = 0, that is for P above ell.  The rows
+    above p are adjacent, of norm p, or p^2 for an inert p; read each
+    iterator before the next p."""
+    chi, F = m.chi, m.field
+    order, log, exp, km1 = F.q - 1, F.log, F.exp, chi.k - 1
     lz = log[m.z_img]
+    lgs = [z * lz for z in chi.zeta_exps]
     lts = [log[t] for t in m.t_imgs]
 
     def image(row):
-        norm, fs, beta, s = row
+        norm, fs, beta, dlog = row
         b = _image(F, m.x_img, beta)
         if not b:
             return norm, 0
-        e = s * lz + (k - 1) * log[b] - sum(map(operator.mul, fs, lts))
+        e = (sum(map(operator.mul, dlog, lgs)) + km1 * log[b]
+             - sum(map(operator.mul, fs, lts)))
         return norm, exp[e % order]
 
     for norm, above in groupby(rows, operator.itemgetter(0)):

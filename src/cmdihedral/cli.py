@@ -69,7 +69,7 @@ def _load_scenario(args) -> Scenario:
         try:
             with open(args.scenario) as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"cannot read scenario file: {exc}") from exc
         s = Scenario.from_json(obj)
     if getattr(args, "perturb", None) is not None:

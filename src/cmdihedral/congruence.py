@@ -28,9 +28,9 @@ from .charmod import (
     build_hecke_char,
     build_reductions,
     check_conductor_norm,
+    prime_table,
     reduction_count,
     residue_group,
-    table_exponents,
     table_images,
 )
 from .ffield import FiniteField, check_field_size, finite_field
@@ -525,12 +525,12 @@ def _target_expansion(s: Scenario, bound: int, indices):
     return tgt, indices
 
 
-def _mismatches(chi: HeckeChar, rows, m: ReductionMap, target, bound: int, indices):
-    """Each (n, c_n, target_n) at which chi's theta series c under m, expanded to bound,
-    differs from target, over indices (sorted, each <= bound) in order: each as soon as
-    the Euler product has made c_n final."""
+def _mismatches(rows, m: ReductionMap, target, bound: int, indices):
+    """Each (n, c_n, target_n) at which the theta series c of m.chi under m, expanded
+    from its prime table rows to bound, differs from target, over indices (sorted, each
+    <= bound) in order: each as soon as the Euler product has made c_n final."""
     tc = target.coeffs
-    steps = euler_product(m.field, table_images(rows, chi.k, m), bound)
+    steps = euler_product(m.field, table_images(rows, m), bound)
     final, c = next(steps)
     for n in indices:
         while n >= final:
@@ -559,15 +559,15 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
         except ValueError as exc:
             diagnostics.append({**label, "skipped": str(exc)})
             continue
-        quick_rows = table_exponents(chi, quick)
+        rows = prime_table(chi.D, cond, chi.class_ideals, quick)
         surviving = [m for m in maps if next(
-            _mismatches(chi, quick_rows, m, target, quick, quick_indices), None) is None]
+            _mismatches(rows, m, target, quick, quick_indices), None) is None]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
-        rows = table_exponents(chi, bound)
+        rows = prime_table(chi.D, cond, chi.class_ideals, bound)
         for m in surviving:
-            first = next(_mismatches(chi, rows, m, target, bound, indices), None)
+            first = next(_mismatches(rows, m, target, bound, indices), None)
             if first is None:
                 yield chi, m, CongruenceReport(s.ell, m.describe(), bound, len(indices), (), True)
             else:
@@ -607,14 +607,14 @@ def run_scenario(s: Scenario) -> RunResult:
         )
         target, indices = _target_expansion(s, bound, indices)
         maps = build_reductions(chi, s.ell)
-        rows = table_exponents(chi, bound)
+        rows = prime_table(chi.D, cond, chi.class_ideals, bound)
         for rmap in maps:
-            if next(_mismatches(chi, rows, rmap, target, bound, indices), None) is None:
+            if next(_mismatches(rows, rmap, target, bound, indices), None) is None:
                 mism = ()
                 break
         else:
             rmap = maps[0]
-            mism = tuple(_mismatches(chi, rows, rmap, target, bound, indices))
+            mism = tuple(_mismatches(rows, rmap, target, bound, indices))
         report = CongruenceReport(s.ell, rmap.describe(), bound, len(indices), mism, not mism)
     neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

@@ -15,9 +15,9 @@ from cmdihedral import congruence
 from cmdihedral.charmod import (
     build_hecke_char,
     build_reductions,
+    prime_table,
     reduction_count,
     residue_group,
-    table_exponents,
     table_images,
 )
 from cmdihedral.cli import main
@@ -138,8 +138,8 @@ def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bou
     # must give compare's mismatches, in order
     chi, maps = _out_of_norm_order(name)
     m = maps[i % len(maps)]
-    rows = table_exponents(chi, bound)
-    *_, (_, coeffs) = euler_product(m.field, table_images(rows, chi.k, m), bound)
+    rows = prime_table(chi.D, chi.cond, chi.class_ideals, bound)
+    *_, (_, coeffs) = euler_product(m.field, table_images(rows, m), bound)
     target = list(coeffs)
     for j in range(n, bound + 1, n) if n else ():
         target[j] = m.field.add(target[j], 1)
@@ -148,7 +148,7 @@ def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bou
     full = compare(theta, target, bound, indices)
     # compare's None means every n <= bound; primes_upto(1) is [], not None
     every = range(1, bound + 1) if indices is None else indices
-    stream = tuple(congruence._mismatches(chi, rows, m, target, bound, every))
+    stream = tuple(congruence._mismatches(rows, m, target, bound, every))
     assert stream == full.mismatches
     assert (not stream) == full.verdict
 
@@ -173,10 +173,10 @@ def _explicit_thetas(name):
     chi = build_hecke_char(s.disc, s.weight, s.cond, s.char["finite_part"],
                            avoid_primes=(s.ell,))
     maps = build_reductions(chi, s.ell)
-    rows = table_exponents(chi, bound)
+    rows = prime_table(chi.D, chi.cond, chi.class_ideals, bound)
     thetas = []
     for m in maps:
-        *_, (_, coeffs) = euler_product(m.field, table_images(rows, chi.k, m), bound)
+        *_, (_, coeffs) = euler_product(m.field, table_images(rows, m), bound)
         thetas.append(QExpansion(m.field, coeffs, chi.k, None))
     return s, bound, indices, maps, thetas
 

@@ -84,6 +84,28 @@ def test_unknown_key_exits_2_at_every_level(name, command, tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: malformed {UNKNOWN_KEYS[name]}"]
 
 
+# raw file contents that json.dumps cannot produce: nesting past the
+# interpreter's recursion limit, which exited 3, and bytes that are not UTF-8
+UNREADABLE = {
+    "deeply_nested": (b"[" * 200000 + b"]" * 200000, "error: cannot read scenario file: "),
+    "not_utf8": (b"\xff\xfe{}", "error: 'utf-8' codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_scenario_file_exits_2(name, command, tmp_path, capsys):
+    content, prefix = UNREADABLE[name]
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    code = cli.main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
 def test_search_reads_only_the_conductor_of_an_explicit_char(tmp_path, capsys):
     # search tries every finite part of the char's conductor and ignores the
     # char's own finite_part, whose length only verify checks

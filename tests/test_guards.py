@@ -148,15 +148,18 @@ def test_tau_conductor_derived_when_absent(command, tmp_path, capsys):
 
 
 def _record_prime_tables(monkeypatch):
-    """Replace the cached `charmod.prime_table` by a fresh cache over the same
-    function; the returned dict maps each computed key to its rows."""
+    """Replace the cached `charmod.prime_table`, in every module that holds it,
+    by one fresh cache over the same function; the returned dict maps each
+    computed key to its rows."""
     build, tables = charmod.prime_table.__wrapped__, {}
 
     def recorded(*key):
         tables[key] = build(*key)
         return tables[key]
 
-    monkeypatch.setattr(charmod, "prime_table", lru_cache(maxsize=None)(recorded))
+    cached = lru_cache(maxsize=None)(recorded)
+    for module in (charmod, congruence):
+        monkeypatch.setattr(module, "prime_table", cached)
     return tables
 
 

@@ -15,7 +15,7 @@ elsewhere a_p = 2a for p = a^2 + b^2, resp. p = a^2 + 3b^2, up to sign."""
 from math import isqrt
 
 from cmdihedral import congruence
-from cmdihedral.charmod import table_exponents, table_images
+from cmdihedral.charmod import prime_table, table_images
 from cmdihedral.congruence import EllipticCurve, curve_ap
 from cmdihedral.qseries import euler_product
 
@@ -57,8 +57,8 @@ def test_tau_mod_23_is_half_the_difference_of_two_theta_series():
     chi, m = result.character, result.reduction
     F = m.field
     assert (F.ell, F.r) == (23, 2)
-    rows = table_exponents(chi, BOUND)
-    *_, (_, theta) = euler_product(F, table_images(rows, chi.k, m), BOUND)
+    rows = prime_table(chi.D, chi.cond, chi.class_ideals, BOUND)
+    *_, (_, theta) = euler_product(F, table_images(rows, m), BOUND)
     # a prime-field element has the same code in F_{23^2}
     assert theta == [0] + [F.scalar(c) for c in expected[1:]]
 

@@ -15,7 +15,6 @@ from cmdihedral.charmod import (
     build_hecke_char,
     build_reductions,
     prime_table,
-    table_exponents,
     table_images,
 )
 from cmdihedral.qfield import IdealRep, ideals_of_norm
@@ -26,12 +25,15 @@ P71 = IdealRep(-71, 71, 71)
 
 # name -> (D, k, conductor, finite part, ell, bound): the delta23 match, the
 # curve71_deep character (h = 7) at its scenario bound, a D = -4 character of
-# conductor (3) and a D = -3 character at one of the two primes above 7
+# conductor (3), a D = -3 character at one of the two primes above 7, and a
+# D = -23 character of conductor norm 48 whose (O_K/f)^* has orders (4, 2, 2),
+# so eps_f is a dot product over three generators (zeta_exps (1, 2, 2), w = 4)
 CHARS = {
     "delta23": (-23, 12, IdealRep(-23, 23, 23), [11], 23, 552),
     "curve71_deep": (-71, 2, P71, [35], 7, 3000),
     "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], 7, 300),
     "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], 13, 300),
+    "D-23_noncyclic48": (-23, 12, IdealRep(-23, 48, 13), [1, 1, 1], 23, 300),
 }
 
 
@@ -70,13 +72,13 @@ def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound,
     chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
     # the rational primes with a prime ideal in the table, and those ideals
     exact = [(p, pairs) for p, pairs in prime_values(chi, bound) if pairs]
-    rows = table_exponents(chi, bound)
-    assert [q for q, *_ in rows] == [q for _, pairs in exact for q, _ in pairs]
+    rows = prime_table(D, cond, chi.class_ideals, bound)
+    assert [row.norm for row in rows] == [q for _, pairs in exact for q, _ in pairs]
     # a map kills exactly one prime above ell, when the table holds one: (7) of
     # norm 49 for D = -71 and D = -4, one of the two of norm 13 for D = -3
     above_ell = any(p == ell for p, _ in exact)
     for m in build_reductions(chi, ell):
-        fast = [(p, list(images)) for p, images in table_images(rows, k, m)]
+        fast = [(p, list(images)) for p, images in table_images(rows, m)]
         oracle = [(p, [(q, m.reduce(v)) for q, v in pairs]) for p, pairs in exact]
         assert fast == oracle
         zeros = [q for _, images in fast for q, v in images if v == m.field.zero()]
@@ -89,7 +91,7 @@ def test_quick_bound_filters_the_same_table():
     full = prime_table(D, cond, chi.class_ideals, bound)
     quick = prime_table(D, cond, chi.class_ideals, 20)
     assert quick == tuple(row for row in full if row.norm <= 20)
-    assert [q for q, *_ in table_exponents(chi, 20)] == [
+    assert [row.norm for row in quick] == [
         q for _, pairs in prime_values(chi, 20) for q, _ in pairs]
     # cached per conductor, class extension and bound
     assert prime_table(D, cond, chi.class_ideals, 20) is quick
