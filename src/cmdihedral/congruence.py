@@ -1,13 +1,13 @@
 """Reduction of exact expansions, coefficientwise congruence comparison, the
 comparison targets, and the scenario orchestration of the verification runs.
 
-A target, TAU (Delta) or an EllipticCurve, answers every question about
-itself: its JSON form, a scenario's default conductor, the sorted indices it
-is compared at, and its expansion over F_ell.  A scenario is checked in one
-order before any target or candidate is built: datum, bound cap (PREC_CAP),
-perturbation index, the target's compared indices, and for a search the
-size of (O_K/f)^*.  Under each reduction map one lazy stream of mismatches
-decides the map by its first entry and, read to the end, is its report."""
+A target, TAU (Delta) or an EllipticCurve, answers every question about itself: its
+JSON form, a scenario's default conductor, its sorted compared indices, its F_ell codes
+there, and the theta they need (the Euler product, or a curve's prime sums).  A scenario
+is checked in one order before any target or candidate is built: datum, bound cap
+(PREC_CAP), perturbation index, the target's compared indices, and for a search the size
+of (O_K/f)^*.  Under each reduction map one lazy stream of mismatches decides the map by
+its first entry and, read to the end, is its report."""
 
 from __future__ import annotations
 
@@ -48,6 +48,7 @@ from .qseries import (
     delta_mod,
     drop_multiples,
     euler_product,
+    prime_sums,
     sturm_bound,
 )
 from .serrepred import (
@@ -74,6 +75,7 @@ class EllipticCurve(Record):
     The invariants c4, c6 and the discriminant are computed once, here."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "_c4", "_c6", "_disc")
+    theta = staticmethod(prime_sums)
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         self.a1 = a1
@@ -106,16 +108,12 @@ class EllipticCurve(Record):
         raise ValueError("curve scenarios must specify the character conductor")
 
     def indices(self, ell: int, bound: int) -> list[int]:
-        # the good primes other than ell: the target holds 0 at every other n but 1
+        # the good primes other than ell: the target holds nothing at any other n but 1
         return [p for p in primes_upto(bound) if p != ell and self._disc % p]
 
-    def expansion(self, ell: int, bound: int, primes) -> QExpansion:
-        F = finite_field(ell, 1)
+    def expansion(self, ell: int, bound: int, primes) -> dict[int, int]:
         # c_1 = 1 is a_1 of a newform; index 1 is compared only when perturbed
-        coeffs = [0, F.one()] + [0] * (bound - 1)
-        for p in primes:
-            coeffs[p] = F.scalar(_curve_ap(self, p))
-        return QExpansion(F, coeffs, 2, None)
+        return {1: 1, **{p: _curve_ap(self, p) % ell for p in primes}}
 
 
 def curve_ap(E: EllipticCurve, p: int) -> int:
@@ -326,6 +324,7 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
 
 class Tau(NamedTuple):
     """The target Delta = sum tau(n) q^n, of level 1: no fields, so copies equal TAU."""
+    theta = staticmethod(euler_product)
 
     def to_json(self) -> str:
         return "tau"
@@ -338,9 +337,9 @@ class Tau(NamedTuple):
             raise ValueError(f"comparison bound {bound} compares no coefficient")
         return range(1, bound + 1)
 
-    def expansion(self, ell: int, bound: int, indices) -> QExpansion:
+    def expansion(self, ell: int, bound: int, indices) -> list[int]:
         """Delta over F_ell by `delta_mod`, zero at the multiples of ell: no exact tau(n)."""
-        return drop_multiples(delta_mod(bound, ell), ell)
+        return drop_multiples(delta_mod(bound, ell), ell).coeffs
 
 
 TAU = Tau()
@@ -516,27 +515,26 @@ def _scenario_setup(s: Scenario) -> tuple[DihedralDatum, IdealRep, int, list | r
 
 
 def _target_expansion(s: Scenario, bound: int, indices):
-    """The target's expansion over F_ell and its compared indices, perturbed."""
-    tgt = s.target.expansion(s.ell, bound, indices)
+    """The target's F_ell codes at its compared indices and its indices, perturbed."""
+    t = s.target.expansion(s.ell, bound, indices)
     n = s.perturb
     if n is not None:
-        tgt.coeffs[n] = tgt.ring.add(tgt.coeffs[n], 1)
+        t[n] = (t[n] + 1) % s.ell
         indices = sorted({*indices, n})
-    return tgt, indices
+    return t, indices
 
 
-def _mismatches(rows, m: ReductionMap, target, bound: int, indices):
-    """Each (n, c_n, target_n) at which the theta series c of m.chi under m, expanded
-    from its prime table rows to bound, differs from target, over indices (sorted, each
-    <= bound) in order: each as soon as the Euler product has made c_n final."""
-    tc = target.coeffs
-    steps = euler_product(m.field, table_images(rows, m), bound)
+def _mismatches(rows, m: ReductionMap, theta, target, bound: int, indices):
+    """Each (n, c_n, target[n]) at which the theta series c of m.chi under m, expanded
+    by theta (the target's) from its prime table rows to bound, differs from target,
+    over indices (sorted, each <= bound) in order: each as soon as c_n is final."""
+    steps = theta(m.field, table_images(rows, m), bound)
     final, c = next(steps)
     for n in indices:
         while n >= final:
             final, c = next(steps)
-        if c[n] != tc[n]:
-            yield n, c[n], tc[n]
+        if c[n] != target[n]:
+            yield n, c[n], target[n]
 
 
 def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostics: list):
@@ -545,6 +543,7 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
     # one candidate per element of the character group of (O_K/cond)^*
     rg = residue_group(s.disc, cond)
     target, indices = _target_expansion(s, bound, indices)
+    theta = s.target.theta
     quick = min(QUICK_PRUNE_BOUND, bound)
     quick_indices = [n for n in indices if n <= quick]
     for fp in product(*(range(n) for n in rg.orders)):
@@ -561,13 +560,13 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
             continue
         rows = prime_table(chi.D, cond, chi.class_ideals, quick)
         surviving = [m for m in maps if next(
-            _mismatches(rows, m, target, quick, quick_indices), None) is None]
+            _mismatches(rows, m, theta, target, quick, quick_indices), None) is None]
         if not surviving:
             diagnostics.append({**label, "skipped": "pruned at the quick bound"})
             continue
         rows = prime_table(chi.D, cond, chi.class_ideals, bound)
         for m in surviving:
-            first = next(_mismatches(rows, m, target, bound, indices), None)
+            first = next(_mismatches(rows, m, theta, target, bound, indices), None)
             if first is None:
                 yield chi, m, CongruenceReport(s.ell, m.describe(), bound, len(indices), (), True)
             else:
@@ -609,12 +608,13 @@ def run_scenario(s: Scenario) -> RunResult:
         maps = build_reductions(chi, s.ell)
         rows = prime_table(chi.D, cond, chi.class_ideals, bound)
         for rmap in maps:
-            if next(_mismatches(rows, rmap, target, bound, indices), None) is None:
+            if next(_mismatches(rows, rmap, s.target.theta, target, bound, indices),
+                    None) is None:
                 mism = ()
                 break
         else:
             rmap = maps[0]
-            mism = tuple(_mismatches(rows, rmap, target, bound, indices))
+            mism = tuple(_mismatches(rows, rmap, s.target.theta, target, bound, indices))
         report = CongruenceReport(s.ell, rmap.describe(), bound, len(indices), mism, not mism)
     neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

@@ -1,6 +1,6 @@
 """Truncated q-expansions: CM theta series (the Euler product over prime
-values, and the ideal sum over the exact value ring as its oracle), the
-weight-12 level-1 cusp form (exact for the `tau` command and as oracles; over
+values, its prime sums, and the ideal sum over the exact value ring as their
+oracle), the weight-12 level-1 cusp form (exact for `tau` and as oracles; over
 F_ell, for the tau target, from sparse eta factors and the one product of
 series mod ell), coefficient killing, character twists and Sturm indices."""
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import defaultdict
 from functools import partial
 from math import isqrt
 
@@ -93,6 +94,20 @@ def euler_product(ring, factors, prec: int):
     yield prec + 1, c
 
 
+def prime_sums(ring, factors, prec: int):
+    """`euler_product` at 1 and at the primes, in its (p, c) steps: c_p is the sum of
+    the v of the pairs with N = p, as a pair of norm q reaches no prime index but q,
+    and every other c_n reads 0.  On a character's prime values, c_p is the trace of
+    Ind chi at p, all that a curve target compares."""
+    c = defaultdict(ring.zero, {1: ring.one()})
+    for p, pairs in factors:
+        yield p, c
+        for q, v in pairs:
+            if q == p:
+                c[p] = ring.add(c[p], v)
+    yield prec + 1, c
+
+
 def _pentagonal_exponents(prec: int):
     """(exponent, sign) pairs of the sparse product expansion of
     prod (1 - q^n), exponents <= prec."""
@@ -115,7 +130,7 @@ def _pentagonal_exponents(prec: int):
 def delta_qexp(prec: int) -> QExpansion:
     """tau(1..prec) via the literal truncated product q * prod (1 - q^n)^24."""
     if prec > PREC_CAP:
-        raise ValueError("precision cap exceeded")
+        raise ValueError(f"precision {prec} exceeds the cap of {PREC_CAP}")
     if prec < 1:
         raise ValueError("precision must be >= 1")
     # E up to degree prec - 1, after the leading q
@@ -142,7 +157,7 @@ def delta_qexp_recursion(prec: int) -> QExpansion:
     prints this route; it and the literal product `delta_qexp` are the test
     oracles of `delta_mod`."""
     if prec > PREC_CAP:
-        raise ValueError("precision cap exceeded")
+        raise ValueError(f"precision {prec} exceeds the cap of {PREC_CAP}")
     if prec < 1:
         raise ValueError("precision must be >= 1")
     pent = [(g, s) for g, s in _pentagonal_exponents(prec) if g > 0]

@@ -43,6 +43,7 @@ from cmdihedral.qseries import (
     delta_qexp,
     drop_multiples,
     euler_product,
+    prime_sums,
     theta_series,
 )
 from cmdihedral.arith import power, primes_upto
@@ -135,7 +136,8 @@ def _out_of_norm_order(name):
 def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bound, n, primes):
     # the target is a map's own theta series, perturbed at each multiple of n
     # unless n = 0; the lazy mismatch stream, whose first entry decides a map,
-    # must give compare's mismatches, in order
+    # must give compare's mismatches, in order, and at the primes alone so must
+    # the stream of the prime sums, which skip the inert rows of norm p^2
     chi, maps = _out_of_norm_order(name)
     m = maps[i % len(maps)]
     rows = prime_table(chi.D, chi.cond, chi.class_ideals, bound)
@@ -143,14 +145,17 @@ def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bou
     target = list(coeffs)
     for j in range(n, bound + 1, n) if n else ():
         target[j] = m.field.add(target[j], 1)
-    theta, target = (QExpansion(m.field, c, chi.k, None) for c in (coeffs, target))
+    theta = QExpansion(m.field, coeffs, chi.k, None)
     indices = primes_upto(bound) if primes else None
-    full = compare(theta, target, bound, indices)
+    full = compare(theta, QExpansion(m.field, target, chi.k, None), bound, indices)
     # compare's None means every n <= bound; primes_upto(1) is [], not None
     every = range(1, bound + 1) if indices is None else indices
-    stream = tuple(congruence._mismatches(rows, m, target, bound, every))
+    stream = tuple(congruence._mismatches(rows, m, euler_product, target, bound, every))
     assert stream == full.mismatches
     assert (not stream) == full.verdict
+    if primes:
+        sums = tuple(congruence._mismatches(rows, m, prime_sums, target, bound, indices))
+        assert sums == full.mismatches
 
 
 # explicit characters whose report comes from the one mismatch stream: delta23's
@@ -192,9 +197,13 @@ def test_explicit_report_is_compare_on_the_reported_map(name, draw):
     s, bound, indices, maps, thetas = _explicit_thetas(name)
     compared = sorted({1, *indices})
     n = None if draw is None else compared[draw % len(compared)]
-    target = s.target.expansion(s.ell, bound, indices)
+    # the target's codes at 1 and at its compared indices, dense over F_ell
+    F, codes = finite_field(s.ell, 1), s.target.expansion(s.ell, bound, indices)
+    target = QExpansion(F, [0] * (bound + 1), s.weight, None)
+    for j in compared:
+        target.coeffs[j] = codes[j]
     if n is not None:
-        target.coeffs[n] = target.ring.add(target.coeffs[n], 1)
+        target.coeffs[n] = F.add(target.coeffs[n], 1)
         indices = sorted({*indices, n})
     reports = [compare(theta, target, bound, indices)._replace(reduction_map=m.describe())
                for m, theta in zip(maps, thetas)]
@@ -202,6 +211,34 @@ def test_explicit_report_is_compare_on_the_reported_map(name, draw):
     assert run_scenario(s._replace(perturb=n)).report == expected
     if name == "delta23" and n is None:
         assert expected.reduction_map["t"] == [195] and not reports[0].verdict
+
+
+# curve65533's curve against D = -71 at conductor 3 * (71): both primes above
+# the split 3 divide the conductor, so theta_3 = 0 at a compared good prime
+# that no prime table row reaches
+NO_ROW_AT_3 = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+               "target": {"curve": [0, -1, 1, -18507, -989382]},
+               "cond": {"n": 71, "b": 71, "c": 3}, "bound": 300}
+
+
+def test_a_compared_good_prime_with_no_row_reads_zero(tmp_path, capsys):
+    # digests taken before prime sums replaced the Euler product on curve targets
+    matches, diagnostics = search_matching_char(Scenario.from_json(NO_ROW_AT_3))
+    assert matches == [] and len(diagnostics) == 280
+    reasons = Counter(d["skipped"].split(":")[0] for d in diagnostics)
+    assert reasons == {"unit inconsistency": 140, "conductor not exact": 105,
+                       "ell divides the root-of-unity order of the ring": 30,
+                       "pruned at the quick bound": 5}
+    digest = hashlib.sha256(json.dumps(diagnostics, sort_keys=True).encode()).hexdigest()
+    assert digest == "17e0fc4bf41beb511be622ebfdd1adfaeabe9886e12e52ed018c461611ed0b7b"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**NO_ROW_AT_3, "char": {"finite_part": [0, 1, 0]}}))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["count"] == 59 and report["mismatches"][0] == [3, 0, 6]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5c5b34cd300708915d81ad7b45ea1c74dd9ae62c7fdebfa62a8c56e97307ce1")
 
 
 # -- curve point counts --------------------------------------------------------------
@@ -647,6 +684,8 @@ class TauAtPrimes:
 
     def default_conductor(self, at_ell):
         return at_ell
+
+    theta = staticmethod(euler_product)
 
     def indices(self, ell, bound):
         return primes_upto(bound)

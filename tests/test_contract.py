@@ -146,6 +146,7 @@ USAGE_ERRORS = {
     "cond_norm_not_int": (["predict", "--disc", "-23", "--ell", "23", "--weight", "12",
                            "--cond-norm", "one"], "--cond-norm takes int, not 'one'"),
     "prec_not_int": (["tau", "--prec", "1e3"], "--prec takes int, not '1e3'"),
+    "prec_over_cap": (["tau", "--prec", "100001"], "precision 100001 exceeds the cap of 100000"),
     "perturb_not_int": (["verify", "--builtin", "delta23", "--perturb", "-"],
                         "--perturb takes int, not '-'"),
     "unknown_builtin": (["verify", "--builtin", "delta24"], "not 'delta24'"),

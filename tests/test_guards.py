@@ -9,8 +9,9 @@ target is decided, the single set-up and candidate pass of each
 verification command, the one form reduction behind a principal generator,
 the one product behind an ideal quotient, exactness kernels built once per
 conductor, maps that fail at q^2 imaging no row above 3 or beyond, no
-verdict calling `congruence.compare`, and no read of the process
-environment."""
+verdict calling `congruence.compare`, no curve verdict entering the Euler
+product, the fields each verdict builds, no read of the process environment,
+and no import from outside the standard library."""
 
 import ast
 import glob
@@ -201,6 +202,57 @@ def test_production_expands_the_euler_product(name, tmp_path, capsys, monkeypatc
     else:
         full = 500 if name.endswith("curve65533") else 552
         assert bounds == [congruence.QUICK_PRUNE_BOUND, full]
+
+
+@pytest.mark.parametrize(
+    "name", ["verify-delta23", "verify-curve65533", "search-curve65533", "verify-curve71_deep"]
+)
+def test_only_the_tau_target_enters_the_euler_product(name, tmp_path, capsys):
+    # a curve target is compared at its primes only, where theta_p is the sum of
+    # chi(P) over the P of norm p; Delta is compared at every n <= bound.  The
+    # targets hold the function itself, so entries are matched by code object.
+    code, entries = qseries.euler_product.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            entries.append(event)
+
+    sys.setprofile(profile)
+    try:
+        _run_pinned(name, tmp_path, capsys)
+    finally:
+        sys.setprofile(None)
+    assert (len(entries) > 0) == (name == "verify-delta23"), len(entries)
+
+
+# name -> the fields built, in order, with a fresh cache of `finite_field`: the
+# maps' fields alone on a curve target, F_23 for Delta and F_{23^2} for its maps
+FIELDS_BUILT = {"verify-delta23": [(23, 1), (23, 2)],
+                "verify-curve65533": [(7, 4), (7, 2)],
+                "verify-curve71_deep": [(7, 2)]}
+
+
+def _fresh_finite_field(monkeypatch):
+    """A fresh cache of `finite_field` in every module that holds it, so that no
+    field an earlier test built hides a construction; returns the list of builds."""
+    built, build = [], ffield.finite_field.__wrapped__
+
+    def counted(ell, r):
+        built.append((ell, r))
+        return build(ell, r)
+
+    fresh = lru_cache(maxsize=None)(counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cmdihedral" and vars(module).get("finite_field") is not None:
+            monkeypatch.setattr(module, "finite_field", fresh)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS_BUILT))
+def test_verdicts_build_only_the_fields_they_use(name, tmp_path, capsys, monkeypatch):
+    built = _fresh_finite_field(monkeypatch)
+    _run_pinned(name, tmp_path, capsys)
+    assert built == FIELDS_BUILT[name]
 
 
 @pytest.mark.parametrize(
@@ -559,18 +611,7 @@ BIG_CLASS_GROUP = {"disc": -1000003, "weight": 3, "ell": 13, "target": "tau", "b
 
 def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path, capsys,
                                                                        monkeypatch):
-    # a fresh cache of `finite_field` in every module that holds it, so that no
-    # field an earlier test built hides a construction
-    built, build = [], ffield.finite_field.__wrapped__
-
-    def counted(ell, r):
-        built.append((ell, r))
-        return build(ell, r)
-
-    fresh = lru_cache(maxsize=None)(counted)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cmdihedral" and vars(module).get("finite_field") is not None:
-            monkeypatch.setattr(module, "finite_field", fresh)
+    built = _fresh_finite_field(monkeypatch)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(BIG_CLASS_GROUP))
     assert main(["verify", "--scenario", str(path)]) == 2
@@ -612,6 +653,40 @@ def test_no_module_reads_the_environment():
 def test_environment_guard_sees_each_form_of_read():
     reads = "import os\nos.environ.get('X')\nos.getenv('Y')\nfrom os import environ\n"
     assert sorted(_environment_reads(ast.parse(reads))) == [2, 3, 4]
+
+
+def _non_stdlib_imports(tree):
+    """(line, module) of each absolute import, at any depth, whose top-level
+    module is not in the standard library."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no dependencies: its relative imports name its own
+    # modules, every other import a standard module
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "cmdihedral", "*.py"))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), *hit)
+                      for hit in _non_stdlib_imports(ast.parse(fh.read()))]
+    assert found == []
+
+
+def test_stdlib_guard_sees_each_form_of_import():
+    imports = ("import os, numpy.linalg\nfrom sympy import factorint\nfrom . import arith\n"
+               "from __future__ import annotations\ndef f():\n    import gmpy2\n")
+    assert _non_stdlib_imports(ast.parse(imports)) == [
+        (1, "numpy.linalg"), (2, "sympy"), (6, "gmpy2")]
 
 
 # Equality, hashing and repr of the value types come from one base in `arith`;
