@@ -111,6 +111,10 @@ class ResidueGroup(Record):
     def order(self) -> int:
         return prod(self.orders)
 
+    def character_order(self, fp) -> int:
+        """The order w of the character taking generator i to zeta_{n_i}^fp[i]."""
+        return lcm(1, *(n // gcd(e, n) for e, n in zip(fp, self.orders)))
+
 
 def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:
     """Residue keys (x, y) of the classes x + y*w that lie in no prime factor of f."""
@@ -559,7 +563,7 @@ def build_hecke_char(
         raise ValueError("finite part must assign one exponent per generator")
     fp = tuple(int(e) % n for e, n in zip(finite_part, rg.orders))
     # generator i takes the value zeta_w^zeta_exps[i], w the lcm of the value orders
-    w = lcm(1, *(n // gcd(e, n) for e, n in zip(fp, rg.orders)))
+    w = rg.character_order(fp)
     zeta_exps = tuple(e * w // n for e, n in zip(fp, rg.orders))
 
     cg = class_group(D)

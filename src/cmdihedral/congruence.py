@@ -12,7 +12,7 @@ its first entry and, read to the end, is its report."""
 from __future__ import annotations
 
 from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .arith import (
@@ -539,15 +539,28 @@ def _mismatches(rows, m: ReductionMap, theta, target, bound: int, indices):
 
 def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostics: list):
     """Lazily yield each matching (character, reduction map, report) in candidate
-    order, and append to diagnostics why each other candidate was skipped."""
+    order, and append to diagnostics why each other candidate was skipped.
+
+    The Galois orbit of a finite part fp of order w is {c*fp : c in (Z/w)^*}.  The
+    maps of chi_{c*fp} are those of chi_fp composed with zeta_w -> zeta_w^(1/c), w_D
+    and the t_j fixed, so the orbit shares one set of reduced theta series, and each
+    refusal reads only what it shares: w, eps_f on the units (accepted only where it
+    is +-1, which zeta_w -> zeta_w^c fixes), the kernels at each P | f, the fan-out
+    and the fields.  So the first member of an orbit that is refused or
+    pruned at the quick bound skips every later member unbuilt, with its reason; an
+    orbit with a map past the quick bound is built member by member."""
     # one candidate per element of the character group of (O_K/cond)^*
     rg = residue_group(s.disc, cond)
     target, indices = _target_expansion(s, bound, indices)
     theta = s.target.theta
     quick = min(QUICK_PRUNE_BOUND, bound)
     quick_indices = [n for n in indices if n <= quick]
+    decided = {}  # each later member of a refused or pruned orbit -> its skip reason
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
+        if fp in decided:
+            diagnostics.append({**label, "skipped": decided.pop(fp)})
+            continue
         try:
             chi = build_hecke_char(
                 s.disc, s.weight, cond, fp, "canonical", avoid_primes=(s.ell,)
@@ -556,13 +569,17 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
                 raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)
         except ValueError as exc:
-            diagnostics.append({**label, "skipped": str(exc)})
-            continue
-        rows = prime_table(chi.D, cond, chi.class_ideals, quick)
-        surviving = [m for m in maps if next(
-            _mismatches(rows, m, theta, target, quick, quick_indices), None) is None]
-        if not surviving:
-            diagnostics.append({**label, "skipped": "pruned at the quick bound"})
+            skipped = str(exc)
+        else:
+            rows = prime_table(chi.D, cond, chi.class_ideals, quick)
+            surviving = [m for m in maps if next(
+                _mismatches(rows, m, theta, target, quick, quick_indices), None) is None]
+            skipped = None if surviving else "pruned at the quick bound"
+        if skipped is not None:
+            diagnostics.append({**label, "skipped": skipped})
+            w = rg.character_order(fp)
+            decided.update((tuple(c * e % n for e, n in zip(fp, rg.orders)), skipped)
+                           for c in range(2, w) if gcd(c, w) == 1)
             continue
         rows = prime_table(chi.D, cond, chi.class_ideals, bound)
         for m in surviving:

@@ -1,9 +1,30 @@
 """Independent exact routes that the fast paths of `src/` are tested against."""
 
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from cmdihedral.arith import primes_upto
-from cmdihedral.charmod import PrimeRow, ResidueGroup, ValueRing, _principal_part, residue_group
+from cmdihedral.charmod import (
+    PrimeRow,
+    ReductionMap,
+    ResidueGroup,
+    ValueRing,
+    _principal_part,
+    build_hecke_char,
+    build_reductions,
+    prime_table,
+    reduction_count,
+    residue_group,
+)
+from cmdihedral.congruence import (
+    QUICK_PRUNE_BOUND,
+    SEARCH_MAP_CAP,
+    CongruenceReport,
+    Scenario,
+    _mismatches,
+    _scenario_setup,
+    _target_expansion,
+)
 from cmdihedral.qfield import (
     IdealRep,
     QuadInt,
@@ -82,3 +103,49 @@ def prime_table_per_prime(D: int, cond: IdealRep, class_ideals, bound: int) -> t
                 fs, beta = _principal_part(P, class_ideals)
                 rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
     return tuple(rows)
+
+
+def conjugate_map(maps: list[ReductionMap], m_c: ReductionMap, c: int) -> ReductionMap | None:
+    """For a map m_c of the conjugate chi_{c*fp} of chi_fp, the map m among chi_fp's
+    maps with m(w_D) = m_c(w_D), m(zeta_w) = m_c(zeta_w)^c and m(t_j) = m_c(t_j),
+    in the same field; None when chi_fp has no such map."""
+    F = m_c.field
+    key = F, m_c.x_img, F.pow(m_c.z_img, c), m_c.t_imgs
+    return next((m for m in maps if (m.field, m.x_img, m.z_img, m.t_imgs) == key), None)
+
+
+def search_per_candidate(s: Scenario) -> tuple[list, list]:
+    """`congruence.search_matching_char` with every finite part built, refused and
+    compared on its own, in candidate order, as if no two shared a Galois orbit."""
+    _, cond, bound, indices = _scenario_setup(s)
+    rg = residue_group(s.disc, cond)
+    target, indices = _target_expansion(s, bound, indices)
+    theta = s.target.theta
+    quick = min(QUICK_PRUNE_BOUND, bound)
+    quick_indices = [n for n in indices if n <= quick]
+    matches, diagnostics = [], []
+    for fp in product(*(range(n) for n in rg.orders)):
+        label = {"finite_part": list(fp)}
+        try:
+            chi = build_hecke_char(s.disc, s.weight, cond, fp, "canonical", avoid_primes=(s.ell,))
+            if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
+                raise ValueError("reduction fan-out above cap")
+            maps = build_reductions(chi, s.ell)
+        except ValueError as exc:
+            diagnostics.append({**label, "skipped": str(exc)})
+            continue
+        rows = prime_table(chi.D, cond, chi.class_ideals, quick)
+        surviving = [m for m in maps if next(
+            _mismatches(rows, m, theta, target, quick, quick_indices), None) is None]
+        if not surviving:
+            diagnostics.append({**label, "skipped": "pruned at the quick bound"})
+            continue
+        rows = prime_table(chi.D, cond, chi.class_ideals, bound)
+        for m in surviving:
+            first = next(_mismatches(rows, m, theta, target, bound, indices), None)
+            if first is None:
+                matches.append(
+                    (chi, m, CongruenceReport(s.ell, m.describe(), bound, len(indices), (), True)))
+            else:
+                diagnostics.append({**label, "map": m.describe(), "failed_at": first[0]})
+    return matches, diagnostics

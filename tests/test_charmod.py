@@ -4,6 +4,7 @@ reductions."""
 import hashlib
 import itertools
 import json
+from math import gcd
 
 import pytest
 
@@ -24,6 +25,7 @@ from cmdihedral.charmod import (
     value_ring,
 )
 from cmdihedral.ffield import finite_field
+from cmdihedral.qseries import prime_values
 from cmdihedral.qfield import (
     IdealRep,
     QuadInt,
@@ -36,7 +38,7 @@ from cmdihedral.qfield import (
     unit_ideal,
 )
 
-from oracles import unit_inconsistency_in_ring
+from oracles import conjugate_map, unit_inconsistency_in_ring
 
 P23 = IdealRep(-23, 23, 23)
 P71 = IdealRep(-71, 71, 71)
@@ -542,3 +544,39 @@ def test_root_of_unity_is_multiplicative():
 def test_root_of_unity_refuses_zeta_4_at_w_3():
     with pytest.raises(ValueError, match="zeta_4 does not live"):
         ValueRing(-23, 3, (), ()).root_of_unity(TeichRep(4, 1))
+
+
+# name -> (D, k, ell, conductor, the first finite part of a Galois orbit, every
+# member): delta23's odd orbit, curve65533's orbit of order 10, whose maps land in
+# F_{7^4}, and an orbit of order 10 of the three-generator group (O_K/3(sqrt(-71)))^*
+ORBITS = {
+    "delta23": (-23, 12, 23, P23, (1,), [(c,) for c in (1, 3, 5, 7, 9, 13, 15, 17, 19, 21)]),
+    "curve65533": (-71, 2, 7, P71, (7,), [(7,), (21,), (49,), (63,)]),
+    "no_row_at_3": (-71, 2, 7, IdealRep(-71, 71, 71, 3), (14, 1, 0),
+                    [(14, 1, 0), (42, 1, 0), (28, 1, 0), (56, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS))
+def test_each_orbit_member_reduces_as_the_first(name):
+    # chi_{c*fp} is chi_fp with zeta_w -> zeta_w^c: each map m_c of it is the map m
+    # of chi_fp with m(zeta_w) = m_c(zeta_w)^c, w_D and the t_j fixed, and
+    # m_c(chi_{c*fp}(P)) = m(chi_fp(P)) in the exact value rings
+    D, k, ell, cond, fp, members = ORBITS[name]
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
+    cs = [c for c in range(1, chi.w) if gcd(c, chi.w) == 1]
+    orders = residue_group(D, cond).orders
+    assert [tuple(c * e % n for e, n in zip(fp, orders)) for c in cs] == members
+    maps = build_reductions(chi, ell)
+    values = prime_values(chi, 40)
+    for c, member in zip(cs, members):
+        chi_c = build_hecke_char(D, k, cond, member, avoid_primes=(ell,))
+        maps_c = build_reductions(chi_c, ell)
+        named = [conjugate_map(maps, m_c, c) for m_c in maps_c]
+        assert sorted(maps.index(m) for m in named) == list(range(len(maps)))
+        values_c = prime_values(chi_c, 40)
+        for m_c, m in zip(maps_c, named):
+            for (p, pairs), (p_c, pairs_c) in zip(values, values_c, strict=True):
+                assert p == p_c
+                assert ([(q, m_c.reduce(v)) for q, v in pairs_c]
+                        == [(q, m.reduce(v)) for q, v in pairs])

@@ -18,6 +18,7 @@ from cmdihedral.charmod import (
     prime_table,
     reduction_count,
     residue_group,
+    residue_group_order,
     table_images,
 )
 from cmdihedral.cli import main
@@ -37,7 +38,14 @@ from cmdihedral.congruence import (
     search_matching_char,
 )
 from cmdihedral.ffield import finite_field
-from cmdihedral.qfield import IdealRep, kronecker, primes_above
+from cmdihedral.qfield import (
+    IdealRep,
+    ideal_multiply,
+    ideal_pow,
+    kronecker,
+    primes_above,
+    unit_ideal,
+)
 from cmdihedral.qseries import (
     QExpansion,
     delta_qexp,
@@ -47,6 +55,7 @@ from cmdihedral.qseries import (
     theta_series,
 )
 from cmdihedral.arith import power, primes_upto
+from oracles import search_per_candidate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E65533 = EllipticCurve(0, -1, 1, -18507, -989382)
@@ -584,7 +593,7 @@ E7_SEARCH = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
              "target": {"curve": [0, -1, 1, -18507, -989382]}}
 
 
-def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys):
+def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(E7_SEARCH))
     assert main(["search", "--scenario", str(path)]) == 1
@@ -593,7 +602,16 @@ def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570")
     s = Scenario.from_json(E7_SEARCH)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build_hecke_char(*args, **kwargs)
+
+    monkeypatch.setattr(congruence, "build_hecke_char", counted)
     matches, diagnostics = search_matching_char(s)
+    # one character per Galois orbit: the first member decides the rest
+    assert len(built) == 96
     order = residue_group(s.disc, s.cond).order
     assert matches == [] and len(diagnostics) == order == 4480
     tally = Counter(d["skipped"] for d in diagnostics)
@@ -630,6 +648,60 @@ def test_reduction_count_is_the_number_of_maps(obj, built):
         assert reduction_count(chi, s.ell) == len(maps), fp
         counted += 1
     assert counted == built
+
+
+# the CM curves 49a, 36a and 32a, besides curve65533's curve, as search targets
+CM_CURVES = ({"curve": [1, -1, 0, -2, -1]}, {"curve": [0, 0, 0, 0, 1]},
+             {"curve": [0, 0, 0, -1, 0]})
+
+
+@st.composite
+def small_searches(draw):
+    """A search at a conductor of primes above 2, 3, 5 and 7, one or several
+    residue generators, |(O_K/f)^*| <= 300 and ell = 5 or 7, so that no field
+    above F_{5^8} is built; the bound and the perturbation straddle the quick
+    bound."""
+    D = draw(st.sampled_from((-3, -4, -7, -8, -15, -23, -71)))
+    ell = draw(st.sampled_from([p for p in (5, 7) if D % p]))
+    cond = unit_ideal(D)
+    for p, top in ((2, 2), (3, 2), (5, 1), (7, 1)):
+        e = 0 if p == ell else draw(st.integers(0, top))
+        if e:
+            cond = ideal_multiply(cond, ideal_pow(draw(st.sampled_from(primes_above(D, p).primes)), e))
+    assume(residue_group_order(cond) <= 300)
+    bound = draw(st.integers(2, 40))
+    return {"disc": D, "weight": draw(st.integers(2, ell - 1)), "ell": ell,
+            "char": "search", "target": draw(st.sampled_from(("tau", E65533.to_json(), *CM_CURVES))),
+            "cond": cond.to_json(), "bound": bound,
+            "perturb": draw(st.one_of(st.none(), st.sampled_from((1, 2, 20, 21, bound))))}
+
+
+def _search_or_refusal(search, s):
+    try:
+        return search(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_searches())
+@example({**BUILTINS["delta23"], "perturb": 20})
+@example({**BUILTINS["delta23"], "perturb": 21})
+@example({**BUILTINS["curve65533"], "perturb": 19})
+@example({**BUILTINS["curve65533"], "perturb": 23})
+@example(NO_ROW_AT_3)
+@example({"disc": -7, "weight": 2, "ell": 11, "char": "search", "target": CM_CURVES[0],
+          "cond": {"n": 7, "b": 7}, "bound": 200})
+@example({"disc": -3, "weight": 4, "ell": 5, "char": "search", "target": "tau",
+          "cond": {"n": 3, "b": 3, "c": 2}, "bound": 30})
+@example({"disc": -4, "weight": 3, "ell": 7, "char": "search", "target": "tau",
+          "cond": {"n": 2, "b": 2, "c": 6}, "bound": 30, "perturb": 21})
+def test_orbit_search_equals_the_per_candidate_search(obj):
+    # the first member of each Galois orbit decides it: the same matches and the
+    # same diagnostics, in order, as building every finite part; or the same refusal
+    s = Scenario.from_json(obj)
+    assert (_search_or_refusal(search_matching_char, s)
+            == _search_or_refusal(search_per_candidate, s))
 
 
 def test_curve_perturbation_joins_the_comparison(tmp_path, capsys):

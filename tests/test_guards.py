@@ -874,9 +874,13 @@ class Scenario:
 
 
 # name -> (candidates that `verify` builds up to its first match, that `search`
-# builds): the first match is finite part 11 of 22 on delta23, 35 of 70 on
-# curve65533
-CANDIDATES_BUILT = {"delta23": (12, 22), "curve65533": (36, 70)}
+# builds): one per Galois orbit, 4 of the 22 finite parts of delta23 and 8 of the
+# 70 of curve65533, whose first matches, 11 and 35, are the last orbits to start
+CANDIDATES_BUILT = {"delta23": (4, 4), "curve65533": (8, 8)}
+# each built-in search yields two matches, the two maps of its one matching
+# finite part: `verify` pulls the first and leaves the stream, `search` reads it
+# to its end
+STREAM_READ = {"verify": [1, False], "search": [2, True]}
 
 
 @pytest.mark.parametrize("command", ["verify", "search"])
@@ -894,9 +898,21 @@ def test_each_command_sets_up_once_and_verify_stops_at_its_match(name, command, 
 
     for fn in calls:
         monkeypatch.setattr(congruence, fn, counting(fn, getattr(congruence, fn)))
+    streams = []  # per match stream: [matches pulled, read to its end]
+
+    def streamed(*args, inner=congruence._search_matches):
+        read = [0, False]
+        streams.append(read)
+        for match in inner(*args):
+            read[0] += 1
+            yield match
+        read[1] = True
+
+    monkeypatch.setattr(congruence, "_search_matches", streamed)
     _run_pinned(f"{command}-{name}", tmp_path, capsys)
     built = CANDIDATES_BUILT[name][command == "search"]
     assert calls == {"_scenario_setup": 1, "build_hecke_char": built}
+    assert streams == [STREAM_READ[command]]
 
 
 @pytest.mark.parametrize("name", ["delta23", "curve65533", "{paper}"])
