@@ -221,23 +221,29 @@ def abelian_structure(elements, mul, identity):
     operation oracle.  Returns (gens, orders, dlog) where every generator g_j
     has exact group order orders[j], the map (e_1..e_s) -> prod g_j^e_j is a
     bijection onto the group, and dlog sends each element to its exponent
-    vector.  Each step picks a maximal-order element of the quotient that
-    lifts with the same order, so the generators span an internal direct sum.
+    vector.  Each step picks the first element of largest order modulo the
+    span of the generators so far among those that lift purely (x^q = 1 for
+    that order q), so the generators span an internal direct sum.  No element
+    is ordered in the whole group: an x with x^qmax in the span, for the
+    largest pure order qmax found so far, cannot beat it, and the scan stops
+    at an element of order |G/span|, which nothing can beat.
     """
     n = len(elements)
-    orders_of = {x: exact_order(x, n, mul, identity) for x in elements}
-
     gens, orders = [], []
     span = {identity: ()}
     while len(span) < n:
-        qmax, pick = 0, None
+        index = n // len(span)
+        qmax, pick = 1, None
         for x in elements:
-            if x in span:
+            # for qmax = 1 this skips the span itself
+            if power(x, qmax, mul, identity) in span:
                 continue
-            ox = orders_of[x]
-            # {e : x^e in span} is a subgroup of Z: x lifts purely iff it is ox Z
-            if ox > qmax and exact_order(x, ox, mul, identity, span) == ox:
-                qmax, pick = ox, x
+            q = exact_order(x, index, mul, identity, span)
+            # q divides the order of x, and x lifts purely iff the two are equal
+            if q > qmax and power(x, q, mul, identity) == identity:
+                qmax, pick = q, x
+                if q == index:
+                    break
         if pick is None:
             raise AssertionError("no pure lift found; group oracle inconsistent")
         gens.append(pick)

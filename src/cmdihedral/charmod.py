@@ -13,10 +13,11 @@ Production never forms a value chi(P).  The prime table (`prime_table`),
 cached per conductor, class extension and bound, holds for each prime P off
 the conductor the exponents f_j that make P * prod b_j^{f_j} = (beta_P)
 principal, beta_P, and dlog_f(beta_P); a character reads the rows of its own
-conductor, class extension and bound as they are.  A row costs one form
-reduction that carries the basis of P (`reduce_ideal`), writing
-P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of its class C, and
-beta_P = alpha * gamma_C / a; the generator gamma_C of A_C * prod b_j^f_j
+conductor, class extension and bound as they are.  A row is computed on
+integers: one form reduction that carries the basis of P (`qfield._reduce`)
+writes P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of its class
+C, and beta_P = alpha * gamma_C / a, made canonical over the units, is the
+one QuadInt the row builds; the generator gamma_C of A_C * prod b_j^f_j
 takes one ideal multiplication by a power cached per class extension
 (`_class_power`) and one lattice reduction, once per class of the table.  A
 reduction map m holds the int codes of m(w_D), m(zeta_w) and m(t_j) in its
@@ -63,6 +64,7 @@ from .qfield import (
     IdealRep,
     QuadInt,
     _primes_above,
+    _reduce,
     _residue_key,
     canonical_associate,
     class_group,
@@ -77,7 +79,6 @@ from .qfield import (
     omega_norm,
     principal_generator,
     quadint_in_ideal,
-    reduce_ideal,
     units,
 )
 
@@ -141,8 +142,10 @@ def residue_group_order(f: IdealRep) -> int:
 
 @lru_cache(maxsize=None)
 def residue_group(D: int, f: IdealRep) -> ResidueGroup:
-    """Structure of (O_K/f)^* by exhaustive enumeration and discrete logs,
-    with the kernel of the reduction to (O_K/(f/P))^* at each prime P | f."""
+    """Structure of (O_K/f)^* from the enumerated unit residues: generators
+    found by `abelian_structure`, which orders an element only modulo the
+    span of the generators before it, the discrete log of every residue, and
+    the kernel of the reduction to (O_K/(f/P))^* at each prime P | f."""
     check_conductor_norm(f)
     if residue_group_order(f) > RESIDUE_GROUP_CAP:
         raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
@@ -665,24 +668,28 @@ def prime_table(D: int, cond: IdealRep, class_ideals: tuple[IdealRep, ...],
     conductor, class extension and bound, so the characters of one search
     share each table."""
     rg = residue_group(D, cond)
+    eps, q0 = disc_eps(D), omega_norm(D)
     classes = {}  # reduced (a, b) of a class C -> (f, gamma_C)
     rows = []
     for p in primes_upto(bound):
         for P in _primes_above(D, p).primes:
-            if P.norm() <= bound and ideals_coprime(P, cond):
+            N = P.norm()
+            if N <= bound and ideals_coprime(P, cond):
+                # reducing P's norm form on its basis (c*n, c*mp + c*w) writes
                 # P = (alpha / a) * A_C for the reduced ideal A_C = (a, b) of
                 # its class, so beta_P = alpha * gamma_C / a for a generator
                 # gamma_C of A_C * prod b_j^f_j
-                form, alpha = reduce_ideal(P)
-                a, key = form.a, (form.a, form.b)
-                if key not in classes:
-                    classes[key] = _principal_part(IdealRep(D, *key), class_ideals)
-                fs, gamma = classes[key]
-                num = alpha * gamma
-                if num.a % a or num.b % a:
+                c, n, pb = P.content, P.n, P.b
+                a, b, _, x, y = _reduce(n, pb, (pb * pb - D) // (4 * n), c * n, 0, c * P._mp, c)
+                if (a, b) not in classes:
+                    classes[a, b] = _principal_part(IdealRep(D, a, b), class_ideals)
+                fs, gamma = classes[a, b]
+                u, v = gamma.a, gamma.b
+                num_x, num_y = x * u - q0 * y * v, x * v + y * u + eps * y * v
+                if num_x % a or num_y % a:
                     raise AssertionError("class reduction gave no element of O_K")
-                beta = canonical_associate(QuadInt(D, num.a // a, num.b // a))
-                rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
+                beta = QuadInt(D, *canonical_associate(D, num_x // a, num_y // a))
+                rows.append(PrimeRow(N, fs, beta, rg.dlog(beta)))
     return tuple(rows)
 
 

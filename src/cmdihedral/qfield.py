@@ -348,23 +348,23 @@ def primes_above(D: int, p: int) -> Splitting:
 
 def _primes_above(D: int, p: int) -> Splitting:
     """primes_above without its checks or cache, for a fundamental D and a
-    sieved prime p."""
-    k = kronecker(D, p)
-    if k == -1:
-        return Splitting("inert", (IdealRep(D, 1, disc_eps(D), p),))
+    sieved prime p.  An odd p not dividing D splits exactly when D has a
+    square root r modulo p (Euler's criterion inside `sqrt_mod_prime`), into
+    the two ideals of b = -r and b = r for the root r in (0, p) of D's parity."""
     if p == 2:
-        if k == 1:
-            return Splitting("split", (IdealRep(D, 2, -1), IdealRep(D, 2, 1)))
-        b = 0 if D % 8 == 0 else 2
-        return Splitting("ramified", (IdealRep(D, 2, b),))
-    if k == 0:
-        b = p if D % 2 else 0
-        return Splitting("ramified", (IdealRep(D, p, b),))
-    r = sqrt_mod_prime(D % p, p)
+        if D % 2 == 0:
+            return Splitting("ramified", (IdealRep(D, 2, 0 if D % 8 == 0 else 2),))
+        if D % 8 == 5:
+            return Splitting("inert", (IdealRep(D, 1, 1, 2),))
+        return Splitting("split", (IdealRep(D, 2, -1), IdealRep(D, 2, 1)))
+    if D % p == 0:
+        return Splitting("ramified", (IdealRep(D, p, p if D % 2 else 0),))
+    r = sqrt_mod_prime(D, p)
+    if r is None:
+        return Splitting("inert", (IdealRep(D, 1, disc_eps(D), p),))
     if (r - D) % 2:
-        r += p
-    pair = sorted([IdealRep(D, p, r), IdealRep(D, p, -r)], key=lambda q: q.b)
-    return Splitting("split", tuple(pair))
+        r = p - r
+    return Splitting("split", (IdealRep(D, p, -r), IdealRep(D, p, r)))
 
 
 @lru_cache(maxsize=None)
@@ -489,21 +489,19 @@ def reduce_ideal(a: IdealRep) -> tuple[QuadForm, QuadInt]:
     return QuadForm(A, B, C), QuadInt(a.D, x, y)
 
 
-def canonical_associate(alpha: QuadInt) -> QuadInt:
-    """Of the unit multiples of alpha (2 of them, 4 for D = -4, 6 for D = -3),
-    the least x + y*w by (|y|, y < 0, x)."""
-    D, x, y = alpha.D, alpha.a, alpha.b
+def canonical_associate(D: int, x: int, y: int) -> tuple[int, int]:
+    """Of the unit multiples of x + y*w (2 of them, 4 for D = -4, 6 for
+    D = -3), the least by (|y|, y < 0, x), as its coordinates."""
+    if D < -4:
+        # the least of (x, y) and (-x, -y)
+        return (x, y) if y > 0 or (y == 0 and x < 0) else (-x, -y)
+    # the products with the powers of w, a root of unity of order 6 or 4
+    eps, q0 = disc_eps(D), omega_norm(D)
     mults = [(x, y)]
-    if D in (-3, -4):
-        # the products with the powers of w, a root of unity of order 6 or 4
-        eps, q0 = disc_eps(D), omega_norm(D)
-        for _ in range(5 if D == -3 else 3):
-            x, y = mults[-1]
-            mults.append((-q0 * y, x + eps * y))
-    else:
-        mults.append((-x, -y))
-    x, y = min(mults, key=lambda m: (abs(m[1]), m[1] < 0, m[0]))
-    return QuadInt(D, x, y)
+    for _ in range(5 if D == -3 else 3):
+        x, y = mults[-1]
+        mults.append((-q0 * y, x + eps * y))
+    return min(mults, key=lambda m: (abs(m[1]), m[1] < 0, m[0]))
 
 
 def principal_generator(a: IdealRep) -> QuadInt | None:
@@ -514,4 +512,4 @@ def principal_generator(a: IdealRep) -> QuadInt | None:
     a.  Its `canonical_associate` is returned, so the generator does not
     depend on the path the reduction took."""
     form, alpha = reduce_ideal(a)
-    return canonical_associate(alpha) if form.a == 1 else None
+    return QuadInt(a.D, *canonical_associate(a.D, alpha.a, alpha.b)) if form.a == 1 else None

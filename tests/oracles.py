@@ -3,7 +3,7 @@
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from cmdihedral.arith import primes_upto
+from cmdihedral.arith import exact_order, primes_upto
 from cmdihedral.charmod import (
     PrimeRow,
     ReductionMap,
@@ -75,6 +75,39 @@ def ideal_divide_prime_by_factors(a: IdealRep, p: IdealRep) -> IdealRep:
             e -= 1
         out = ideal_multiply(out, ideal_pow(q, e))
     return out
+
+
+def abelian_structure_by_full_scan(elements, mul, identity):
+    """The (gens, orders, dlog) of `arith.abelian_structure`, from the order of
+    every element in the whole group: each step picks the first element of
+    largest order that lifts with the same order modulo the span so far."""
+    n = len(elements)
+    orders_of = {x: exact_order(x, n, mul, identity) for x in elements}
+
+    gens, orders = [], []
+    span = {identity: ()}
+    while len(span) < n:
+        qmax, pick = 0, None
+        for x in elements:
+            if x in span:
+                continue
+            ox = orders_of[x]
+            # {e : x^e in span} is a subgroup of Z: x lifts purely iff it is ox Z
+            if ox > qmax and exact_order(x, ox, mul, identity, span) == ox:
+                qmax, pick = ox, x
+        if pick is None:
+            raise AssertionError("no pure lift found; group oracle inconsistent")
+        gens.append(pick)
+        orders.append(qmax)
+        new_span = {}
+        pw = identity
+        for e in range(qmax):
+            for y, vec in span.items():
+                new_span[mul(y, pw)] = vec + (e,)
+            pw = mul(pw, pick)
+        span = new_span
+    dlog = {x: vec + (0,) * (len(gens) - len(vec)) for x, vec in span.items()}
+    return gens, orders, dlog
 
 
 def unit_inconsistency_in_ring(D: int, k: int, rg: ResidueGroup, fp) -> QuadInt | None:

@@ -7,8 +7,9 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmdihedral.arith import abelian_structure, factorint
+from cmdihedral.arith import factorint
 from cmdihedral.charmod import (
     RESIDUE_GROUP_CAP,
     _residue_key,
@@ -29,16 +30,19 @@ from cmdihedral.qseries import prime_values
 from cmdihedral.qfield import (
     IdealRep,
     QuadInt,
+    class_group,
+    compose,
     ideal_multiply,
     ideal_pow,
     ideals_coprime,
     ideals_of_norm,
     primes_above,
     principal_ideal,
+    reduced_forms,
     unit_ideal,
 )
 
-from oracles import conjugate_map, unit_inconsistency_in_ring
+from oracles import abelian_structure_by_full_scan, conjugate_map, unit_inconsistency_in_ring
 
 P23 = IdealRep(-23, 23, 23)
 P71 = IdealRep(-71, 71, 71)
@@ -98,16 +102,49 @@ def test_residue_group_generators_generate():
     (-71, P71), (-4, IdealRep(-4, 1, 0, 3)), (-3, IdealRep(-3, 7, 5)),
 ])
 def test_residue_group_equals_the_quadint_route(D, f):
+    gens, orders, dlog = _full_scan_of_residues(D, f)
+    rg = residue_group(D, f)
+    assert rg.gens == tuple(QuadInt(D, x, y) for x, y in gens)
+    assert rg.orders == tuple(orders)
+    assert rg._dlog == dlog
+
+
+def _full_scan_of_residues(D, f):
+    """(O_K/f)^* by the full-scan oracle, multiplying residues as QuadInts."""
     def mul(u, v):
         alpha = QuadInt(D, *u) * QuadInt(D, *v)
         return _residue_key(f, alpha.a, alpha.b)
 
     keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
-    gens, orders, dlog = abelian_structure(keys, mul, (1 % (f.content * f.n), 0))
-    rg = residue_group(D, f)
-    assert rg.gens == tuple(QuadInt(D, x, y) for x, y in gens)
-    assert rg.orders == tuple(orders)
-    assert rg._dlog == dlog
+    return abelian_structure_by_full_scan(keys, mul, (1 % (f.content * f.n), 0))
+
+
+@st.composite
+def structured_groups(draw):
+    """(D, None) for the class group of D = -420 or -5460, where Cl is
+    (Z/2)^3 or (Z/2)^4, or (D, f) for the residue group (O_K/f)^* of a
+    conductor of norm <= 130."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from((-420, -5460))), None
+    D = draw(st.sampled_from((-3, -4, -20, -23, -71, -84)))
+    n = draw(st.sampled_from([n for n in range(1, 131) if ideals_of_norm(D, n)]))
+    return D, draw(st.sampled_from(ideals_of_norm(D, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_groups())
+def test_structure_scan_equals_the_full_scan(case):
+    D, f = case
+    if f is None:
+        cg, reps = class_group(D), reduced_forms(D)
+        built = (cg.gens, cg.orders, cg._dlog)
+        gens, orders, dlog = abelian_structure_by_full_scan(list(reps), compose, reps[0])
+    else:
+        rg = residue_group(D, f)
+        built = (rg.gens, rg.orders, rg._dlog)
+        gens, orders, dlog = _full_scan_of_residues(D, f)
+        gens = [QuadInt(D, x, y) for x, y in gens]
+    assert built == (tuple(gens), tuple(orders), dlog)
 
 
 def test_residue_group_rejects_large_modulus():

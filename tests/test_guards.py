@@ -305,6 +305,18 @@ def _counted(calls, fn):
     return call
 
 
+def test_residue_group_orders_no_element_in_the_whole_group(monkeypatch):
+    # (O_K/f)^* for f = (sqrt(-71)) * P_2^7 of norm 9088, the conductor of the
+    # e = 7 search: 4480 units, orders (1120, 2, 2).  The scan orders an element
+    # only modulo the span so far, and only while it can beat the best pure
+    # lift; ordering every element in the whole group first took 10,073 calls
+    calls = [0]
+    monkeypatch.setattr(arith, "exact_order", _counted(calls, arith.exact_order))
+    rg = charmod.residue_group.__wrapped__(-71, IdealRep(-71, 9088, 4331))
+    assert rg.orders == (1120, 2, 2)
+    assert calls[0] <= 2000, calls[0]
+
+
 def test_principal_generator_is_one_form_reduction(monkeypatch):
     ideals = [IdealRep(D, a.n, a.b, a.content * c)
               for D in (-3, -4, -23, -71) for n in range(1, 60)

@@ -113,8 +113,10 @@ def test_rows_equal_the_per_prime_route(D, k, cond, fp, ell, bound, class_part):
 
 
 # D = -3 and -4 have 6 and 4 units; D = -84 has the reduced form (5, 4, 5),
-# which a reduction reaches through the last step (5, -4, 5) -> (5, 4, 5)
-TABLE_DISCS = (-3, -4, -20, -23, -71, -84)
+# which a reduction reaches through the last step (5, -4, 5) -> (5, 4, 5);
+# at D = -24 (D = 0 mod 8) 2 ramifies with b = 0, and at D = -131 (D = 5
+# mod 8, h = 5) 2 is inert
+TABLE_DISCS = (-3, -4, -20, -23, -24, -71, -84, -131)
 
 
 @st.composite
