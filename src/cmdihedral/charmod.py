@@ -36,14 +36,14 @@ The presentation ring Z[w_D, zeta_w, t_1..t_s] of a character, built and
 cached by `value_ring(chi)`, is the test oracle: `evaluate` gives chi(a) there
 exactly, with rational normal-form coefficients whose denominators are
 supported at the norms of the class-extension ideals, and
-`ReductionMap.reduce` takes it to F_{ell^r} term by term.
+`ReductionMap.reduce` takes it to F_ell or F_{ell^2} term by term.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import count, groupby, product
+from itertools import groupby, product
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -78,7 +78,6 @@ from .qfield import (
     kronecker,
     omega_norm,
     principal_generator,
-    quadint_in_ideal,
     units,
 )
 
@@ -117,14 +116,14 @@ class ResidueGroup(Record):
         return lcm(1, *(n // gcd(e, n) for e, n in zip(fp, self.orders)))
 
 
-def _unit_keys(D: int, f: IdealRep) -> list[tuple[int, int]]:
+def _unit_keys(f: IdealRep) -> list[tuple[int, int]]:
     """Residue keys (x, y) of the classes x + y*w that lie in no prime factor of f."""
     primes = [p for p, _ in factor_ideal(f)]
     return [
         (x, y)
         for x in range(f.content * f.n)
         for y in range(f.content)
-        if not any(quadint_in_ideal(QuadInt(D, x, y), p) for p in primes)
+        if all(_residue_key(p, x, y) != (0, 0) for p in primes)
     ]
 
 
@@ -149,7 +148,7 @@ def residue_group(D: int, f: IdealRep) -> ResidueGroup:
     check_conductor_norm(f)
     if residue_group_order(f) > RESIDUE_GROUP_CAP:
         raise ValueError(f"residue group order exceeds the cap of {RESIDUE_GROUP_CAP}")
-    keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
+    keys = sorted(_unit_keys(f), key=lambda t: (t[1], t[0]))
     eps, q0 = disc_eps(D), omega_norm(D)
 
     def mul(u, v):
@@ -768,8 +767,9 @@ class ReductionMap(NamedTuple):
 
 
 def reduction_count(chi: HeckeChar, ell: int) -> int:
-    """len(build_reductions(chi, ell)) from integers, and its refusals of ell: the product
-    of 2 roots of w_D's polynomial (1 if ell | D), phi(w) images of zeta_w and h'_j t_j's."""
+    """An upper bound on len(build_reductions(chi, ell)) from integers, and its refusals of
+    ell: the product of 2 roots of w_D's polynomial (1 if ell | D), phi(w) images of zeta_w
+    and h'_j t_j's.  It is the count wherever the maps are complete."""
     if not is_prime(ell) or ell < 3:
         raise ValueError("reduction characteristic must be an odd prime")
     if chi.w % ell == 0:
@@ -779,16 +779,27 @@ def reduction_count(chi: HeckeChar, ell: int) -> int:
 
 
 def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
-    """All homomorphisms of chi's value ring into the smallest common F_{ell^r}.
+    """The homomorphisms of chi's value ring into F_ell or F_{ell^2} that a
+    rational target can match, ordered by element codes.
 
-    r runs over the multiples of r1 = lcm([F_ell(w_D):F_ell], ord_w ell) and
-    stops at the first F_{ell^r} in which every relation constant c_j has all
-    h'_j of its h_j-th roots, h'_j the prime-to-ell part of h_j.  So images of
-    the formal roots t_j may land in a proper extension even when one root
-    exists lower down; the maps are ordered by element codes.  A field with
-    some h'_j not dividing ell^r - 1 holds at most gcd(h'_j, ell^r - 1) < h'_j
-    roots of x^h_j = c_j, so it is skipped unbuilt.  Each field is sized by
-    `check_field_size` first, so one above the cap is refused unbuilt too.
+    Galois descent bounds the field.  A target here is Delta or an elliptic
+    curve over Q, so its mod-ell representation has traces in F_ell.  If the
+    theta series of chi matches it under a map m, then by Brauer-Nesbitt the
+    semisimple representation of m(chi) is that target's, and by Mackey the
+    restriction to K of an induced representation is m(chi) + m(chi)^c, so
+    Frobenius at ell permutes {m(chi), m(chi)^c} and m(chi) takes all its values
+    in F_{ell^2}.  Below Sturm's bound a map into a larger field can still
+    agree with the target up to the bound; it is not built, so its candidate is
+    refused rather than matched by chance.
+
+    r runs over r1 and 2 r1 up to 2, r1 = lcm([F_ell(w_D):F_ell], ord_w ell),
+    and there is no map when r1 > 2.  At r = 1 a field in which some relation
+    constant c_j lacks one of its h'_j roots, h'_j the prime-to-ell part of
+    h_j, gives way to F_{ell^2} (unbuilt when some h'_j does not divide
+    ell - 1), so the images of the t_j may land in F_{ell^2} even when one root
+    exists in F_ell.  At r = 2 every map whose t_j roots exist is kept, even
+    when there are fewer than h'_j of them.  Each field is sized by
+    `check_field_size` first, so one above the cap is refused unbuilt.
     """
     reduction_count(chi, ell)
     D, w, orders = chi.D, chi.w, class_group(chi.D).orders
@@ -796,9 +807,9 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     minpoly = [omega_norm(D), -disc_eps(D), 1]
     hprimes = [prime_to_part(h, ell) for h in orders]
 
-    for r in count(r1, r1):
+    for r in range(r1, 3):
         check_field_size(ell, r)
-        if any((ell**r - 1) % hp for hp in hprimes):
+        if r == 1 and any((ell - 1) % hp for hp in hprimes):
             continue
         F = finite_field(ell, r)
         # [F_ell(w_D):F_ell] divides r, so the minimal polynomial of w_D splits in F
@@ -815,12 +826,13 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
             if not all(cbars):
                 raise ValueError("no valid assignment: relation constant reduces to zero")
             t_choices = [F.nth_roots(c, h) for c, h in zip(cbars, orders)]
-            if any(len(roots) < hp for roots, hp in zip(t_choices, hprimes)):
+            if r == 1 and any(len(roots) < hp for roots, hp in zip(t_choices, hprimes)):
                 break
             maps += (ReductionMap(chi, F, x0, z0, ts) for ts in product(*t_choices))
         else:
             maps.sort(key=lambda m: (m.x_img, m.z_img, m.t_imgs))
             return maps
+    return []  # r1 > 2
 
 
 def _reduce_coeff(F: FiniteField, coef) -> int:

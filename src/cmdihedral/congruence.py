@@ -6,8 +6,11 @@ JSON form, a scenario's default conductor, its sorted compared indices, its F_el
 there, and the theta they need (the Euler product, or a curve's prime sums).  A scenario
 is checked in one order before any target or candidate is built: datum, bound cap
 (PREC_CAP), perturbation index, the target's compared indices, and for a search the size
-of (O_K/f)^*.  Under each reduction map one lazy stream of mismatches decides the map by
-its first entry and, read to the end, is its report."""
+of (O_K/f)^*.  Every target is rational, so only a character with a reduction map into
+F_ell or F_{ell^2} can match it (`charmod.build_reductions`): a search refuses any other
+candidate, and an explicit one gets the empty report.  Under each reduction map one lazy
+stream of mismatches decides the map by its first entry and, read to the end, is its
+report."""
 
 from __future__ import annotations
 
@@ -309,9 +312,7 @@ def compare(f: QExpansion, g: QExpansion, bound: int, indices=None) -> Congruenc
         raise ValueError("compare expects finite-field expansions")
     if Ff.ell != Fg.ell:
         raise ValueError("expansions live in different characteristics")
-    if Ff.r != Fg.r and min(Ff.r, Fg.r) > 1:
-        raise ValueError("no canonical embedding between the two fields")
-    # a prime-field element has the same code in every extension
+    # a prime-field element has the same code in F_ell and F_{ell^2}
     idx = range(1, bound + 1) if indices is None else [n for n in indices if n <= bound]
     fc, gc = f.coeffs, g.coeffs
     mism = [(n, fc[n], gc[n]) for n in idx if fc[n] != gc[n]]
@@ -568,6 +569,8 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
             if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
                 raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)
+            if not maps:
+                raise ValueError("no reduction map into F_ell or F_ell^2")
         except ValueError as exc:
             skipped = str(exc)
         else:
@@ -603,15 +606,17 @@ def run_scenario(s: Scenario) -> RunResult:
 
     A search stops at its first match, the first entry of `search_matching_char`,
     else reports an empty false comparison.  An explicit character is compared
-    under every reduction map up to the first match, else reports the first map."""
+    under every reduction map up to the first match, else reports the first map;
+    with no map into F_ell or F_{ell^2} it reports the empty false comparison."""
     datum, cond, bound, indices = _scenario_setup(s)
     # the nebentypus tables span its modulus: refuse it before any of them
     L = lcm(cond.norm(), abs(s.disc))
     if L > DISC_CAP:
         raise ValueError(f"nebentypus modulus {L} exceeds the cap of {DISC_CAP}")
+    empty = CongruenceReport(s.ell, None, bound, 0, (), False)
     if s.char == "search":
-        empty = None, None, CongruenceReport(s.ell, None, bound, 0, (), False)
-        chi, rmap, report = next(_search_matches(s, cond, bound, indices, []), empty)
+        chi, rmap, report = next(_search_matches(s, cond, bound, indices, []),
+                                 (None, None, empty))
     else:
         chi = build_hecke_char(
             s.disc,
@@ -623,15 +628,18 @@ def run_scenario(s: Scenario) -> RunResult:
         )
         target, indices = _target_expansion(s, bound, indices)
         maps = build_reductions(chi, s.ell)
-        rows = prime_table(chi.D, cond, chi.class_ideals, bound)
-        for rmap in maps:
-            if next(_mismatches(rows, rmap, s.target.theta, target, bound, indices),
-                    None) is None:
-                mism = ()
-                break
-        else:
-            rmap = maps[0]
-            mism = tuple(_mismatches(rows, rmap, s.target.theta, target, bound, indices))
-        report = CongruenceReport(s.ell, rmap.describe(), bound, len(indices), mism, not mism)
+        rmap, report = None, empty
+        if maps:
+            rows = prime_table(chi.D, cond, chi.class_ideals, bound)
+            for rmap in maps:
+                if next(_mismatches(rows, rmap, s.target.theta, target, bound, indices),
+                        None) is None:
+                    mism = ()
+                    break
+            else:
+                rmap = maps[0]
+                mism = tuple(_mismatches(rows, rmap, s.target.theta, target, bound, indices))
+            report = CongruenceReport(s.ell, rmap.describe(), bound, len(indices), mism,
+                                      not mism)
     neb = None if chi is None else nebentypus(chi)[0].conductor()
     return RunResult(predict_invariants(datum, neb), report, chi, rmap)

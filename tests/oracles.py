@@ -164,6 +164,8 @@ def search_per_candidate(s: Scenario) -> tuple[list, list]:
             if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
                 raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)
+            if not maps:
+                raise ValueError("no reduction map into F_ell or F_ell^2")
         except ValueError as exc:
             diagnostics.append({**label, "skipped": str(exc)})
             continue

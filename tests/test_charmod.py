@@ -13,7 +13,6 @@ from cmdihedral.arith import factorint
 from cmdihedral.charmod import (
     RESIDUE_GROUP_CAP,
     _residue_key,
-    _unit_keys,
     TeichRep,
     ValueRing,
     build_hecke_char,
@@ -32,12 +31,14 @@ from cmdihedral.qfield import (
     QuadInt,
     class_group,
     compose,
+    factor_ideal,
     ideal_multiply,
     ideal_pow,
     ideals_coprime,
     ideals_of_norm,
     primes_above,
     principal_ideal,
+    quadint_in_ideal,
     reduced_forms,
     unit_ideal,
 )
@@ -110,12 +111,15 @@ def test_residue_group_equals_the_quadint_route(D, f):
 
 
 def _full_scan_of_residues(D, f):
-    """(O_K/f)^* by the full-scan oracle, multiplying residues as QuadInts."""
+    """(O_K/f)^* by the full-scan oracle, on the residues x + y*w that no prime
+    factor of f contains, multiplying them as QuadInts."""
     def mul(u, v):
         alpha = QuadInt(D, *u) * QuadInt(D, *v)
         return _residue_key(f, alpha.a, alpha.b)
 
-    keys = sorted(_unit_keys(D, f), key=lambda t: (t[1], t[0]))
+    primes = [p for p, _ in factor_ideal(f)]
+    keys = [(x, y) for y in range(f.content) for x in range(f.content * f.n)
+            if not any(quadint_in_ideal(QuadInt(D, x, y), p) for p in primes)]
     return abelian_structure_by_full_scan(keys, mul, (1 % (f.content * f.n), 0))
 
 
@@ -433,6 +437,7 @@ RELATION_CHARS = {
     "curve71_deep": (-71, 2, P71, [35], 7),
     "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], 7),
     "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], 13),
+    "D-47_partial": (-47, 3, unit_ideal(-47), [], 7),
 }
 
 
@@ -452,9 +457,12 @@ def test_build_reductions_satisfy_the_exact_relations(name):
 
 
 # name -> (D, k, conductor, finite part, class part, ell, sha256 of the maps'
-# (ell, r, describe()) list): the characters the tests build, the four other
-# finite parts that the curve65533 search compares (35 is curve71_deep's), and
-# delta23 with a non-canonical class part, whose c_1 gains zeta_2 = -1
+# (ell, r, describe()) list): the characters the tests build; the four other
+# finite parts of curve65533's one non-trivial orbit past the unit and exactness
+# refusals (35 is curve71_deep's), whose w = 10 needs F_{7^4} for zeta_10, so
+# they have no map; delta23 with a non-canonical class part, whose c_1 gains
+# zeta_2 = -1; and D = -47 (h = 5), whose constant has one 5th root in F_49
+# where it would need five, so it keeps the two maps that exist there
 MAP_PINS = {
     "delta23": (-23, 12, P23, [11], "canonical", 23,
                 "c69911498db3c7dcac07688b925f14af3c509fc090e92264e3257697f3e8cbf3"),
@@ -469,13 +477,15 @@ MAP_PINS = {
     "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], "canonical", 13,
                    "77f10479722c5c38f6bc84d6f017652a73d40528db405178616ce1fec3f126fd"),
     "curve65533-7": (-71, 2, P71, [7], "canonical", 7,
-                     "ded57e351121f2f7cdfdad63a07e670cfc0eef685120e7dd97caa63b7b5e0cc2"),
+                     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "curve65533-21": (-71, 2, P71, [21], "canonical", 7,
-                      "1933f5e2ab87830b502cd5ae9142663ab62be2a0c889ee8f60f2852b638b35bb"),
+                      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "curve65533-49": (-71, 2, P71, [49], "canonical", 7,
-                      "650d0a9b78225b6c58749a466c937f0d954f5d270dc86c356bc2aa2009e46285"),
+                      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "curve65533-63": (-71, 2, P71, [63], "canonical", 7,
-                      "af2ec9e74d190313ef554ba4130e46f109f150f74efd31d971e43bd30b899ae5"),
+                      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "D-47_partial": (-47, 3, unit_ideal(-47), [], "canonical", 7,
+                     "86d4821617a87a2170eb0b7ed47297a96c8d6d08da076745c76345cbc6f81c92"),
 }
 
 
@@ -584,10 +594,12 @@ def test_root_of_unity_refuses_zeta_4_at_w_3():
 
 
 # name -> (D, k, ell, conductor, the first finite part of a Galois orbit, every
-# member): delta23's odd orbit, curve65533's orbit of order 10, whose maps land in
-# F_{7^4}, and an orbit of order 10 of the three-generator group (O_K/3(sqrt(-71)))^*
+# member): delta23's odd orbit, an orbit of order 4 whose maps land in F_49,
+# curve65533's orbit of order 10 and an orbit of order 10 of the three-generator
+# group (O_K/3(sqrt(-71)))^*, which share having no map: zeta_10 lies in F_{7^4}
 ORBITS = {
     "delta23": (-23, 12, 23, P23, (1,), [(c,) for c in (1, 3, 5, 7, 9, 13, 15, 17, 19, 21)]),
+    "D-4_inert3": (-4, 3, 7, IdealRep(-4, 1, 0, 3), (2,), [(2,), (6,)]),
     "curve65533": (-71, 2, 7, P71, (7,), [(7,), (21,), (49,), (63,)]),
     "no_row_at_3": (-71, 2, 7, IdealRep(-71, 71, 71, 3), (14, 1, 0),
                     [(14, 1, 0), (42, 1, 0), (28, 1, 0), (56, 1, 0)]),

@@ -54,7 +54,7 @@ from cmdihedral.qseries import (
     prime_sums,
     theta_series,
 )
-from cmdihedral.arith import power, primes_upto
+from cmdihedral.arith import factorint, power, primes_upto
 from oracles import search_per_candidate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -115,18 +115,15 @@ def test_compare_embeds_prime_field():
     assert rep.mismatches == ((2, F2.generator(), 2),)
     with pytest.raises(ValueError):
         compare(f, _ff_series(finite_field(7, 1), [1, 2, 3]), 3)
-    F49, F2401 = finite_field(7, 2), finite_field(7, 4)
-    with pytest.raises(ValueError, match="no canonical embedding"):
-        compare(_ff_series(F49, [1, 2, 3]), _ff_series(F2401, [1, 2, 3]), 3)
 
 
 # characters whose prime tables put an inert row of norm p^2 at p's place,
 # before rows of smaller norm: norms 4, 9, 5, 5, 7, 7, ... for D = -19 and
-# 4, 3, 3, 5, 5, ... for D = -11; maps into F_5, F_25 and F_{7^4}
+# 4, 3, 3, 5, 5, ... for D = -11; maps into F_5, F_25 and F_49, where 7 is inert
 OUT_OF_NORM_ORDER = {
     "D-19_F5": (-19, 2, 5, IdealRep(-19, 19, 19), [9]),
     "D-19_F25": (-19, 2, 5, IdealRep(-19, 19, 19), [3]),
-    "D-11_F2401": (-11, 3, 7, IdealRep(-11, 11, 11), [2]),
+    "D-11_F49": (-11, 2, 7, IdealRep(-11, 11, 11), [5]),
 }
 
 
@@ -141,7 +138,7 @@ def _out_of_norm_order(name):
 @given(st.sampled_from(sorted(OUT_OF_NORM_ORDER)), st.integers(0, 7), st.integers(1, 60),
        st.integers(0, 60), st.booleans())
 @example("D-19_F25", 0, 20, 0, False)
-@example("D-11_F2401", 0, 20, 0, False)
+@example("D-11_F49", 0, 20, 0, False)
 def test_early_exit_finds_the_first_mismatch_of_the_full_comparison(name, i, bound, n, primes):
     # the target is a map's own theta series, perturbed at each multiple of n
     # unless n = 0; the lazy mismatch stream, whose first entry decides a map,
@@ -235,11 +232,13 @@ def test_a_compared_good_prime_with_no_row_reads_zero(tmp_path, capsys):
     matches, diagnostics = search_matching_char(Scenario.from_json(NO_ROW_AT_3))
     assert matches == [] and len(diagnostics) == 280
     reasons = Counter(d["skipped"].split(":")[0] for d in diagnostics)
+    # the four orbits of order 10 need zeta_10, which lies in F_{7^4} only
     assert reasons == {"unit inconsistency": 140, "conductor not exact": 105,
                        "ell divides the root-of-unity order of the ring": 30,
-                       "pruned at the quick bound": 5}
+                       "no reduction map into F_ell or F_ell^2": 4,
+                       "pruned at the quick bound": 1}
     digest = hashlib.sha256(json.dumps(diagnostics, sort_keys=True).encode()).hexdigest()
-    assert digest == "17e0fc4bf41beb511be622ebfdd1adfaeabe9886e12e52ed018c461611ed0b7b"
+    assert digest == "8717006b7706cc07750e06db6b8f669ab301aeba16c03ce801e75b63f0cfcf28"
     path = tmp_path / "s.json"
     path.write_text(json.dumps({**NO_ROW_AT_3, "char": {"finite_part": [0, 1, 0]}}))
     assert main(["verify", "--scenario", str(path)]) == 1
@@ -248,6 +247,20 @@ def test_a_compared_good_prime_with_no_row_reads_zero(tmp_path, capsys):
     assert report["count"] == 59 and report["mismatches"][0] == [3, 0, 6]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b5c5b34cd300708915d81ad7b45ea1c74dd9ae62c7fdebfa62a8c56e97307ce1")
+
+
+def test_an_explicit_character_with_no_map_gets_the_empty_report(tmp_path, capsys):
+    # fp = [7] has w = 10, and zeta_10 lies in F_{7^4} only: no map can match a
+    # rational target, so verify reports as a search that finds nothing (it
+    # once printed 30 mismatches of 92 under a map into F_{7^4})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**BUILTINS["curve65533"], "char": {"finite_part": [7]}}))
+    assert main(["verify", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert (report["reduction_map"], report["count"], report["mismatches"]) == (None, 0, [])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1b257b25ec001d543544454d6496d052255cb428e253ffeb01a47aae5fb5bfd")
 
 
 # -- curve point counts --------------------------------------------------------------
@@ -552,7 +565,8 @@ def test_delta_search_reports_maps_that_fail_past_the_quick_bound(tmp_path, caps
 
 # (builtin, perturbed n) -> (diagnostics, "pruned at the quick bound", failed_at,
 # sha256 of the sorted-key JSON of the diagnostics): each side of the quick
-# bound, and the full bound, of both searches
+# bound, and the full bound, of both searches; curve65533's orbit of order 10
+# has no map into F_7 or F_49, so only the matching candidate is ever pruned
 QUICK_EDGES = {
     ("delta23", 2): (22, 11, [],
      "ae7206d69d94b2170100881c367ed7607e3023291651b94f63d7d823e495907e"),
@@ -562,14 +576,14 @@ QUICK_EDGES = {
      "1f9edfcf5abbc9b79b01836c48f94c9751d1c2b3b4cbb7a670c6434eeb8784ce"),
     ("delta23", 552): (23, 10, [552, 552],
      "b80d683317da3d58f362b93889e9febc88d877be95679b634f60fc04b860b2f1"),
-    ("curve65533", 3): (70, 5, [],
-     "f69c311dc9613d2714609070355bc7eebcab95e298db369a382e00a624444580"),
-    ("curve65533", 19): (70, 5, [],
-     "f69c311dc9613d2714609070355bc7eebcab95e298db369a382e00a624444580"),
-    ("curve65533", 23): (71, 4, [23, 23],
-     "436c8ee187e765cd606c8351ddc12b16d6f333938169a382b226d1646ca7357c"),
-    ("curve65533", 499): (71, 4, [499, 499],
-     "bf8eb3b339f9f9b178396983028191be14e690123276ca97e039c655e8bd4b83"),
+    ("curve65533", 3): (70, 1, [],
+     "0382d2939ad4679c4ef4af55911ac89bd05bdea16980d924ffa720de9dc6f4a0"),
+    ("curve65533", 19): (70, 1, [],
+     "0382d2939ad4679c4ef4af55911ac89bd05bdea16980d924ffa720de9dc6f4a0"),
+    ("curve65533", 23): (71, 0, [23, 23],
+     "330aa2fa83c9bdfdef6e5f7da0e568b5f097e0485cea4ad9ff54ff75fab498a4"),
+    ("curve65533", 499): (71, 0, [499, 499],
+     "88c5a2ad8f6b9dd2f4f9920ddd4ab71df41bbebdf630228264dca8176fe86739"),
 }
 
 
@@ -626,28 +640,32 @@ def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys, m
         # of the 1,104 characters that build, 960 have 7 | w
         "ell divides the root-of-unity order of the ring": 960,
         "reduction fan-out above cap": 128,
-        "pruned at the quick bound": 16,
+        # w = 32, and ord_32 7 = 4: zeta_32 lies in F_{7^4}, above F_49
+        "no reduction map into F_ell or F_ell^2": 16,
     }
 
 
-@pytest.mark.parametrize("obj,built", [
-    (BUILTINS["delta23"], 11), (BUILTINS["curve65533"], 5), (E7_SEARCH, 144),
+@pytest.mark.parametrize("obj,built,mapped", [
+    (BUILTINS["delta23"], 11, 11), (BUILTINS["curve65533"], 5, 1), (E7_SEARCH, 144, 0),
 ], ids=["delta23", "curve65533", "e7"])
-def test_reduction_count_is_the_number_of_maps(obj, built):
-    # every character of the search that has reduction maps, whether the
-    # search then refuses its fan-out or compares it
+def test_reduction_count_is_the_number_of_maps(obj, built, mapped):
+    # every character of the search that build_reductions accepts, whether the
+    # search then refuses its fan-out, finds no map or compares it: the count
+    # bounds its maps, and is their number wherever there are any, because no
+    # character here has only some of its h'_j roots (D = -47 in MAP_PINS does)
     s = Scenario.from_json(obj)
     rg = residue_group(s.disc, s.cond)
-    counted = 0
+    counted = with_maps = 0
     for fp in product(*(range(n) for n in rg.orders)):
         try:
             chi = build_hecke_char(s.disc, s.weight, s.cond, fp, avoid_primes=(s.ell,))
             maps = build_reductions(chi, s.ell)
         except ValueError:
             continue
-        assert reduction_count(chi, s.ell) == len(maps), fp
+        assert len(maps) in (0, reduction_count(chi, s.ell)), fp
         counted += 1
-    assert counted == built
+        with_maps += bool(maps)
+    assert (counted, with_maps) == (built, mapped)
 
 
 # the CM curves 49a, 36a and 32a, besides curve65533's curve, as search targets
@@ -658,9 +676,8 @@ CM_CURVES = ({"curve": [1, -1, 0, -2, -1]}, {"curve": [0, 0, 0, 0, 1]},
 @st.composite
 def small_searches(draw):
     """A search at a conductor of primes above 2, 3, 5 and 7, one or several
-    residue generators, |(O_K/f)^*| <= 300 and ell = 5 or 7, so that no field
-    above F_{5^8} is built; the bound and the perturbation straddle the quick
-    bound."""
+    residue generators, |(O_K/f)^*| <= 300 and ell = 5 or 7; the bound and the
+    perturbation straddle the quick bound."""
     D = draw(st.sampled_from((-3, -4, -7, -8, -15, -23, -71)))
     ell = draw(st.sampled_from([p for p in (5, 7) if D % p]))
     cond = unit_ideal(D)
@@ -702,6 +719,44 @@ def test_orbit_search_equals_the_per_candidate_search(obj):
     s = Scenario.from_json(obj)
     assert (_search_or_refusal(search_matching_char, s)
             == _search_or_refusal(search_per_candidate, s))
+
+
+SWEEP_DISCS = (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40, -43, -47,
+               -51, -52, -55, -56, -59, -67, -68, -71)
+
+
+def _sweep():
+    """Searches over every fundamental D from -3 to -71, ell from 5 to 23, Delta
+    and the four curves, at the derived bound and at bound 30, each at the
+    product of the primes above the primes dividing D."""
+    for D in SWEEP_DISCS:
+        cond = unit_ideal(D)
+        for p in factorint(-D):
+            cond = ideal_multiply(cond, primes_above(D, p).primes[0])
+        for ell, target, bound in product((5, 7, 11, 13, 17, 19, 23),
+                                          ("tau", *CM_CURVES, E65533.to_json()), (None, 30)):
+            yield {"disc": D, "weight": 12 if target == "tau" else 2, "ell": ell,
+                   "char": "search", "target": target, "cond": cond.to_json(),
+                   **({} if bound is None else {"bound": bound})}
+
+
+def _sweep_matches(obj):
+    try:
+        matches, _ = search_matching_char(Scenario.from_json(obj))
+    except ValueError as exc:
+        return str(exc)
+    return [{"character": chi.to_json(), "reduction_map": m.describe(), "report": rep.to_json()}
+            for chi, m, rep in matches]
+
+
+def test_the_sweep_finds_the_matches_it_found_with_fields_of_every_degree():
+    # digest taken when reductions still climbed to any F_{ell^r}: a match needs
+    # no field above F_{ell^2}, so bounding the fields loses none
+    results = [_sweep_matches(obj) for obj in _sweep()]
+    assert len(results) == 1680
+    assert sum(bool(r) and not isinstance(r, str) for r in results) == 17
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == (
+        "290dc891fe280c31bf1f843b73e5af2be74837a345aa1e898d3e4487cef5a015")
 
 
 def test_curve_perturbation_joins_the_comparison(tmp_path, capsys):

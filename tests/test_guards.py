@@ -49,11 +49,22 @@ DELTA23_PAPER = {
     "cond": {"n": 23, "b": 23}, "target": "tau", "bound_mode": "paper",
 }
 
-SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{explicit}": EXPLICIT_DELTA23,
-             "{paper}": DELTA23_PAPER}
+# curve65533's curve searched at the conductors (sqrt(-71)) * P_2^e, e = 7 and 8
+# (4,480 and 8,960 finite parts), and Delta against D = -23 at conductor 5 * O_K
+# (24 finite parts), whose reductions once climbed to F_{7^4}, F_{7^8} and F_{13^6}
+E7_SEARCH = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
+             "cond": {"n": 9088, "b": 4331}, "bound": 500,
+             "target": {"curve": [0, -1, 1, -18507, -989382]}}
+E8_SEARCH = {**E7_SEARCH, "cond": {"n": 18176, "b": 4331}}
+F13_SEARCH = {"disc": -23, "weight": 2, "ell": 13, "char": "search", "target": "tau",
+              "cond": {"n": 1, "b": 1, "c": 5}, "bound": 30}
 
-# name -> (argv, exit code, sha256 of stdout); "{mismatch}", "{explicit}" and
-# "{paper}" are the scenarios above.
+SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{explicit}": EXPLICIT_DELTA23,
+             "{paper}": DELTA23_PAPER, "{e7}": E7_SEARCH, "{e8}": E8_SEARCH,
+             "{f13}": F13_SEARCH}
+
+# name -> (argv, exit code, sha256 of stdout); "{mismatch}", "{explicit}",
+# "{paper}", "{e7}", "{e8}" and "{f13}" are the scenarios above.
 PINNED = {
     "verify-delta23": (["verify", "--builtin", "delta23"], 0,
      "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
@@ -78,6 +89,13 @@ PINNED = {
      "041f034eebe8579e0c0d66af109c5a35a3663946d8c6d5ac99126e874bf7773b"),
     "search-delta23-paper": (["search", "--scenario", "{paper}"], 0,
      "b8fef8458fe73d2da54d53b2d8d1caea4267adeb94d4b488e66bd10e00fd3eb4"),
+    # no match: stdout is "[]\n"
+    "search-e7": (["search", "--scenario", "{e7}"], 1,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "search-e8": (["search", "--scenario", "{e8}"], 1,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "search-f13": (["search", "--scenario", "{f13}"], 1,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "tau-30": (["tau", "--prec", "30"], 0,
      "145ac048d6191bf01f83ffe563224f963b85dc1776b3da64176b1449206bcff7"),
     "predict-23-ramified-2k-1": (
@@ -226,10 +244,14 @@ def test_only_the_tau_target_enters_the_euler_product(name, tmp_path, capsys):
 
 
 # name -> the fields built, in order, with a fresh cache of `finite_field`: the
-# maps' fields alone on a curve target, F_23 for Delta and F_{23^2} for its maps
+# maps' fields alone on a curve target, F_ell for Delta, and no field above
+# F_{ell^2}; at e = 7 and 8 no character has a map, and at D = -23, ell = 13 the
+# maps would need F_{13^4} or F_{13^6}, so F_13 is Delta's and F_{13^2} is tried
 FIELDS_BUILT = {"verify-delta23": [(23, 1), (23, 2)],
-                "verify-curve65533": [(7, 4), (7, 2)],
-                "verify-curve71_deep": [(7, 2)]}
+                "verify-curve65533": [(7, 2)],
+                "verify-curve71_deep": [(7, 2)],
+                "search-e7": [], "search-e8": [],
+                "search-f13": [(13, 1), (13, 2)]}
 
 
 def _fresh_finite_field(monkeypatch):
@@ -614,9 +636,9 @@ def test_every_record_defines_its_slots():
     assert [cls.__name__ for cls in records if "__slots__" not in vars(cls)] == []
 
 
-# h(-1000003) = 105 = 3 * 5 * 7 divides 13^r - 1 at r = 4 only, below the cap
-# of 13^6 < 10^7 < 13^7, so x^105 = c has too few roots in F_{13^r} at every
-# other r; the reduction at ell = 13 of an h = 105 character
+# h(-1000003) = 105 = 3 * 5 * 7 divides 13^r - 1 at r = 4 only, so x^105 = c
+# has too few roots in F_13 and F_{13^2}; the reduction at ell = 13 of an
+# h = 105 character
 BIG_CLASS_GROUP = {"disc": -1000003, "weight": 3, "ell": 13, "target": "tau", "bound": 5,
                    "char": {"conductor": {"n": 1, "b": 1}, "finite_part": []}}
 
@@ -626,13 +648,12 @@ def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path
     built = _fresh_finite_field(monkeypatch)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(BIG_CLASS_GROUP))
-    assert main(["verify", "--scenario", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: field size 13^7 exceeds the cap of 10000000"]
-    # F_13 for the target and F_{13^4}, in which the relation constant has no
-    # 105th root; F_{13^7} is refused from its size and never constructed
-    assert built == [(13, 1), (13, 4)]
+    assert main(["verify", "--scenario", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["reduction_map"], report["count"], report["verdict"]) == (None, 0, False)
+    # F_13 for the target, and F_{13^2}, in which the relation constant has no
+    # 105th root; F_13 is skipped for the maps, since 105 does not divide 12
+    assert built == [(13, 1), (13, 2)]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
