@@ -59,7 +59,7 @@ from .arith import (
     primes_upto,
     totient,
 )
-from .ffield import FiniteField, check_field_size, finite_field
+from .ffield import FiniteField, finite_field
 from .qfield import (
     IdealRep,
     QuadInt,
@@ -798,8 +798,8 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     h_j, gives way to F_{ell^2} (unbuilt when some h'_j does not divide
     ell - 1), so the images of the t_j may land in F_{ell^2} even when one root
     exists in F_ell.  At r = 2 every map whose t_j roots exist is kept, even
-    when there are fewer than h'_j of them.  Each field is sized by
-    `check_field_size` first, so one above the cap is refused unbuilt.
+    when there are fewer than h'_j of them.  `finite_field` refuses a field above
+    the size cap before building any table.
     """
     reduction_count(chi, ell)
     D, w, orders = chi.D, chi.w, class_group(chi.D).orders
@@ -808,7 +808,6 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     hprimes = [prime_to_part(h, ell) for h in orders]
 
     for r in range(r1, 3):
-        check_field_size(ell, r)
         if r == 1 and any((ell - 1) % hp for hp in hprimes):
             continue
         F = finite_field(ell, r)

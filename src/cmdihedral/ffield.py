@@ -5,9 +5,10 @@ with no root in F_ell, its first irreducible monic quadratic.  An element is
 its integer code c_0 + c_1 * ell (low degree first), so a prime-field element
 has the same code in both fields.  There is no element object: every
 `FiniteField` method takes and returns plain int codes, and field arithmetic is
-only ever a method call, because + - * ** on codes are integer arithmetic.  The
-methods are lookups in the log, antilog and Zech tables built once per field.
-The generator g is the least code of order q - 1, and the antilog table steps
+only ever a method call, because + - * ** on codes are integer arithmetic.
+`add`, `sub` and `neg` work on the two base-ell digits of a code; the other
+methods are lookups in the log and antilog tables built once per field.  The
+generator g is the least code of order q - 1, and the antilog table steps
 x -> g * x on the two digits of a code.  No reduction needs a larger field:
 `charmod.build_reductions` says why.
 """
@@ -30,10 +31,9 @@ def check_field_size(ell: int, r: int) -> None:
 
 
 class FiniteField:
-    """F_{ell^r}, r = 1 or 2, with log, antilog and Zech tables over the generator g.
+    """F_{ell^r}, r = 1 or 2, with log and antilog tables over the generator g.
 
-    exp[k] is the code of g^k, log inverts it on nonzero codes, and
-    zech[k] = log(1 + g^k), or None where 1 + g^k = 0.
+    exp[k] is the code of g^k and log inverts it on nonzero codes.
     """
 
     def __init__(self, ell: int, r: int):
@@ -74,10 +74,6 @@ class FiniteField:
         self.log = log = [None] * q
         for k, n in enumerate(exp):
             log[n] = k
-        # 1 + g^k only changes the constant digit of the code
-        self.zech = [log[n - n % ell + (n + 1) % ell] for n in exp]
-        # the code of -1 is ell - 1; (q - 1) / 2 would be wrong in characteristic 2
-        self._log_minus_one = log[ell - 1]
 
     # -- constructors ------------------------------------------------------
     def zero(self) -> int:
@@ -91,21 +87,15 @@ class FiniteField:
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self.log[a]
-        z = self.zech[(self.log[b] - la) % self._m]
-        return 0 if z is None else self.exp[(la + z) % self._m]
+        ell = self.ell
+        return (a + b) % ell + (a // ell + b // ell) % ell * ell
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if not a:
-            return 0
-        return self.exp[(self.log[a] + self._log_minus_one) % self._m]
+        ell = self.ell
+        return -a % ell + -(a // ell) % ell * ell
 
     def mul(self, a: int, b: int) -> int:
         if not (a and b):

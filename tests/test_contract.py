@@ -256,6 +256,33 @@ def test_field_over_cap_exits_2_before_candidates(name, command, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# D = -23, k = 3, f = O_K: 3167 splits, so set-up admits F_3167, but 3 does not
+# divide 3166, so F_3167 cannot hold the class roots and the maps would lie in
+# F_{3167^2}, above the cap, which the field refuses
+SPLIT_3167 = {"disc": -23, "weight": 3, "ell": 3167, "target": "tau", "cond": {"n": 1, "b": 1},
+              "bound": 30}
+OVER_CAP_3167 = "field size 3167^2 exceeds the cap of 10000000"
+
+
+def test_reductions_above_the_cap_are_refused_by_the_field(tmp_path, capsys):
+    chi = build_hecke_char(-23, 3, IdealRep(-23, 1, 1), [])
+    with pytest.raises(ValueError) as exc:
+        charmod.build_reductions(chi, 3167)
+    assert str(exc.value) == OVER_CAP_3167
+    matches, diagnostics = congruence.search_matching_char(
+        Scenario.from_json({**SPLIT_3167, "char": "search"}))
+    assert matches == []
+    assert diagnostics == [{"finite_part": [], "skipped": OVER_CAP_3167}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**SPLIT_3167, "char": {"conductor": {"n": 1, "b": 1},
+                                                       "finite_part": []}}))
+    code = cli.main(["verify", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: " + OVER_CAP_3167]
+
+
 # (O_K/f)^* has 40008 elements, above the search cap of 10^4 candidates
 CONDUCTOR_40009 = {**CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]},
                    "cond": {"n": 40009, "b": -32203}}

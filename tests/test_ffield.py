@@ -7,8 +7,8 @@ F_{ell^r} of any degree by general polynomial arithmetic: the first irreducible
 monic modulus by trial division, the least generator by polynomial powers and
 the antilog table by one product and remainder per element.  The tables of
 every field of degree 1 or 2 must be the reference's, and a field of higher
-degree is the reference with `FiniteField`'s methods, once the constructor has
-refused its degree."""
+degree is the reference with `FiniteField`'s table methods and digitwise `add`
+and `neg` on all r digits, once the constructor has refused its degree."""
 
 from functools import lru_cache
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from cmdihedral.arith import divisors, factorint, power
 from cmdihedral.ffield import FiniteField, finite_field
 
-FIELDS = [(2, 3), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (23, 2)]
+FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (5, 3), (7, 1), (7, 2), (7, 4), (23, 2)]
 
 
 def _digits(code, ell, r):
@@ -50,6 +50,16 @@ def _is_irreducible(mod, ell, r):
                for d in range(1, r // 2 + 1) for c in range(ell**d))
 
 
+class _ReferenceField(FiniteField):
+    """`FiniteField`'s table methods, with `add` and `neg` on all r digits."""
+
+    def add(self, a, b):
+        return code(self, o_add(self, digits(self, a), digits(self, b)))
+
+    def neg(self, a):
+        return code(self, o_neg(self, digits(self, a)))
+
+
 @lru_cache(maxsize=None)
 def reference_field(ell, r):
     q = ell**r
@@ -63,7 +73,7 @@ def reference_field(ell, r):
     cofactors = [(q - 1) // p for p in factorint(q - 1)]
     g = next(g for g in (_digits(c, ell, r) for c in range(ell if r > 1 else 1, q))
              if all(power(g, c, mul, [1]) != [1] for c in cofactors))
-    F = object.__new__(FiniteField)
+    F = object.__new__(_ReferenceField)
     F.ell, F.r, F.q, F._m, F.modulus, F.exp = ell, r, q, q - 1, mod, []
     acc = [1]
     for _ in range(q - 1):
@@ -72,8 +82,6 @@ def reference_field(ell, r):
     F.log = [None] * q
     for k, n in enumerate(F.exp):
         F.log[n] = k
-    F.zech = [F.log[n - n % ell + (n + 1) % ell] for n in F.exp]
-    F._log_minus_one = F.log[ell - 1]
     return F
 
 
@@ -86,7 +94,7 @@ def field(ell, r):
             FiniteField(ell, r)
         return R
     F = finite_field(ell, r)
-    assert (F.modulus, F.exp, F.log, F.zech) == (R.modulus, R.exp, R.log, R.zech)
+    assert (F.modulus, F.exp, F.log) == (R.modulus, R.exp, R.log)
     return F
 
 
@@ -240,12 +248,13 @@ def test_poly_roots_rejects_other_degrees(ell, r, coeffs):
 
 # the modulus of each field: the first irreducible monic polynomial of degree r
 # in the base-ell enumeration of its low coefficients, as frozen when
-# FiniteField built every degree
+# FiniteField built every degree; F_4's is x^2 + x + 1, the one irreducible
+# quadratic over F_2
 MODULI = {
     (2, 3): [1, 1, 0, 1], (3, 1): [0, 1], (3, 2): [1, 0, 1], (5, 3): [1, 1, 0, 1],
     (7, 1): [0, 1], (7, 2): [1, 0, 1], (7, 4): [1, 1, 0, 0, 1], (11, 2): [1, 0, 1],
     (23, 1): [0, 1], (23, 2): [1, 0, 1],
-    (2, 1): [0, 1], (2, 5): [1, 0, 1, 0, 0, 1], (2, 9): [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
+    (2, 1): [0, 1], (2, 2): [1, 1, 1], (2, 5): [1, 0, 1, 0, 0, 1], (2, 9): [1, 1, 0, 0, 0, 0, 0, 0, 0, 1],
     (3, 5): [1, 2, 0, 0, 0, 1], (11, 3): [4, 1, 0, 1],
     (2, 12): [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1], (3, 8): [2, 0, 1, 0, 0, 0, 0, 0, 1],
 }
@@ -272,8 +281,6 @@ def test_antilog_table_is_repeated_mulmod(ell, r):
     assert acc == [1]
     log = {n: k for k, n in enumerate(expected)}
     assert F.log == [log.get(n) for n in range(F.q)]
-    one = digits(F, 1)
-    assert F.zech == [log.get(code(F, o_add(F, digits(F, n), one))) for n in expected]
 
 
 @pytest.mark.parametrize("ell,r", [(7, 0), (7, 3), (2, 4), (3, 6)])
