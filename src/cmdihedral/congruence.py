@@ -65,8 +65,9 @@ from .serrepred import (
 
 SEARCH_MAP_CAP = 100
 QUICK_PRUNE_BOUND = 20
-# a_p from the table of squares at and below, by baby-step giant-step above
-AP_BSGS_CROSSOVER = 229
+# a_p from the table of squares at and below; above, by baby-step giant-step
+# first, and from the table only where the walk leaves a_p open (p <= 229)
+AP_BSGS_CROSSOVER = 31
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +129,15 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
     J. Theor. Nombres Bordeaux 7, 1995) collects the multiples in the Hasse
     interval of a few points of the short model and of its quadratic twist,
     one point per x with no square root taken, by one baby-step giant-step
-    walk of O(p^{1/4}) group operations per point.  The crossover is never
-    below 229: Mestre's theorem, which makes the search exact, holds for
-    p > 229.  Measured per prime, the two routes tie just below 229 and the
-    search is faster above, so the crossover sits at 229.  At 2 and 3, where
-    the short model does not exist, the table of squares always runs."""
+    walk of O(p^{1/4}) group operations per point.  Every point's candidates
+    hold the true a_p, so one candidate left is a_p exactly, at any p >= 5.
+    Mestre's theorem only guarantees that one is left for p > 229; at or
+    below 229 the walk may leave a_p open, and the table of squares decides.
+    Per prime, averaged over random curves (2-CPU Xeon VM, Python 3.11), the
+    walk takes 16-21 us at 31 against the table's 16-19 us, and is faster
+    from 37 on: 15-19 against 18-22 us there, 20 against 43 us at 101 and
+    26 against 94 us at 227.  So the crossover sits at 31.  At 2 and 3,
+    where the short model does not exist, the table always runs."""
     if not is_prime(p):
         raise ValueError("p must be a prime")
     if E.discriminant() % p == 0:
@@ -142,9 +147,8 @@ def curve_ap(E: EllipticCurve, p: int) -> int:
 
 def _curve_ap(E: EllipticCurve, p: int) -> int:
     """curve_ap without its checks, for primes already sieved and known good."""
-    if p <= AP_BSGS_CROSSOVER:
-        return _ap_by_squares(E, p)
-    return _ap_by_bsgs(E, p)
+    ap = _ap_by_bsgs(E, p) if p > AP_BSGS_CROSSOVER else None
+    return _ap_by_squares(E, p) if ap is None else ap
 
 
 def _ap_by_squares(E: EllipticCurve, p: int) -> int:
@@ -160,14 +164,15 @@ def _ap_by_squares(E: EllipticCurve, p: int) -> int:
     return p - gs.count(0) - 2 * sum(squares[g] for g in gs)
 
 
-def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
+def _ap_by_bsgs(E: EllipticCurve, p: int) -> int | None:
     """For x = 0, 1, 2, ... with v = x^3 + A x + B != 0 on the short model
     (A, B), the point (v x, v^2) lies on y^2 = x^3 + A v^2 x + B v^3, which is
     E when (v/p) = 1 and its quadratic twist when (v/p) = -1, so it has
     p + 1 - (v/p) a_p points.  Each such point keeps the candidates
     a = (v/p)(p + 1 - N) for the N in the Hasse interval with N*P = O, until
-    one candidate is left.  Every x gives a point of E or of the twist, and for
-    p > 229 Mestre's theorem makes that happen before the x run out."""
+    one candidate is left, which is then a_p.  Every x gives a point of E or of
+    the twist, and for p > 229 Mestre's theorem makes that happen before the x
+    run out; at p <= 229 the x may run out first, and None says a_p is open."""
     A, B = _short_model(E, p)
     half = (p - 1) // 2
     candidates = None
@@ -182,6 +187,8 @@ def _ap_by_bsgs(E: EllipticCurve, p: int) -> int:
                 return candidates.pop()
             if not candidates:
                 break
+    if candidates and p <= 229:
+        return None
     raise AssertionError(f"the points of E and its twist leave a_{p} open")
 
 

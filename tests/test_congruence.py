@@ -311,16 +311,35 @@ def test_curve_ap_frozen_small_values():
 ABOVE_CROSSOVER = [p for p in primes_upto(10**4) if p > AP_BSGS_CROSSOVER]
 
 
+# Every point's candidates hold a_p, so the walk's answer is exact at any p >= 5;
+# only Mestre's bound p > 229 makes it certain that one is left.  Below it the
+# walk may return None (open): for E65533 it does at p = 7 and 11.
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5),
-       st.sampled_from(ABOVE_CROSSOVER))
+       st.sampled_from([p for p in primes_upto(10**4) if p >= 5]))
+@example([0, -1, 1, -18507, -989382], 7)
+@example([0, -1, 1, -18507, -989382], 11)
 def test_curve_ap_bsgs_equals_square_table_property(coeffs, p):
     try:
         E = EllipticCurve(*coeffs)
     except ValueError:
         assume(False)
     assume(E.discriminant() % p != 0)
-    assert congruence._ap_by_bsgs(E, p) == congruence._ap_by_squares(E, p)
+    assert congruence._ap_by_bsgs(E, p) in (None, congruence._ap_by_squares(E, p))
+
+
+def test_curve_ap_bsgs_open_only_at_or_below_229(monkeypatch):
+    # points that keep every N of the Hasse interval leave a_p open: at 229 the
+    # table of squares decides, above 229 Mestre's theorem makes that a bug
+    def every_n(P, a4, p):
+        r = isqrt(4 * p)
+        return range(p + 1 - r, p + 2 + r)
+
+    monkeypatch.setattr(congruence, "_hasse_multiples", every_n)
+    assert congruence._ap_by_bsgs(E65533, 229) is None
+    assert curve_ap(E65533, 229) == congruence._ap_by_squares(E65533, 229)
+    with pytest.raises(AssertionError, match="leave a_233 open"):
+        congruence._ap_by_bsgs(E65533, 233)
 
 
 def _naive_order(P, add):
@@ -349,7 +368,8 @@ def _scaled_point(a, b, x, p):
 
 
 # The walk on a scaled point, or, when d > 1 divides its order n, on (n/d) times
-# it, of order d.  For p <= 2000 the walk takes s <= 10 baby steps.  Pinned draws
+# it, of order d.  For p <= 2000 the walk takes s <= 10 baby steps; near the
+# crossover s is 4 or 5, and ord P <= 2s is common.  Pinned draws
 # at p = 233, where s = 6: orders 3 <= s (a baby step reaches O), 9 in (s, 2s)
 # (an x repeats), 2 (y = 0) and 2s = 12 (sP has y = 0).
 @settings(max_examples=150, deadline=None)
@@ -400,11 +420,15 @@ def test_scaled_points_lie_on_e_or_its_twist(A, B, p, k):
 
 
 def test_curve_ap_bsgs_at_every_good_prime_to_3000():
-    # the curve of curve65533 and curve71_deep, whose bad primes 13 and 71 lie below 229
-    primes = [p for p in primes_upto(3000) if p > AP_BSGS_CROSSOVER]
-    assert len(primes) == 380
-    assert [curve_ap(E65533, p) for p in primes] == [
-        congruence._ap_by_squares(E65533, p) for p in primes]
+    # the curve of curve65533 and curve71_deep, whose bad primes are 13 and 71: the
+    # walk leaves a_p open at 7 and 11 only, and is exact everywhere else
+    primes = [p for p in primes_upto(3000) if p >= 5 and E65533.discriminant() % p]
+    assert len([p for p in primes if p > 229]) == 380
+    table = [congruence._ap_by_squares(E65533, p) for p in primes]
+    walked = [congruence._ap_by_bsgs(E65533, p) for p in primes]
+    assert [p for p, ap in zip(primes, walked) if ap is None] == [7, 11]
+    assert all(ap in (None, t) for ap, t in zip(walked, table))
+    assert [curve_ap(E65533, p) for p in primes] == table
 
 
 def _bsgs_points(E, p, monkeypatch):
@@ -465,8 +489,9 @@ def test_curve_ap_bsgs_first_point_of_small_order(monkeypatch):
     assert used[0][:2] == _scaled_point(*congruence._short_model(E65533, p), 1, p)
 
 
-# the first prime above the crossover, 521, and 99991, a prime near the bound cap
-@pytest.mark.parametrize("p", [ABOVE_CROSSOVER[0], 521, 99991])
+# the first prime above the crossover, the first above Mestre's bound 229, 521,
+# and 99991, a prime near the bound cap
+@pytest.mark.parametrize("p", [ABOVE_CROSSOVER[0], 233, 521, 99991])
 def test_curve_ap_bsgs_pinned_primes(p):
     assert curve_ap(E65533, p) == congruence._ap_by_squares(E65533, p)
 

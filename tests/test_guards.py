@@ -451,9 +451,12 @@ def test_maps_failing_at_q2_image_only_the_rows_above_2(name, monkeypatch):
 @pytest.mark.parametrize("name", ["verify-curve71_deep", "verify-delta23"])
 def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys,
                                                          monkeypatch):
-    # the target loop takes a_p through the unchecked helper of curve_ap
+    # the target loop takes a_p through the unchecked helper of curve_ap; the
+    # table runs at and below the crossover, and above it only where the walk
+    # left a_p open, which Mestre's theorem rules out above 229
     curve_ap, squares = congruence._curve_ap, congruence._ap_by_squares
-    primes, table_primes = [], []
+    walk = congruence._ap_by_bsgs
+    primes, table_primes, walk_primes, open_primes = [], [], [], []
 
     def counted(E, p):
         primes.append(p)
@@ -463,36 +466,50 @@ def test_table_of_squares_only_at_and_below_the_crossover(name, tmp_path, capsys
         table_primes.append(p)
         return squares(E, p)
 
-    # below 229, Mestre's theorem does not make the search exact
-    assert congruence.AP_BSGS_CROSSOVER >= 229
+    def walk_route(E, p):
+        walk_primes.append(p)
+        ap = walk(E, p)
+        if ap is None:
+            open_primes.append(p)
+        return ap
+
     monkeypatch.setattr(congruence, "_curve_ap", counted)
     monkeypatch.setattr(congruence, "_ap_by_squares", table_route)
+    monkeypatch.setattr(congruence, "_ap_by_bsgs", walk_route)
     _run_pinned(name, tmp_path, capsys)
     if name == "verify-delta23":
-        assert primes == []
+        assert primes == table_primes == walk_primes == []
     else:
         # the good primes p <= 3000 other than ell = 7: all but 7, 13 and 71
         assert len(primes) == len(primes_upto(3000)) - 3 == 427
-        assert table_primes == [p for p in primes if p <= congruence.AP_BSGS_CROSSOVER]
+        crossover = congruence.AP_BSGS_CROSSOVER
+        assert walk_primes == [p for p in primes if p > crossover]
+        assert all(p <= 229 for p in open_primes)
+        assert table_primes == [p for p in primes if p <= crossover or p in open_primes]
+        # the walk is faster from 37 on, and E65533 leaves it open only at 7 and 11
+        assert table_primes == [2, 3, 5, 11, 17, 19, 23, 29, 31]
 
 
 def test_frobenius_traces_take_at_most_the_walk_additions(tmp_path, capsys, monkeypatch):
-    adder, adds = congruence._ec_adder, [0]
+    adder, adds = congruence._ec_adder, {}
 
     def counted(a4, p):
         add = adder(a4, p)
+        above = p > 229
 
         def counted_add(P, Q):
-            adds[0] += 1
+            adds[above] = adds.get(above, 0) + 1
             return add(P, Q)
 
         return counted_add
 
     monkeypatch.setattr(congruence, "_ec_adder", counted)
     _run_pinned("verify-curve71_deep", tmp_path, capsys)
-    # the 380 primes in (229, 3000]: one walk across the Hasse interval per point,
-    # its giant steps started from a multiple of 2s + 1
-    assert adds[0] <= 11_445
+    # one walk across the Hasse interval per point, its giant steps started from
+    # a multiple of 2s + 1: the 380 primes in (229, 3000], and apart from them
+    # the 38 primes between the crossover and 229
+    assert adds[True] <= 11_445
+    assert adds[False] <= 721
 
 
 def test_sieved_primes_are_not_tested_again():

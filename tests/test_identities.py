@@ -10,7 +10,13 @@ r_2(n)) / 2 (mod 23), where r_i(n) counts the representations of n.
 
 Frobenius traces of the CM curves y^2 = x^3 - x and y^2 = x^3 + 1 (Ireland-
 Rosen, GTM 84, ch. 18): a_p = 0 where p is inert in Z[i], resp. Z[w], and
-elsewhere a_p = 2a for p = a^2 + b^2, resp. p = a^2 + 3b^2, up to sign."""
+elsewhere a_p = 2a for p = a^2 + b^2, resp. p = a^2 + 3b^2, up to sign.
+
+Frobenius traces of 49a, y^2 + xy = x^3 - x^2 - 2x - 1, with CM by Q(sqrt(-7))
+and j = -3375 (Cremona's tables; Deuring, Abh. Math. Sem. Hamburg 14, 1941):
+a_p = 0 exactly where (-7/p) = -1, and elsewhere 4p = a_p^2 + 7b^2.  Unlike
+the two curves above (j = 1728 and j = 0), both coefficients A and B of its
+short model are nonzero."""
 
 from math import isqrt
 
@@ -79,12 +85,16 @@ def _is_square(n):
 
 
 def test_cm_curve_traces_to_10_5_follow_the_norm_forms():
-    # y^2 = x^3 - x: 4p - a_p^2 = 4b^2; y^2 = x^3 + 1: 4p - a_p^2 = 12b^2 = 3(2b)^2
-    for E, modulus, inert, c in ((EllipticCurve(0, 0, 0, -1, 0), 4, 3, 4),
-                                 (EllipticCurve(0, 0, 0, 0, 1), 3, 2, 3)):
+    # y^2 = x^3 - x: 4p - a_p^2 = 4b^2; y^2 = x^3 + 1: 4p - a_p^2 = 12b^2 = 3(2b)^2;
+    # 49a: 4p - a_p^2 = 7b^2, and (-7/p) = (p/7) by reciprocity, -1 at 3, 5, 6 mod 7
+    for E, modulus, inert, c in ((EllipticCurve(0, 0, 0, -1, 0), 4, {3}, 4),
+                                 (EllipticCurve(0, 0, 0, 0, 1), 3, {2}, 3),
+                                 (EllipticCurve(1, -1, 0, -2, -1), 7, {3, 5, 6}, 7)):
         for p in _odd_primes_from_5(AP_BOUND):
+            if E.discriminant() % p == 0:
+                continue  # 7, the one bad prime of 49a
             a = curve_ap(E, p)
-            if p % modulus == inert:
+            if p % modulus in inert:
                 assert a == 0, (E, p)
             else:
                 rest = 4 * p - a * a
