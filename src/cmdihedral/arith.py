@@ -9,7 +9,7 @@ no part in equality, hashing or repr."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from operator import attrgetter
 
 
@@ -206,12 +206,6 @@ def exact_order(x, n: int, mul, one, subgroup=None) -> int:
 
 def totient(n: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in factorint(n).items())
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    if gcd(a, n) != 1:
-        raise ValueError("element not invertible")
-    return exact_order(a % n, totient(n), lambda x, y: x * y % n, 1)
 
 
 def abelian_structure(elements, mul, identity):

@@ -53,9 +53,7 @@ from .arith import (
     divisors,
     factorint,
     is_prime,
-    multiplicative_order,
     power,
-    prime_to_part,
     primes_upto,
     totient,
 )
@@ -768,14 +766,18 @@ class ReductionMap(NamedTuple):
 
 def reduction_count(chi: HeckeChar, ell: int) -> int:
     """An upper bound on len(build_reductions(chi, ell)) from integers, and its refusals of
-    ell: the product of 2 roots of w_D's polynomial (1 if ell | D), phi(w) images of zeta_w
-    and h'_j t_j's.  It is the count wherever the maps are complete."""
+    ell.  Every map lies in F_{ell^2}, so it is 0 when w does not divide ell^2 - 1, else the
+    product of 2 roots of w_D's polynomial (1 if ell | D), phi(w) images of zeta_w and
+    g_j = gcd(h_j, ell^2 - 1) t_j's, the 0 or g_j roots of x^h_j = c in F_{ell^2}."""
     if not is_prime(ell) or ell < 3:
         raise ValueError("reduction characteristic must be an odd prime")
     if chi.w % ell == 0:
         raise ValueError("ell divides the root-of-unity order of the ring")
-    hprimes = (prime_to_part(h, ell) for h in class_group(chi.D).orders)
-    return (1 if chi.D % ell == 0 else 2) * totient(chi.w) * prod(hprimes)
+    q1 = ell * ell - 1
+    if q1 % chi.w:
+        return 0
+    gs = (gcd(h, q1) for h in class_group(chi.D).orders)
+    return (1 if chi.D % ell == 0 else 2) * totient(chi.w) * prod(gs)
 
 
 def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
@@ -792,26 +794,25 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
     agree with the target up to the bound; it is not built, so its candidate is
     refused rather than matched by chance.
 
-    r runs over r1 and 2 r1 up to 2, r1 = lcm([F_ell(w_D):F_ell], ord_w ell),
-    and there is no map when r1 > 2.  At r = 1 a field in which some relation
-    constant c_j lacks one of its h'_j roots, h'_j the prime-to-ell part of
-    h_j, gives way to F_{ell^2} (unbuilt when some h'_j does not divide
-    ell - 1), so the images of the t_j may land in F_{ell^2} even when one root
-    exists in F_ell.  At r = 2 every map whose t_j roots exist is kept, even
-    when there are fewer than h'_j of them.  `finite_field` refuses a field above
-    the size cap before building any table.
+    The field is read off what F_{ell^2} holds, g_j as in `reduction_count`.
+    F_ell is tried when it holds w_D's roots ((D/ell) >= 0), zeta_w and the g_j-th
+    roots of unity (w, g_j | ell - 1); x^h_j = c then has g_j roots in F_ell or
+    none, and has some in F_{ell^2} exactly when c^(2(ell-1)/g_j) = 1.  A pair
+    (m(w_D), m(zeta_w)) whose constants all have roots in F_{ell^2}, some only
+    there, sends every map to F_{ell^2}; one with a constant that has none there
+    gives no map.  So the maps share one field, F_ell exactly when every code is
+    below ell.  `finite_field` refuses a field above the size cap.
     """
-    reduction_count(chi, ell)
+    if not reduction_count(chi, ell):
+        return []
     D, w, orders = chi.D, chi.w, class_group(chi.D).orders
-    r1 = lcm(1 if kronecker(D, ell) >= 0 else 2, multiplicative_order(ell % w, w))
+    gs = [gcd(h, ell * ell - 1) for h in orders]
     minpoly = [omega_norm(D), -disc_eps(D), 1]
-    hprimes = [prime_to_part(h, ell) for h in orders]
+    in_prime_field = kronecker(D, ell) >= 0 and all((ell - 1) % n == 0 for n in (w, *gs))
 
-    for r in range(r1, 3):
-        if r == 1 and any((ell - 1) % hp for hp in hprimes):
-            continue
+    # the pass at r = 2 never breaks, so it returns
+    for r in (1, 2) if in_prime_field else (2,):
         F = finite_field(ell, r)
-        # [F_ell(w_D):F_ell] divides r, so the minimal polynomial of w_D splits in F
         g = F.generator()
         z_imgs = sorted(
             F.pow(g, j * ((F.q - 1) // w)) for j in range(1, w + 1) if gcd(j, w) == 1
@@ -825,13 +826,13 @@ def build_reductions(chi: HeckeChar, ell: int) -> list[ReductionMap]:
             if not all(cbars):
                 raise ValueError("no valid assignment: relation constant reduces to zero")
             t_choices = [F.nth_roots(c, h) for c, h in zip(cbars, orders)]
-            if r == 1 and any(len(roots) < hp for roots, hp in zip(t_choices, hprimes)):
+            if r == 1 and not all(t_choices) and all(ts or F.pow(c, 2 * (ell - 1) // gj) == 1
+                                                     for ts, c, gj in zip(t_choices, cbars, gs)):
                 break
             maps += (ReductionMap(chi, F, x0, z0, ts) for ts in product(*t_choices))
         else:
             maps.sort(key=lambda m: (m.x_img, m.z_img, m.t_imgs))
             return maps
-    return []  # r1 > 2
 
 
 def _reduce_coeff(F: FiniteField, coef) -> int:

@@ -49,7 +49,6 @@ from .qseries import (
     PREC_CAP,
     QExpansion,
     delta_mod,
-    drop_multiples,
     euler_product,
     prime_sums,
     sturm_bound,
@@ -347,7 +346,7 @@ class Tau(NamedTuple):
 
     def expansion(self, ell: int, bound: int, indices) -> list[int]:
         """Delta over F_ell by `delta_mod`, zero at the multiples of ell: no exact tau(n)."""
-        return drop_multiples(delta_mod(bound, ell), ell).coeffs
+        return [0 if n % ell == 0 else c for n, c in enumerate(delta_mod(bound, ell))]
 
 
 TAU = Tau()

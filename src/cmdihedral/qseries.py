@@ -13,7 +13,7 @@ from functools import partial
 from math import isqrt
 
 from .charmod import HeckeChar, VrElem, evaluate, value_ring
-from .ffield import FiniteField, finite_field
+from .ffield import FiniteField
 from .qfield import ideals_coprime, ideals_of_norm, primes_above
 from .arith import Record, factorint, power, primes_upto
 from .serrepred import DirichletChar
@@ -211,11 +211,11 @@ def _eta_series(n: int, ell: int, cube: bool) -> list[int]:
     return c
 
 
-def delta_mod(prec: int, ell: int) -> QExpansion:
-    """Delta = q * P^24 over F_ell, P = prod (1 - q^n), with no exact tau(n).
-    With 24 = sum d_i ell^i in base ell, Frobenius gives P^24 = prod_i
-    P(q^{ell^i})^{d_i} (mod ell), and P^d = (P^3)^{d // 3} * P^{d % 3} is a
-    power of Jacobi's or Euler's sparse series: q * P(q) * P(q^23) at ell = 23."""
+def delta_mod(prec: int, ell: int) -> list[int]:
+    """F_ell codes c_0..c_prec (residues mod ell) of Delta = q * P^24, P = prod (1 - q^n),
+    with no exact tau(n) and no field.  With 24 = sum d_i ell^i in base ell, Frobenius
+    gives P^24 = prod_i P(q^{ell^i})^{d_i} (mod ell), and P^d = (P^3)^{d // 3} * P^{d % 3}
+    is a power of Jacobi's or Euler's sparse series: q * P(q) * P(q^23) at ell = 23."""
     if not 1 <= prec <= PREC_CAP:
         raise ValueError(f"precision must be in 1..{PREC_CAP}")
     top = prec - 1  # the degree of P^24 that q * P^24 needs
@@ -231,7 +231,7 @@ def delta_mod(prec: int, ell: int) -> QExpansion:
         if d >= 3:
             acc = power(_eta_series(n, ell, True), d // 3, mul, acc)
         m //= ell
-    return QExpansion(finite_field(ell, 1), [0] + acc, 12, 1)
+    return [0] + acc
 
 
 def drop_multiples(f: QExpansion, p: int) -> QExpansion:

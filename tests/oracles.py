@@ -3,15 +3,18 @@
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from cmdihedral.arith import exact_order, primes_upto
+from cmdihedral.arith import exact_order, factorint, primes_upto
 from cmdihedral.charmod import (
     PrimeRow,
     ReductionMap,
     ResidueGroup,
     ValueRing,
+    _canonical_class_ideal,
+    _image,
     _principal_part,
     build_hecke_char,
     build_reductions,
+    evaluate,
     prime_table,
     reduction_count,
     residue_group,
@@ -35,6 +38,7 @@ from cmdihedral.qfield import (
     ideals_coprime,
     primes_above,
     quadint_in_ideal,
+    reduced_forms,
     unit_ideal,
     units,
 )
@@ -136,6 +140,46 @@ def prime_table_per_prime(D: int, cond: IdealRep, class_ideals, bound: int) -> t
                 fs, beta = _principal_part(P, class_ideals)
                 rows.append(PrimeRow(P.norm(), fs, beta, rg.dlog(beta)))
     return tuple(rows)
+
+
+def theta_by_lattice_sum(m: ReductionMap, bound: int) -> list:
+    """c_0..c_bound of the theta series of chi = m.chi under m, by Hecke's lattice
+    sum, with no prime table, Euler product or factorisation.  An integral ideal a
+    prime to f in the class of A_C^-1 is (alpha) * A_C^-1 for the w_K generators
+    alpha in A_C of the principal ideal a * A_C, so
+
+        theta = (1/w_K) sum_C m(chi(A_C))^-1 sum_alpha m(zeta_w)^e(alpha)
+                m(alpha)^(k-1) q^(N(alpha)/N(A_C)),
+
+    with one ideal A_C prime to f*ell per class C, alpha over the units mod f in
+    A_C, and e(alpha) the zeta_w exponent of eps_f(alpha).  On A_C's basis,
+    alpha = x*g1 + y*g2 and N(alpha)/N(A_C) is its norm form a x^2 + b xy + c y^2,
+    where 4a * n = (2ax + by)^2 + |D| y^2 bounds |y|, then x, for n <= bound."""
+    chi, F = m.chi, m.field
+    D = chi.D
+    avoid = frozenset(factorint(chi.cond.norm())) | {F.ell}
+    coeffs = [0] * (bound + 1)
+    for form in reduced_forms(D):
+        A = _canonical_class_ideal(D, form, avoid)
+        (g1, g2), Q = A.basis(), A.as_form()
+        a, b, c = Q.a, Q.b, Q.c
+        scale = F.inv(m.reduce(evaluate(chi, A)))
+        top = 4 * a * bound
+        for y in range(-isqrt(top // -D), isqrt(top // -D) + 1):
+            s = isqrt(top + D * y * y)
+            for x in range(-((b * y + s) // (2 * a)), (s - b * y) // (2 * a) + 1):
+                n = a * x * x + b * x * y + c * y * y
+                if not 1 <= n <= bound:
+                    continue
+                alpha = QuadInt(D, x * g1.a + y * g2.a, x * g1.b + y * g2.b)
+                try:
+                    e = chi.finite_exponent(alpha)
+                except ValueError:  # alpha is not a unit mod f
+                    continue
+                v = F.mul(F.pow(m.z_img, e), F.pow(_image(F, m.x_img, alpha), chi.k - 1))
+                coeffs[n] = F.add(coeffs[n], F.mul(scale, v))
+    inv_w = F.inv(F.scalar(len(units(D))))
+    return [F.mul(inv_w, v) for v in coeffs]
 
 
 def conjugate_map(maps: list[ReductionMap], m_c: ReductionMap, c: int) -> ReductionMap | None:

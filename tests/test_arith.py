@@ -12,7 +12,6 @@ from cmdihedral.arith import (
     exact_order,
     is_prime,
     least_nonresidue,
-    multiplicative_order,
     power,
     primes_upto,
 )
@@ -138,7 +137,6 @@ def test_exact_order_is_the_naive_order_on_residues(n, a):
         return x * y % n
 
     assert exact_order(a, units, mul, 1 % n) == naive_order(a, mul, 1 % n)
-    assert multiplicative_order(a, n) == naive_order(a, mul, 1 % n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,10 +4,11 @@ reductions."""
 import hashlib
 import itertools
 import json
+from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmdihedral.arith import factorint
 from cmdihedral.charmod import (
@@ -19,6 +20,7 @@ from cmdihedral.charmod import (
     build_reductions,
     evaluate,
     predict_conductor_at_v,
+    reduction_count,
     residue_group,
     residue_group_order,
     teichmuller_lift,
@@ -461,8 +463,8 @@ def test_build_reductions_satisfy_the_exact_relations(name):
 # finite parts of curve65533's one non-trivial orbit past the unit and exactness
 # refusals (35 is curve71_deep's), whose w = 10 needs F_{7^4} for zeta_10, so
 # they have no map; delta23 with a non-canonical class part, whose c_1 gains
-# zeta_2 = -1; and D = -47 (h = 5), whose constant has one 5th root in F_49
-# where it would need five, so it keeps the two maps that exist there
+# zeta_2 = -1; and D = -47 (h = 5), whose constant has gcd(5, 7^2 - 1) = 1
+# fifth root in F_49, which lies in F_7, so its two maps are built in F_7
 MAP_PINS = {
     "delta23": (-23, 12, P23, [11], "canonical", 23,
                 "c69911498db3c7dcac07688b925f14af3c509fc090e92264e3257697f3e8cbf3"),
@@ -485,7 +487,7 @@ MAP_PINS = {
     "curve65533-63": (-71, 2, P71, [63], "canonical", 7,
                       "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "D-47_partial": (-47, 3, unit_ideal(-47), [], "canonical", 7,
-                     "86d4821617a87a2170eb0b7ed47297a96c8d6d08da076745c76345cbc6f81c92"),
+                     "efd414bc740bc75695da6fef78625b72c06cb372a1dd699e7ed1eeaeb63a56fe"),
 }
 
 
@@ -495,6 +497,59 @@ def test_build_reductions_pinned(name):
     chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
     out = [(m.field.ell, m.field.r, m.describe()) for m in build_reductions(chi, ell)]
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
+
+
+# O_K, and P and P^2 for each prime P above 2, 3, 5 and 7 with |(O_K/P^2)^*| < 1000,
+# on the discriminants the descent rule is drawn over
+DESCENT_CONDUCTORS = [unit_ideal(D) for D in (-3, -4, -7, -23, -47, -71)] + [
+    P2 for D in (-3, -4, -7, -23, -47, -71) for p in (2, 3, 5, 7)
+    for P in primes_above(D, p).primes for P2 in (P, ideal_multiply(P, P))
+    if residue_group_order(ideal_multiply(P, P)) < 1000
+]
+
+
+@lru_cache(maxsize=None)
+def _finite_parts(cond, k):
+    """The finite parts of the weight-k characters of conductor cond that build."""
+    out = []
+    for fp in itertools.product(*(range(n) for n in residue_group(cond.D, cond).orders)):
+        try:
+            build_hecke_char(cond.D, k, cond, fp)
+        except ValueError:
+            continue
+        out.append(fp)
+    return out
+
+
+# a conductor and weight 2..5 with some character, then one of its characters
+descent_characters = st.deferred(lambda: st.sampled_from(
+    [(f, k) for f in DESCENT_CONDUCTORS for k in range(2, 6) if _finite_parts(f, k)]
+)).flatmap(lambda fk: st.tuples(*map(st.just, fk), st.sampled_from(_finite_parts(*fk))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_characters, st.sampled_from([5, 7, 11, 13]))
+# both characters' maps lie in F_ell: at D = -47, x^5 = c has gcd(5, 7^2 - 1) = 1
+# root in F_49, and it lies in F_7; at D = -23 the pairs whose constant has no
+# cube root in F_13 have none in F_{13^2} either, so they give no map
+@example((unit_ideal(-47), 3, ()), 7)
+@example((IdealRep(-23, 9, -7), 2, (1,)), 13)
+def test_maps_lie_in_the_field_descent_names(character, ell):
+    cond, k, fp = character
+    chi = build_hecke_char(cond.D, k, cond, fp, avoid_primes=(ell,))
+    if chi.w % ell == 0:
+        with pytest.raises(ValueError, match="root-of-unity order"):
+            reduction_count(chi, ell)
+        return
+    count, maps = reduction_count(chi, ell), build_reductions(chi, ell)
+    # zeta_w lies in F_{ell^2} exactly when w | ell^2 - 1
+    assert (count == 0) == bool((ell * ell - 1) % chi.w)
+    assert len(maps) <= count
+    # one field for all maps, and it is F_ell exactly when every code is below ell
+    assert len({m.field for m in maps}) <= 1
+    if maps:
+        codes = [c for m in maps for c in (m.x_img, m.z_img, *m.t_imgs)]
+        assert (maps[0].field.r == 1) == (max(codes) < ell)
 
 
 def test_build_reductions_rejects_bad_ell(delta_char):

@@ -664,9 +664,9 @@ def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys, m
         not_exact.format(71): 16,
         # of the 1,104 characters that build, 960 have 7 | w
         "ell divides the root-of-unity order of the ring": 960,
-        "reduction fan-out above cap": 128,
-        # w = 32, and ord_32 7 = 4: zeta_32 lies in F_{7^4}, above F_49
-        "no reduction map into F_ell or F_ell^2": 16,
+        # w = 160 (128 characters, once refused as a fan-out above the cap) or
+        # 32 does not divide 7^2 - 1 = 48: zeta_w lies in F_{7^4}, above F_49
+        "no reduction map into F_ell or F_ell^2": 144,
     }
 
 
@@ -676,8 +676,8 @@ def test_search_refuses_all_4480_finite_parts_at_p2_to_the_7(tmp_path, capsys, m
 def test_reduction_count_is_the_number_of_maps(obj, built, mapped):
     # every character of the search that build_reductions accepts, whether the
     # search then refuses its fan-out, finds no map or compares it: the count
-    # bounds its maps, and is their number wherever there are any, because no
-    # character here has only some of its h'_j roots (D = -47 in MAP_PINS does)
+    # bounds its maps, and is their number wherever there are any, because every
+    # relation constant here has its roots in the maps' field
     s = Scenario.from_json(obj)
     rg = residue_group(s.disc, s.cond)
     counted = with_maps = 0

@@ -58,13 +58,16 @@ E7_SEARCH = {"disc": -71, "weight": 2, "ell": 7, "char": "search",
 E8_SEARCH = {**E7_SEARCH, "cond": {"n": 18176, "b": 4331}}
 F13_SEARCH = {"disc": -23, "weight": 2, "ell": 13, "char": "search", "target": "tau",
               "cond": {"n": 1, "b": 1, "c": 5}, "bound": 30}
+# Delta at ell = 1000003, whose one candidate fails unit consistency: no map
+# needs a field, and the target is codes mod ell
+BIG_ELL_TAU = {"disc": -23, "weight": 12, "ell": 1000003, "char": "search", "target": "tau"}
 
 SCENARIOS = {"{mismatch}": EXPLICIT_MISMATCH, "{explicit}": EXPLICIT_DELTA23,
              "{paper}": DELTA23_PAPER, "{e7}": E7_SEARCH, "{e8}": E8_SEARCH,
-             "{f13}": F13_SEARCH}
+             "{f13}": F13_SEARCH, "{big_ell}": BIG_ELL_TAU}
 
 # name -> (argv, exit code, sha256 of stdout); "{mismatch}", "{explicit}",
-# "{paper}", "{e7}", "{e8}" and "{f13}" are the scenarios above.
+# "{paper}", "{e7}", "{e8}", "{f13}" and "{big_ell}" are the scenarios above.
 PINNED = {
     "verify-delta23": (["verify", "--builtin", "delta23"], 0,
      "afb143a62c7d6c72c06efeff01b85479ba2be5f7bfebeb9c6a62a73ae60764ce"),
@@ -95,6 +98,10 @@ PINNED = {
     "search-e8": (["search", "--scenario", "{e8}"], 1,
      "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "search-f13": (["search", "--scenario", "{f13}"], 1,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "verify-tau-1000003": (["verify", "--scenario", "{big_ell}"], 1,
+     "04d90f6364575a080a0902707c30783269dc02d3cf02e4bc5ac2d586b61a41e6"),
+    "search-tau-1000003": (["search", "--scenario", "{big_ell}"], 1,
      "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "tau-30": (["tau", "--prec", "30"], 0,
      "145ac048d6191bf01f83ffe563224f963b85dc1776b3da64176b1449206bcff7"),
@@ -244,14 +251,16 @@ def test_only_the_tau_target_enters_the_euler_product(name, tmp_path, capsys):
 
 
 # name -> the fields built, in order, with a fresh cache of `finite_field`: the
-# maps' fields alone on a curve target, F_ell for Delta, and no field above
-# F_{ell^2}; at e = 7 and 8 no character has a map, and at D = -23, ell = 13 the
-# maps would need F_{13^4} or F_{13^6}, so F_13 is Delta's and F_{13^2} is tried
-FIELDS_BUILT = {"verify-delta23": [(23, 1), (23, 2)],
+# maps' fields alone, for Delta (codes mod ell) as for a curve, and no field
+# above F_{ell^2}; at e = 7 and 8 no character has a map, at D = -23, ell = 13
+# the maps would need F_{13^4} or F_{13^6}, so only F_{13^2} is tried, and at
+# ell = 1000003 no candidate reaches a map
+FIELDS_BUILT = {"verify-delta23": [(23, 2)],
                 "verify-curve65533": [(7, 2)],
                 "verify-curve71_deep": [(7, 2)],
                 "search-e7": [], "search-e8": [],
-                "search-f13": [(13, 1), (13, 2)]}
+                "search-f13": [(13, 2)],
+                "verify-tau-1000003": [], "search-tau-1000003": []}
 
 
 def _fresh_finite_field(monkeypatch):
@@ -654,8 +663,8 @@ def test_every_record_defines_its_slots():
 
 
 # h(-1000003) = 105 = 3 * 5 * 7 divides 13^r - 1 at r = 4 only, so x^105 = c
-# has too few roots in F_13 and F_{13^2}; the reduction at ell = 13 of an
-# h = 105 character
+# has gcd(105, 13^2 - 1) = 21 roots in F_{13^2} or none; the reduction at
+# ell = 13 of an h = 105 character
 BIG_CLASS_GROUP = {"disc": -1000003, "weight": 3, "ell": 13, "target": "tau", "bound": 5,
                    "char": {"conductor": {"n": 1, "b": 1}, "finite_part": []}}
 
@@ -668,9 +677,9 @@ def test_reductions_build_only_the_fields_that_can_hold_the_class_roots(tmp_path
     assert main(["verify", "--scenario", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert (report["reduction_map"], report["count"], report["verdict"]) == (None, 0, False)
-    # F_13 for the target, and F_{13^2}, in which the relation constant has no
-    # 105th root; F_13 is skipped for the maps, since 105 does not divide 12
-    assert built == [(13, 1), (13, 2)]
+    # F_{13^2} only, in which the relation constant has no 105th root: F_13
+    # cannot hold the 21st roots of unity, and the target needs no field
+    assert built == [(13, 2)]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
@@ -972,3 +981,13 @@ def test_verify_reports_the_first_search_match(name):
     result = congruence.run_scenario(s)
     matches, _ = congruence.search_matching_char(s)
     assert (result.character, result.reduction, result.report) == matches[0]
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the one python block of README.md, run as it stands, so the API it shows
+    # cannot go stale unnoticed
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+    assert capsys.readouterr().out == "True\nTrue\n"

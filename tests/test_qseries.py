@@ -2,14 +2,23 @@
 twists, Sturm indices."""
 
 import itertools
+import json
+import os
 from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmdihedral.charmod import build_hecke_char, build_reductions, evaluate, value_ring
-from cmdihedral.congruence import reduce_expansion
+from cmdihedral.charmod import (
+    build_hecke_char,
+    build_reductions,
+    evaluate,
+    prime_table,
+    table_images,
+    value_ring,
+)
+from cmdihedral.congruence import Scenario, builtin_scenario, reduce_expansion, run_scenario
 from cmdihedral.qfield import IdealRep, ideal_multiply, ideals_coprime, ideals_of_norm, kronecker
 from cmdihedral.qseries import (
     PREC_CAP,
@@ -27,6 +36,10 @@ from cmdihedral.qseries import (
 )
 from cmdihedral.serrepred import DirichletChar
 from cmdihedral.arith import primes_upto
+
+from oracles import theta_by_lattice_sum
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # -- the weight-12 level-1 form -------------------------------------------------
@@ -98,9 +111,7 @@ PRIMES_5_TO_97 = [p for p in range(5, 98) if all(p % d for d in range(2, p))]
 def test_delta_mod_is_the_recursion_reduced(prec):
     tau = delta_qexp_recursion(prec).coeffs
     for ell in PRIMES_5_TO_97:
-        f = delta_mod(prec, ell)
-        assert (f.ring.ell, f.ring.r, f.weight, f.level) == (ell, 1, 12, 1)
-        assert f.coeffs == [c % ell for c in tau], ell
+        assert delta_mod(prec, ell) == [c % ell for c in tau], ell
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +123,7 @@ def _delta_200():
 @given(st.integers(1, 200), st.sampled_from([p for p in range(2, 200)
                                              if all(p % d for d in range(2, p))]))
 def test_delta_mod_is_the_literal_product_reduced(prec, ell):
-    assert delta_mod(prec, ell).coeffs == [c % ell for c in _delta_200()[: prec + 1]]
+    assert delta_mod(prec, ell) == [c % ell for c in _delta_200()[: prec + 1]]
 
 
 def _pentagonal(n):
@@ -136,7 +147,7 @@ def test_delta_mod_23_at_the_cap_is_two_pentagonal_series():
             if a + 23 * b > top:
                 break
             c[a + 23 * b] += s * t
-    assert delta_mod(PREC_CAP, 23).coeffs == [0] + [x % 23 for x in c]
+    assert delta_mod(PREC_CAP, 23) == [0] + [x % 23 for x in c]
 
 
 # -- theta series ------------------------------------------------------------------
@@ -219,6 +230,24 @@ def test_euler_product_reduces_like_theta_under_every_map(name):
         *_, (_, fast) = euler_product(m.field, factors, prec)
         oracle = reduce_expansion(_theta(name), m).coeffs
         assert fast == oracle
+
+
+with open(os.path.join(ROOT, "perfbench", "scenarios", "curve71_deep.json")) as _fh:
+    LATTICE_SUM_MATCHES = {"delta23": (builtin_scenario("delta23"), 552),
+                           "curve71_deep": (Scenario.from_json(json.load(_fh)), 3000)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_SUM_MATCHES))
+def test_euler_product_is_heckes_lattice_sum(name):
+    # the matching character and map of each verdict: its theta series from the
+    # prime table rows is the sum over the lattices of the class representatives
+    s, bound = LATTICE_SUM_MATCHES[name]
+    result = run_scenario(s)
+    chi, m = result.character, result.reduction
+    assert result.report.verdict and result.report.bound == bound
+    rows = prime_table(chi.D, chi.cond, chi.class_ideals, bound)
+    *_, (_, coeffs) = euler_product(m.field, table_images(rows, m), bound)
+    assert coeffs == theta_by_lattice_sum(m, bound)
 
 
 def test_prime_values_cover_the_prime_ideals_once():
