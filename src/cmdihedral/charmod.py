@@ -476,11 +476,10 @@ class HeckeChar(Record):
 
     - fp: the exponent on each residue-group generator;
     - zeta_exps: the value of generator i as zeta_w^zeta_exps[i];
-    - class_part: "canonical" or a tuple of zeta_w exponents;
     - class_zetas: z_j of the relation constant zeta_w^z_j * beta_j^(k-1)."""
 
     __slots__ = ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
-                 "class_betas", "class_part", "class_zetas")
+                 "class_betas", "class_zetas")
 
     def finite_exponent(self, alpha: QuadInt) -> int:
         """zeta_w exponent of eps_f(alpha) for alpha coprime to the conductor."""
@@ -492,9 +491,8 @@ class HeckeChar(Record):
             "weight": self.k,
             "conductor": self.cond.to_json(),
             "finite_part": list(self.fp),
-            "class_part": (
-                "canonical" if self.class_part == "canonical" else list(self.class_part)
-            ),
+            # the one value an explicit char in a scenario accepts
+            "class_part": "canonical",
         }
 
 
@@ -547,13 +545,15 @@ def build_hecke_char(
     k: int,
     cond: IdealRep,
     finite_part,
-    class_part="canonical",
     avoid_primes=(),
 ) -> HeckeChar:
     """Assemble a Hecke character of infinity type (k-1, 0) and conductor cond.
 
     finite_part lists a root-of-unity exponent for each generator of
     (O_K/cond)^*: the value on generator i of order n_i is zeta_{n_i}^e_i.
+    It fixes each relation constant c_j = chi((beta_j)): a twist by a
+    class-group character changes only the root t_j of c_j, and every root
+    is m(t_j) for some reduction map m.
     Raises if unit consistency fails or the conductor is not exact.
     """
     if k < 2:
@@ -565,12 +565,6 @@ def build_hecke_char(
     # generator i takes the value zeta_w^zeta_exps[i], w the lcm of the value orders
     w = rg.character_order(fp)
     zeta_exps = tuple(e * w // n for e, n in zip(fp, rg.orders))
-
-    cg = class_group(D)
-    if class_part != "canonical":
-        class_part = tuple(int(a) % w for a in class_part)
-        if len(class_part) != len(cg.orders):
-            raise ValueError("class part must list one twist exponent per generator")
 
     # unit consistency: eps_f(u) * u^(k-1) = 1 for every unit u = g^a, decided
     # as in Z[w_D] (x) Z[zeta_w], where zeta_w meets the units of K only at +-1
@@ -594,13 +588,8 @@ def build_hecke_char(
     )
 
     # relation constants c_j = zeta_w^z_j * beta_j^(k-1)
-    zs = [_finite_exponent(rg, zeta_exps, w, beta) for beta in class_betas]
-    if class_part != "canonical":
-        zs = [(z + c) % w for z, c in zip(zs, class_part)]
-    return HeckeChar(
-        D, k, cond, rg, fp, w, zeta_exps, class_ideals, class_betas,
-        class_part, tuple(zs),
-    )
+    zs = tuple(_finite_exponent(rg, zeta_exps, w, beta) for beta in class_betas)
+    return HeckeChar(D, k, cond, rg, fp, w, zeta_exps, class_ideals, class_betas, zs)
 
 
 # ---------------------------------------------------------------------------

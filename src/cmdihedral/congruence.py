@@ -398,11 +398,8 @@ class Scenario(NamedTuple):
                 raise ValueError(
                     "malformed scenario: explicit char needs a 'finite_part' list of integers"
                 )
-            class_part = char.get("class_part", "canonical")
-            if class_part != "canonical" and not _is_int_list(class_part):
-                raise ValueError(
-                    "malformed scenario: class_part must be 'canonical' or a list of integers"
-                )
+            if char.get("class_part", "canonical") != "canonical":
+                raise ValueError("malformed scenario: class_part must be 'canonical'")
         # a top-level cond and an explicit char's conductor must name one ideal
         specs = (obj.get("cond"), char.get("conductor") if isinstance(char, dict) else None)
         conds = {_conductor(disc, spec) for spec in specs if spec is not None}
@@ -569,9 +566,7 @@ def _search_matches(s: Scenario, cond: IdealRep, bound: int, indices, diagnostic
             diagnostics.append({**label, "skipped": decided.pop(fp)})
             continue
         try:
-            chi = build_hecke_char(
-                s.disc, s.weight, cond, fp, "canonical", avoid_primes=(s.ell,)
-            )
+            chi = build_hecke_char(s.disc, s.weight, cond, fp, avoid_primes=(s.ell,))
             if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
                 raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)
@@ -624,14 +619,8 @@ def run_scenario(s: Scenario) -> RunResult:
         chi, rmap, report = next(_search_matches(s, cond, bound, indices, []),
                                  (None, None, empty))
     else:
-        chi = build_hecke_char(
-            s.disc,
-            s.weight,
-            cond,
-            s.char["finite_part"],
-            s.char.get("class_part", "canonical"),
-            avoid_primes=(s.ell,),
-        )
+        chi = build_hecke_char(s.disc, s.weight, cond, s.char["finite_part"],
+                               avoid_primes=(s.ell,))
         target, indices = _target_expansion(s, bound, indices)
         maps = build_reductions(chi, s.ell)
         rmap, report = None, empty

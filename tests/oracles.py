@@ -204,7 +204,7 @@ def search_per_candidate(s: Scenario) -> tuple[list, list]:
     for fp in product(*(range(n) for n in rg.orders)):
         label = {"finite_part": list(fp)}
         try:
-            chi = build_hecke_char(s.disc, s.weight, cond, fp, "canonical", avoid_primes=(s.ell,))
+            chi = build_hecke_char(s.disc, s.weight, cond, fp, avoid_primes=(s.ell,))
             if reduction_count(chi, s.ell) > SEARCH_MAP_CAP:
                 raise ValueError("reduction fan-out above cap")
             maps = build_reductions(chi, s.ell)

@@ -458,43 +458,40 @@ def test_build_reductions_satisfy_the_exact_relations(name):
             assert m.field.pow(m.t_imgs[j], h) == m.reduce(cj) != m.field.zero()
 
 
-# name -> (D, k, conductor, finite part, class part, ell, sha256 of the maps'
+# name -> (D, k, conductor, finite part, ell, sha256 of the maps'
 # (ell, r, describe()) list): the characters the tests build; the four other
 # finite parts of curve65533's one non-trivial orbit past the unit and exactness
 # refusals (35 is curve71_deep's), whose w = 10 needs F_{7^4} for zeta_10, so
-# they have no map; delta23 with a non-canonical class part, whose c_1 gains
-# zeta_2 = -1; and D = -47 (h = 5), whose constant has gcd(5, 7^2 - 1) = 1
+# they have no map; and D = -47 (h = 5), whose constant has gcd(5, 7^2 - 1) = 1
 # fifth root in F_49, which lies in F_7, so its two maps are built in F_7
 MAP_PINS = {
-    "delta23": (-23, 12, P23, [11], "canonical", 23,
+    "delta23": (-23, 12, P23, [11], 23,
                 "c69911498db3c7dcac07688b925f14af3c509fc090e92264e3257697f3e8cbf3"),
-    "delta23_class1": (-23, 12, P23, [11], [1], 23,
-                       "2d37a49d4964e554e496108834f375d6d2cd7c854d7f036291fba66ddb7a912a"),
-    "order22": (-23, 12, P23, [1], "canonical", 23,
+    "order22": (-23, 12, P23, [1], 23,
                 "82bd4457a690cd851df00eac1f42cf743e5993ab15dca84c618c8999a7c8e2f2"),
-    "curve71_deep": (-71, 2, P71, [35], "canonical", 7,
+    "curve71_deep": (-71, 2, P71, [35], 7,
                      "8e63478b20768133b05f72a3922c1e009e1fdeeed3d1b9e98b8c58c297d838ae"),
-    "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], "canonical", 7,
+    "D-4_inert3": (-4, 3, IdealRep(-4, 1, 0, 3), [2], 7,
                    "507e55cf526748e9f3f655d390ef43af584ea7bef9c38f5a035b639cc7984646"),
-    "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], "canonical", 13,
+    "D-3_split7": (-3, 4, IdealRep(-3, 7, 5), [3], 13,
                    "77f10479722c5c38f6bc84d6f017652a73d40528db405178616ce1fec3f126fd"),
-    "curve65533-7": (-71, 2, P71, [7], "canonical", 7,
+    "curve65533-7": (-71, 2, P71, [7], 7,
                      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "curve65533-21": (-71, 2, P71, [21], "canonical", 7,
+    "curve65533-21": (-71, 2, P71, [21], 7,
                       "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "curve65533-49": (-71, 2, P71, [49], "canonical", 7,
+    "curve65533-49": (-71, 2, P71, [49], 7,
                       "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "curve65533-63": (-71, 2, P71, [63], "canonical", 7,
+    "curve65533-63": (-71, 2, P71, [63], 7,
                       "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "D-47_partial": (-47, 3, unit_ideal(-47), [], "canonical", 7,
+    "D-47_partial": (-47, 3, unit_ideal(-47), [], 7,
                      "efd414bc740bc75695da6fef78625b72c06cb372a1dd699e7ed1eeaeb63a56fe"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MAP_PINS))
 def test_build_reductions_pinned(name):
-    D, k, cond, fp, class_part, ell, digest = MAP_PINS[name]
-    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
+    D, k, cond, fp, ell, digest = MAP_PINS[name]
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
     out = [(m.field.ell, m.field.r, m.describe()) for m in build_reductions(chi, ell)]
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
 
@@ -550,6 +547,28 @@ def test_maps_lie_in_the_field_descent_names(character, ell):
     if maps:
         codes = [c for m in maps for c in (m.x_img, m.z_img, *m.t_imgs)]
         assert (maps[0].field.r == 1) == (max(codes) < ell)
+    # every twist by a class-group character is a map: t_j times an h_j-th
+    # root of unity of the field, with the other images fixed
+    orders = class_group(cond.D).orders
+    for m in maps:
+        for j, h in enumerate(orders):
+            for u in m.field.nth_roots(1, h):
+                ts = list(m.t_imgs)
+                ts[j] = m.field.mul(ts[j], u)
+                assert m._replace(t_imgs=tuple(ts)) in maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(descent_characters)
+def test_evaluate_multiplicative_on_drawn_characters(character):
+    # chi is a character on every class group drawn (h = 1, 3, 5, 7) because
+    # its relation constants are the values the finite part forces
+    cond, k, fp = character
+    chi = build_hecke_char(cond.D, k, cond, fp)
+    pool = [P for p in (2, 3, 5, 7, 11, 13) for P in primes_above(cond.D, p).primes
+            if P.norm() <= 13 and ideals_coprime(P, cond)]
+    for a, b in itertools.combinations_with_replacement(pool, 2):
+        assert evaluate(chi, ideal_multiply(a, b)) == evaluate(chi, a) * evaluate(chi, b)
 
 
 def test_build_reductions_rejects_bad_ell(delta_char):

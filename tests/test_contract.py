@@ -28,6 +28,17 @@ MALFORMED = {
     "class_part_not_a_list": {
         **DELTA, "char": {**EXPLICIT, "finite_part": [11], "class_part": 5},
     },
+    # a list of class-group twist exponents: [1] made a non-multiplicative
+    # function that verify scored as a mismatch (exit 1), [0] was echoed back
+    "class_part_twist": {
+        **DELTA, "char": {**EXPLICIT, "finite_part": [11], "class_part": [1]},
+    },
+    "class_part_zero": {
+        **DELTA, "char": {**EXPLICIT, "finite_part": [11], "class_part": [0]},
+    },
+    "class_part_too_long": {
+        **DELTA, "char": {**EXPLICIT, "finite_part": [11], "class_part": [1, 2]},
+    },
     "bound_not_a_number": {
         **CURVE, "target": {"curve": [0, -1, 1, -18507, -989382]}, "bound": [50],
     },
@@ -82,6 +93,35 @@ def test_unknown_key_exits_2_at_every_level(name, command, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: malformed {UNKNOWN_KEYS[name]}"]
+
+
+CLASS_PARTS = ("class_part_not_a_list", "class_part_twist", "class_part_zero",
+               "class_part_too_long")
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("name", CLASS_PARTS)
+def test_class_part_other_than_canonical_exits_2(name, command, tmp_path, capsys):
+    # a character is fixed by its finite part; its class-group twists are its maps
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: malformed scenario: class_part must be 'canonical'"
+    ]
+
+
+def test_canonical_class_part_is_the_default(tmp_path, capsys):
+    char = {**EXPLICIT, "finite_part": [11]}
+    outs = []
+    for spec in (char, {k: v for k, v in char.items() if k != "class_part"}):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**DELTA, "char": spec}))
+        assert cli.main(["verify", "--scenario", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"class_part":"canonical"' in outs[0]
 
 
 # raw file contents that json.dumps cannot produce: nesting past the
@@ -766,9 +806,8 @@ def scenarios(draw):
     char = draw(st.one_of(
         st.just("search"),
         st.builds(
-            lambda fp, cp: {"finite_part": fp, "class_part": cp},
+            lambda fp: {"finite_part": fp, "class_part": "canonical"},
             st.lists(small, max_size=3),
-            st.one_of(st.just("canonical"), st.lists(small, max_size=2)),
         ),
     ))
     return Scenario(

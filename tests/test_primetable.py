@@ -54,12 +54,9 @@ def curve65533_candidates():
 
 def cases():
     for name, spec in CHARS.items():
-        yield pytest.param(*spec, "canonical", id=name)
+        yield pytest.param(*spec, id=name)
     for e in curve65533_candidates():
-        yield pytest.param(-71, 2, P71, [e], 7, 500, "canonical", id=f"curve65533-{e}")
-    # the non-canonical branch of build_hecke_char: c_1 gains zeta_2 = -1, and
-    # the maps send t to 22, 196 and 357 (1, 195 and 356 when canonical)
-    yield pytest.param(*CHARS["delta23"], [1], id="delta23-class_part-1")
+        yield pytest.param(-71, 2, P71, [e], 7, 500, id=f"curve65533-{e}")
 
 
 def test_curve65533_candidates_include_the_match():
@@ -67,9 +64,9 @@ def test_curve65533_candidates_include_the_match():
     assert len(curve65533_candidates()) == 5 and 35 in curve65533_candidates()
 
 
-@pytest.mark.parametrize("D,k,cond,fp,ell,bound,class_part", cases())
-def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound, class_part):
-    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
+@pytest.mark.parametrize("D,k,cond,fp,ell,bound", cases())
+def test_log_space_values_equal_reduced_exact_values(D, k, cond, fp, ell, bound):
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
     # the rational primes with a prime ideal in the table, and those ideals
     exact = [(p, pairs) for p, pairs in prime_values(chi, bound) if pairs]
     rows = prime_table(D, cond, chi.class_ideals, bound)
@@ -105,9 +102,9 @@ def test_candidates_share_one_class_extension():
         assert chi.class_betas is first.class_betas
 
 
-@pytest.mark.parametrize("D,k,cond,fp,ell,bound,class_part", cases())
-def test_rows_equal_the_per_prime_route(D, k, cond, fp, ell, bound, class_part):
-    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=(ell,))
+@pytest.mark.parametrize("D,k,cond,fp,ell,bound", cases())
+def test_rows_equal_the_per_prime_route(D, k, cond, fp, ell, bound):
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=(ell,))
     rows = prime_table.__wrapped__(D, cond, chi.class_ideals, bound)
     assert rows == prime_table_per_prime(D, cond, chi.class_ideals, bound)
 

@@ -138,17 +138,17 @@ def test_nebentypus_trivial_conductor_char():
 
 def nebentypus_chars():
     """The characters of this file and of `tests/test_primetable.py`."""
-    yield pytest.param(-23, 12, P23, [11], "canonical", (23,), id="delta23")
-    yield pytest.param(-4, 5, unit_ideal(-4), [], "canonical", (), id="D-4_unit")
+    yield pytest.param(-23, 12, P23, [11], (23,), id="delta23")
+    yield pytest.param(-4, 5, unit_ideal(-4), [], (), id="D-4_unit")
     for case in primetable_cases():
-        D, k, cond, fp, ell, _, class_part = case.values
-        yield pytest.param(D, k, cond, fp, class_part, (ell,), id=f"primetable-{case.id}")
+        D, k, cond, fp, ell, _ = case.values
+        yield pytest.param(D, k, cond, fp, (ell,), id=f"primetable-{case.id}")
 
 
-@pytest.mark.parametrize("D,k,cond,fp,class_part,avoid", nebentypus_chars())
-def test_nebentypus_lives_on_the_lcm_of_its_factors(D, k, cond, fp, class_part, avoid):
+@pytest.mark.parametrize("D,k,cond,fp,avoid", nebentypus_chars())
+def test_nebentypus_lives_on_the_lcm_of_its_factors(D, k, cond, fp, avoid):
     # eps = (D|.) * eta on lcm(N(f), |D|) is the product on N(f) * |D| restricted
-    chi = build_hecke_char(D, k, cond, fp, class_part, avoid_primes=avoid)
+    chi = build_hecke_char(D, k, cond, fp, avoid_primes=avoid)
     eps, eta = nebentypus(chi)
     M = cond.norm()
     assert eps.modulus == lcm(M, abs(D))

@@ -135,7 +135,7 @@ RECORD_FIELDS = {
     ClassGroup: ("D", "reps", "gens", "orders"),
     ResidueGroup: ("D", "modulus", "gens", "orders"),
     HeckeChar: ("D", "k", "cond", "rg", "fp", "w", "zeta_exps", "class_ideals",
-                "class_betas", "class_part", "class_zetas"),
+                "class_betas", "class_zetas"),
     EllipticCurve: ("a1", "a2", "a3", "a4", "a6"),
     DihedralDatum: ("ell", "D", "k", "cond_away", "case"),
     DirichletChar: ("modulus", "order", "exps"),
